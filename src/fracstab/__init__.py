@@ -31,11 +31,8 @@ from .solver import (
 )
 from .special_fn import (
     DecayEstimate,
-    EvalRegion,
     FracOrder,
     MLParams,
-    RegionKind,
-    classify_region,
     estimate_decay_constant,
     gamma,
     ml,
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayEstimate",
-    "EvalRegion",
     "FracOrder",
     "LinearConstant",
     "LinearDecaying",
@@ -67,7 +63,6 @@ __all__ = [
     "NonlinearSaturating",
     "NonlinearTable",
     "PerturbationSpec",
-    "RegionKind",
     "SpectralData",
     "StabilityReport",
     "TimeGrid",
@@ -76,7 +71,6 @@ __all__ = [
     "boundedness_probe",
     "check_spectral_condition",
     "classify",
-    "classify_region",
     "compute_q_linear",
     "compute_q_nonlinear",
     "delta_of_epsilon",

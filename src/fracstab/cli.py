@@ -44,6 +44,8 @@ KINDS = (
     "Counterexample",
     "BoundednessProbe",
 )
+# kinds whose certificates need a strictly fractional order
+_FRACTIONAL_KINDS = ("Analyze", "DecayFit", "RobustDemo", "BoundednessProbe")
 FORMATS = ("json", "csv")
 STABLE_VERDICTS = ("RobustStable", "UniformSmallStable", "DecayingStable")
 COUNTEREXAMPLE_HORIZON = 50.0
@@ -163,6 +165,9 @@ def parse_config(raw):
         canon_params = {"lam": lam, "x0": _as_float(_get(params, "x0", "", 1.0), "params.x0")}
     elif params:
         _fail(f"params not accepted for kind {kind!r}")
+
+    if kind in _FRACTIONAL_KINDS and alpha == 1.0:
+        _fail(f"system.alpha must lie in (0, 1) for kind {kind!r}, got 1.0")
 
     if kind == "BoundednessProbe":
         if t_max < 100.0:
@@ -302,23 +307,21 @@ def _run_ml_eval(cfg, out_dir, csv_on):
     m = as_square_matrix(cfg["system"]["a"])
     spec = spectral_decompose(m)
     grid = uniform_grid(cfg["grid"]["t_max"], cfg["grid"]["n"])
-    p1 = MLParams(al, 1.0)
-    paa = MLParams(al, al)
-    n_ea = [float(operator_norm(ml_matrix(p1, t, m, spec), norm)) for t in grid.nodes]
-    n_eaa = [float(operator_norm(ml_matrix(paa, t, m, spec), norm)) for t in grid.nodes]
+    n_ea = operator_norm(ml_matrix(MLParams(al, 1.0), grid.nodes, m, spec), norm)
+    n_eaa = operator_norm(ml_matrix(MLParams(al, al), grid.nodes, m, spec), norm)
     report = _base_report(cfg)
     report.update(
         {
             "t_max": grid.horizon,
-            "sup_norm_ml": max(n_ea),
-            "sup_norm_ml_kernel": max(n_eaa),
-            "horizon_norm_ml": n_ea[-1],
-            "horizon_norm_ml_kernel": n_eaa[-1],
+            "sup_norm_ml": float(n_ea.max()),
+            "sup_norm_ml_kernel": float(n_eaa.max()),
+            "horizon_norm_ml": float(n_ea[-1]),
+            "horizon_norm_ml_kernel": float(n_eaa[-1]),
         }
     )
     _write_json(out_dir, "report.json", report)
     if csv_on:
-        rows = [[float(t), a, b] for t, a, b in zip(grid.nodes, n_ea, n_eaa)]
+        rows = [[float(t), float(a), float(b)] for t, a, b in zip(grid.nodes, n_ea, n_eaa)]
         _write_csv(out_dir, "decay.csv", ["t", "norm_Ea", "norm_Eaa"], rows)
     return 0
 
@@ -403,10 +406,8 @@ def _run_decay_fit(cfg, out_dir, csv_on):
     spec = spectral_decompose(m)
     t_max = cfg["grid"]["t_max"]
     ts = np.geomspace(t_max / 100.0, t_max, cfg["grid"]["n"])
-    p1 = MLParams(al, 1.0)
-    paa = MLParams(al, al)
-    n_ea = np.array([operator_norm(ml_matrix(p1, t, m, spec), norm) for t in ts])
-    n_eaa = np.array([operator_norm(ml_matrix(paa, t, m, spec), norm) for t in ts])
+    n_ea = operator_norm(ml_matrix(MLParams(al, 1.0), ts, m, spec), norm)
+    n_eaa = operator_norm(ml_matrix(MLParams(al, al), ts, m, spec), norm)
     last = ts >= t_max / 10.0
     slope_ea = float(np.polyfit(np.log(ts[last]), np.log(n_ea[last]), 1)[0])
     slope_eaa = float(np.polyfit(np.log(ts[last]), np.log(n_eaa[last]), 1)[0])

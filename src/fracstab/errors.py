@@ -58,10 +58,6 @@ class TailConvergenceError(FracstabError):
     """Improper-integral truncation point search exceeded its cap."""
 
 
-class NonIntegrableTailError(FracstabError, ValueError):
-    """Declared tail envelope decays too slowly to integrate."""
-
-
 class GridError(FracstabError, ValueError):
     """Time grid violates its construction invariants."""
 

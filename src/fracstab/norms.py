@@ -27,7 +27,10 @@ def vector_norm(x, kind="max"):
 
 
 def operator_norm(m, kind="max"):
-    """Matrix norm induced by the chosen vector norm."""
+    """Matrix norm induced by the chosen vector norm (or of each matrix of
+    a 3-d stack of matrices)."""
     check_norm(kind)
     m = np.atleast_2d(np.asarray(m))
-    return float(np.linalg.norm(m, _VEC_ORD[kind]))
+    if m.ndim == 2:
+        return float(np.linalg.norm(m, _VEC_ORD[kind]))
+    return np.linalg.norm(m, _VEC_ORD[kind], axis=(-2, -1))

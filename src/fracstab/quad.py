@@ -1,4 +1,4 @@
-"""Quadrature for weakly singular convolution kernels and algebraic tails.
+"""Quadrature for weakly singular convolution kernels.
 
 The central integral is ∫_0^t (t-tau)^(alpha-1) g(tau) dtau with alpha in
 (0,1): the kernel factor is integrated exactly against the piecewise-linear
@@ -11,14 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import (
-    DomainError,
-    GridError,
-    NonIntegrableTailError,
-    QuadratureConvergenceError,
-)
+from .errors import DomainError, GridError
 
 __all__ = [
     "TimeGrid",
@@ -26,9 +20,6 @@ __all__ = [
     "graded_grid",
     "singular_weights",
     "convolve_singular",
-    "TailEnvelope",
-    "ImproperResult",
-    "improper_integral",
 ]
 
 
@@ -133,13 +124,18 @@ def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
     return w
 
 
-def _as_kernel(raw, d):
+def _kernel_stack(raw, n_lags, d):
+    """Kernel values as an (n_lags, d, d) stack; a scalar or a (d, d)
+    matrix stands for the same value at every lag."""
     k = np.asarray(raw, dtype=float)
     if k.ndim == 0:
-        return float(k) * np.eye(d)
-    if k.shape != (d, d):
+        k = float(k) * np.eye(d)
+    if k.shape == (d, d):
+        return np.broadcast_to(k, (n_lags, d, d))
+    if k.shape != (n_lags, d, d):
         raise DomainError(
-            f"kernel matrix shape {k.shape} does not match state dimension {d}"
+            f"kernel shape {k.shape} does not match {n_lags} lags "
+            f"of state dimension {d}"
         )
     return k
 
@@ -152,9 +148,13 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
     The values g interpolate linearly in tau.  The kernel interpolates
     linearly in y = lag^alpha, the variable in which the intended kernels
     E_{alpha,alpha}(lag^alpha A) are entire; a kernel that is constant
-    between nodes reduces the rule to the plain product trapezoid.  Kernel
-    evaluations are memoized by lag, so uniform grids cost O(N) evaluations
-    and O(N^2) arithmetic.
+    between nodes reduces the rule to the plain product trapezoid.
+
+    kernel_matrix_at is called once, with the 1-d array of every lag the
+    grid needs: the nodes themselves on a uniform grid (O(N) lags), the
+    row lags t_n - t_0, ..., t_n - t_n of each row in turn on a graded one
+    (O(N^2) lags).  It returns a scalar, a (d, d) matrix or the
+    (n_lags, d, d) stack of kernel values at those lags.
     """
     a_ = float(alpha)
     if not (0.0 < a_ <= 1.0):
@@ -167,15 +167,6 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
     if work.ndim != 2:
         raise DomainError("values must be a list of scalars or of vectors")
     d = work.shape[1]
-
-    memo: dict[float, np.ndarray] = {}
-
-    def kernel(lag: float) -> np.ndarray:
-        k = memo.get(lag)
-        if k is None:
-            k = _as_kernel(kernel_matrix_at(lag), d)
-            memo[lag] = k
-        return k
 
     n_nodes = len(grid)
     out = np.zeros_like(work)
@@ -203,7 +194,7 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
         # on a uniform grid interval j of row n sees lags that depend only
         # on n - j, so moments and kernel samples tabulate once
         cpu, cpv, csu, csv = row_coeffs(t[1:], t[:-1])
-        kstack = np.stack([kernel(float(lag)) for lag in t])
+        kstack = _kernel_stack(kernel_matrix_at(t), n_nodes, d)
         for n in range(1, n_nodes):
             r = slice(n - 1, None, -1)
             phi0 = u_all[:n] * cpu[r][:, None] + v_all[:n] * cpv[r][:, None]
@@ -213,47 +204,18 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
             ) + np.einsum("jab,jb->a", kstack[n:0:-1], psi)
         return out[:, 0] if scalar_input else out
 
+    # row n needs the lags t_n - t_j, j = 0..n, stored from offset start[n]
+    lags = np.concatenate([t[n] - t[: n + 1] for n in range(n_nodes)])
+    start = np.concatenate([[0], np.cumsum(np.arange(1, n_nodes + 1))])
+    kall = _kernel_stack(kernel_matrix_at(lags), lags.size, d)
     for n in range(1, n_nodes):
-        lag_a = t[n] - t[:n]       # lag at the left node of each interval
-        lag_b = t[n] - t[1 : n + 1]  # lag at the right node
-        cpu, cpv, csu, csv = row_coeffs(lag_a, lag_b)
+        row = lags[start[n] : start[n + 1]]
+        k = kall[start[n] : start[n + 1]]
+        # interval j of the row runs from lag row[j] down to lag row[j + 1]
+        cpu, cpv, csu, csv = row_coeffs(row[:-1], row[1:])
         phi0 = u_all[:n] * cpu[:, None] + v_all[:n] * cpv[:, None]
         psi = u_all[:n] * csu[:, None] + v_all[:n] * csv[:, None]
-        ka = np.stack([kernel(float(lag)) for lag in lag_a])
-        kb = np.stack([kernel(float(lag)) for lag in lag_b])
-        out[n] = np.einsum("jab,jb->a", kb, phi0 - psi) + np.einsum(
-            "jab,jb->a", ka, psi
+        out[n] = np.einsum("jab,jb->a", k[1:], phi0 - psi) + np.einsum(
+            "jab,jb->a", k[:-1], psi
         )
     return out[:, 0] if scalar_input else out
-
-
-@dataclass(frozen=True)
-class TailEnvelope:
-    """Algebraic tail bound C * s^(-p) valid beyond the split point."""
-
-    C: float
-    p: float
-
-
-@dataclass(frozen=True)
-class ImproperResult:
-    value: float
-    tail_bound: float
-
-
-def improper_integral(envelope: TailEnvelope, integrand_on_finite, split: float) -> ImproperResult:
-    """Finite-part quadrature on [0, split] plus the exact integral of the
-    algebraic envelope over (split, infinity)."""
-    if not (envelope.p > 1.0):
-        raise NonIntegrableTailError(
-            f"tail exponent p = {envelope.p} does not integrate at infinity"
-        )
-    if not (split > 0.0) or not math.isfinite(split):
-        raise DomainError("split must be positive and finite")
-    val, abserr = integrate.quad(integrand_on_finite, 0.0, split, limit=400)
-    if abserr > 1e-7 * max(1.0, abs(val)):
-        raise QuadratureConvergenceError(
-            f"finite-part quadrature error estimate {abserr:.3e} too large"
-        )
-    tail = envelope.C * split ** (1.0 - envelope.p) / (envelope.p - 1.0)
-    return ImproperResult(value=val + tail, tail_bound=tail)

@@ -21,7 +21,7 @@ from .errors import (
 from .matfun import as_square_matrix, ml_matrix, spectral_decompose
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, convolve_singular, singular_weights, _power_diff
-from .special_fn import FracOrder, MLParams, ml
+from .special_fn import FracOrder, MLParams, ml_many
 
 _LP_TOL = 1e-10
 _LP_MAX_ITER = 200
@@ -320,11 +320,9 @@ def solve_linear_exact(alpha, a, x0, grid: TimeGrid, spec=None) -> Trajectory:
     x = _as_state(x0, m.shape[0])
     if spec is None:
         spec = spectral_decompose(m)
-    params = MLParams(al, 1.0)
     states = np.empty((len(grid), m.shape[0]))
     states[0] = x
-    for n, t in enumerate(grid.nodes[1:], start=1):
-        states[n] = ml_matrix(params, t, m, spec) @ x
+    states[1:] = ml_matrix(MLParams(al, 1.0), grid.nodes[1:], m, spec) @ x
     return Trajectory(
         grid=grid,
         states=states,
@@ -386,16 +384,18 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
 
 
 def _ml_kernel(al, m, spec):
-    """Memoized lag -> E_{alpha,alpha}(lag^alpha A) for the operator kernel."""
-    params = MLParams(al, al)
-    memo = {}
+    """lags -> stack of E_{alpha,alpha}(lag^alpha A), the operator kernel.
 
-    def kernel(lag):
-        k = memo.get(lag)
-        if k is None:
-            k = ml_matrix(params, lag, m, spec)
-            memo[lag] = k
-        return k
+    Keeps the last (lags, stack) pair: every application of the operator
+    on one grid asks for the same lags, so they are evaluated once.
+    """
+    params = MLParams(al, al)
+    last = [None, None]
+
+    def kernel(lags):
+        if last[0] is None or not np.array_equal(last[0], lags):
+            last[:] = [np.array(lags), ml_matrix(params, lags, m, spec)]
+        return last[1]
 
     return kernel
 
@@ -491,14 +491,9 @@ def solve_rl_scalar_exact(alpha, lam, b, x0, grid: TimeGrid) -> Trajectory:
     if not math.isfinite(b):
         raise DomainError("b must be finite")
     x = float(np.asarray(x0, dtype=float).reshape(()))
-    params = MLParams(al, al)
-    coeff = -lam + b
     ts = grid.nodes[1:]
-    states = np.array(
-        [[t ** (al - 1.0) * ml(params, coeff * t ** al).real * x] for t in ts]
-    )
-    if len(ts) == 0:
-        states = np.empty((0, 1))
+    values = ml_many(MLParams(al, al), (-lam + b) * ts ** al).real
+    states = (ts ** (al - 1.0) * values * x)[:, None]
     return Trajectory(
         grid=grid,
         states=states,

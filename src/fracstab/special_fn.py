@@ -10,7 +10,6 @@ regimes, which keeps decay-constant estimation stable out to t = 1e6.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .errors import (
 __all__ = [
     "FracOrder",
     "MLParams",
-    "RegionKind",
-    "EvalRegion",
-    "classify_region",
     "gamma",
     "ml",
     "ml_many",
@@ -173,57 +169,17 @@ def gamma(x):
     return _lanczos_pos(x) if x >= 0.5 else _PI / (_sinpi(x) * _lanczos_pos(1.0 - x))
 
 
-def _rgamma_arr(x):
-    return np.array([_rgamma(float(v)) for v in np.atleast_1d(x)])
-
-
 # ---------------------------------------------------------------------------
 # evaluation regions
 
 _ASYM_RADIUS = 50.0
-_QUAD_OUTER_RADIUS = 55.0
 # Taylor is safe while the largest series term stays below e**L_CAP; the
 # radius min(5, 6**alpha) keeps float64 cancellation under the 1e-12 budget.
 _SERIES_LOG_CAP = 6.0
 
 
-class RegionKind(Enum):
-    SERIES = "series"
-    QUADRATURE = "quadrature"
-    ASYMPTOTIC = "asymptotic"
-
-
-@dataclass(frozen=True)
-class EvalRegion:
-    """Dispatch decision for one argument: method plus the radius bounds."""
-
-    kind: RegionKind
-    series_radius: float
-    quadrature_outer_radius: float
-
-    def __post_init__(self):
-        if not self.series_radius < self.quadrature_outer_radius:
-            raise DomainError("region radii out of order")
-
-
 def _series_radius(alpha):
     return min(5.0, _SERIES_LOG_CAP ** alpha)
-
-
-def classify_region(params, z):
-    """Region the evaluator will use for this argument (ties go to the
-    lower-|z| method)."""
-    if not isinstance(params, MLParams):
-        params = MLParams(*params) if isinstance(params, tuple) else MLParams(float(params))
-    r0 = _series_radius(params.alpha)
-    az = abs(complex(z))
-    if az <= r0:
-        kind = RegionKind.SERIES
-    elif az <= _ASYM_RADIUS:
-        kind = RegionKind.QUADRATURE
-    else:
-        kind = RegionKind.ASYMPTOTIC
-    return EvalRegion(kind, r0, _QUAD_OUTER_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +316,9 @@ def _ml_asymptotic(alpha, beta, z, l=0):
 _MU_CANDIDATES = (3.0, 4.5, 2.0, 5.5, 1.2, 7.0, 0.8)
 _CONTOUR_NODES = (241, 481, 961, 1921)
 _CONTOUR_RTOL = 1e-12
+# points per contour batch: keeps the (points x nodes) work arrays at a
+# few MB, small enough to stay in cache when ml_many gets thousands of points
+_CONTOUR_CHUNK = 64
 
 
 def _principal_poles(alpha, z):
@@ -428,8 +387,8 @@ def _contour_sum(alpha, beta, z, l, mu, n_nodes):
 def _ml_contour(alpha, beta, z, l=0):
     z = np.asarray(z, dtype=complex)
     out = np.zeros_like(z)
-    for start in range(0, z.size, 256):
-        zc = z.reshape(-1)[start : start + 256]
+    for start in range(0, z.size, _CONTOUR_CHUNK):
+        zc = z.reshape(-1)[start : start + _CONTOUR_CHUNK]
         poles = _principal_poles(alpha, zc)
         mu = _choose_mu(alpha, zc, poles)
         res = np.zeros_like(zc)
@@ -458,7 +417,7 @@ def _ml_contour(alpha, beta, z, l=0):
             raise QuadratureConvergenceError(
                 f"contour quadrature failed its error estimate near z = {worst}"
             )
-        out.reshape(-1)[start : start + 256] = val + res
+        out.reshape(-1)[start : start + _CONTOUR_CHUNK] = val + res
     return out
 
 

@@ -137,13 +137,41 @@ def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     return env_far * kint_value + sup_k * kernel_tail
 
 
-def _q_scan(m, al, spec, norm, weigher, limit_value, sup_k, env_far, kint_value):
-    """sup over geometric horizons of the contraction integral.
+def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
+    """(q, error estimate): sup over geometric horizons of the contraction
+    integral.
 
-    weigher(v, tau) evaluates the integrand factor carrying the
-    perturbation at kernel lag v^(1/alpha) and absolute time tau; the
-    substitution v = lag^alpha removes the kernel singularity.
+    The integrand at kernel lag s and absolute time tau = t - s is
+    ||E_{alpha,alpha}(s^alpha A) Q(tau)|| when q_matrix gives Q, else
+    ||E_{alpha,alpha}(s^alpha A)|| K(tau) for the envelope K with limit
+    lim_k; the substitution v = s^alpha removes the kernel singularity.
     """
+    sup_k, lim_k = _envelope_stats(envelope, lim_k)
+    if sup_k == 0.0:
+        return 0.0, 0.0
+    spec = spectral_decompose(m)
+    if kint_value is None:
+        kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
+    if q_matrix is None:
+        limit_value = lim_k * kint_value
+
+        def weigher(e, tau):
+            return operator_norm(e, norm) * float(envelope(tau))
+
+    else:
+        # a matrix that settles to a constant makes the integral monotone
+        # up to this infinite-horizon limit
+        limit_value = kernel_integral(
+            m, al, norm, spec=spec, right=q_matrix(_LIMIT_TIME)
+        )["value"]
+
+        def weigher(e, tau):
+            return operator_norm(e @ q_matrix(tau), norm)
+
+    if float(envelope(0.0)) == lim_k == sup_k:
+        # constant envelope: the integral grows monotonically to its limit
+        return float(limit_value), 0.0
+    env_far = float(envelope(_FAR_TIME))
     params = MLParams(al, al)
 
     def value_at(t):
@@ -182,18 +210,19 @@ def _q_scan(m, al, spec, norm, weigher, limit_value, sup_k, env_far, kint_value)
     return float(value), float(err + tail_excess)
 
 
-def _envelope_stats(pert, norm):
+def _envelope_stats(envelope, lim_k):
+    """(sup, limit) of the envelope K(t), with the sup taken over t = 0,
+    200 geometric sample times in [1e-3, 1e6] and the limit lim_k."""
     ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 200)])
-    vals = [pert.envelope(t, norm) for t in ts]
-    lim = pert.limit_envelope(norm)
-    return float(max(max(vals), lim)), float(lim)
+    vals = np.array([float(envelope(t)) for t in ts] + [float(lim_k)])
+    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+        raise DomainError("envelope must be finite and nonnegative")
+    return float(vals.max()), float(lim_k)
 
 
-def _linear_limit_value(m, al, spec, norm, pert):
-    q_inf = pert.q_matrix(_LIMIT_TIME)
-    if q_inf is None or not np.any(q_inf):
-        return 0.0
-    return kernel_integral(m, al, norm, spec=spec, right=q_inf)["value"]
+def _pert_envelope(pert, norm):
+    """The envelope callable and limit of a perturbation kind."""
+    return (lambda t: pert.envelope(t, norm)), pert.limit_envelope(norm)
 
 
 def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
@@ -207,11 +236,6 @@ def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
     its infinite-horizon limit, which is evaluated analytically through
     the kernel integral and included in the sup.
     """
-    value, _ = _q_linear_scan(a, alpha, pert, norm, mode)
-    return value
-
-
-def _q_linear_scan(a, alpha, pert, norm="max", mode="product", kint_value=None):
     m = as_square_matrix(a)
     al = _order_value(alpha)
     check_norm(norm)
@@ -220,31 +244,8 @@ def _q_linear_scan(a, alpha, pert, norm="max", mode="product", kint_value=None):
         raise DomainError("compute_q_linear requires a linear perturbation kind")
     if mode not in ("product", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
-    sup_k, lim_k = _envelope_stats(pert, norm)
-    if sup_k == 0.0:
-        return 0.0, 0.0
-    spec = spectral_decompose(m)
-    if kint_value is None:
-        kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    if mode == "product":
-        limit_value = _linear_limit_value(m, al, spec, norm, pert)
-
-        def weigher(e, tau):
-            return operator_norm(e @ pert.q_matrix(tau), norm)
-
-    else:
-        limit_value = lim_k * kint_value
-
-        def weigher(e, tau):
-            return operator_norm(e, norm) * pert.envelope(tau, norm)
-
-    if pert.envelope(0.0, norm) == lim_k == sup_k:
-        # constant envelope: the integral grows monotonically to its limit
-        return float(limit_value), 0.0
-    env_far = pert.envelope(_FAR_TIME, norm)
-    return _q_scan(
-        m, al, spec, norm, weigher, limit_value, sup_k, env_far, kint_value
-    )
+    q_matrix = pert.q_matrix if mode == "product" else None
+    return _q_scan(m, al, norm, *_pert_envelope(pert, norm), q_matrix)[0]
 
 
 def compute_q_nonlinear(a, alpha, k, norm="max"):
@@ -254,38 +255,12 @@ def compute_q_nonlinear(a, alpha, k, norm="max"):
     ||E|| * K(tau), matching the certificate available when only a
     Lipschitz envelope of the perturbation is known.
     """
-    value, _ = _q_nonlinear_scan(a, alpha, k, norm)
-    return value
-
-
-def _q_nonlinear_scan(a, alpha, k, norm="max", kint_value=None):
     m = as_square_matrix(a)
     al = _order_value(alpha)
     check_norm(norm)
     if not callable(k):
         raise DomainError("envelope must be callable")
-    probes = [float(k(t)) for t in (0.0, 1.0, 100.0)]
-    if any(not math.isfinite(v) or v < 0.0 for v in probes):
-        raise DomainError("envelope must be finite and nonnegative")
-    spec = spectral_decompose(m)
-    if kint_value is None:
-        kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    lim_k = float(k(_LIMIT_TIME))
-    limit_value = lim_k * kint_value
-
-    def weigher(e, tau):
-        return operator_norm(e, norm) * float(k(tau))
-
-    sample = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 120)])
-    sup_k = max(max(float(k(t)) for t in sample), lim_k)
-    if sup_k == 0.0:
-        return 0.0, 0.0
-    if probes[0] == lim_k == sup_k:
-        return float(limit_value), 0.0
-    env_far = float(k(_FAR_TIME))
-    return _q_scan(
-        m, al, spec, norm, weigher, limit_value, sup_k, env_far, kint_value
-    )
+    return _q_scan(m, al, norm, k, k(_LIMIT_TIME))[0]
 
 
 def epsilon_threshold(a, alpha, norm="max"):
@@ -314,39 +289,6 @@ def delta_of_epsilon(q, eps_ball, a, alpha, norm="max"):
     if not eps_ball > 0.0:
         raise DomainError("eps_ball must be positive")
     return (1.0 - q) * eps_ball / sup_ml_norm(a, alpha, norm)
-
-
-class _PropagatorTable:
-    """E_{alpha,alpha}(lag^alpha A) interpolated in log-lag.
-
-    The certificate integrals evaluate the propagator at thousands of
-    scattered lags; a 2400-point geometric table keeps that cheap while
-    the entries vary smoothly on the log scale.
-    """
-
-    def __init__(self, m, al, spec, max_lag):
-        self.lags = np.geomspace(1e-12, max(max_lag, 1.0), 2400)
-        params = MLParams(al, al)
-        self.table = np.stack(
-            [ml_matrix(params, s, m, spec) for s in self.lags]
-        )
-        self.at_zero = ml_matrix(params, 0.0, m, spec)
-        self.log_lags = np.log(self.lags)
-
-    def __call__(self, lags):
-        lags = np.asarray(lags, dtype=float)
-        out = np.empty(lags.shape + self.at_zero.shape)
-        logs = np.log(np.maximum(lags, self.lags[0]))
-        d = self.at_zero.shape[0]
-        for i in range(d):
-            for j in range(d):
-                out[..., i, j] = np.interp(
-                    logs, self.log_lags, self.table[:, i, j]
-                )
-        small = lags < self.lags[0]
-        if np.any(small):
-            out[small] = self.at_zero
-        return out
 
 
 def _probe_family(rng, d, horizon, t_switch):
@@ -409,14 +351,18 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
     if not isinstance(grid, TimeGrid):
         raise GridError("grid must be a TimeGrid")
     pert = as_perturbation(pert)
-    d = m.shape[0]
     spec = spectral_decompose(m)
+    kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
+    return _beta_norm_core(m, al, pert, grid, norm, seed, spec, kint_value)
 
+
+def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int):
+    """beta_norm_certificate on validated inputs, given the spectral data
+    and the kernel integral m_int."""
+    d = m.shape[0]
     sup_e = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-    kint = kernel_integral(m, al, norm, spec=spec)
-    sup_k, lim_k = _envelope_stats(pert, norm)
+    sup_k, lim_k = _envelope_stats(*_pert_envelope(pert, norm))
     m_gamma = gamma(al) * sup_e * sup_k
-    m_int = kint["value"]
     big_m = max(1.0, m_gamma, m_int)
     threshold = 1.0 / (5.0 * big_m)
 
@@ -465,7 +411,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
         eval_ts.update(np.geomspace(lo, hi, 16))
     eval_ts = sorted(eval_ts)
 
-    table = _PropagatorTable(m, al, spec, horizon)
+    params = MLParams(al, al)
     rng = np.random.default_rng(seed)
     probes = _probe_family(rng, d, horizon, t_decay)
 
@@ -476,7 +422,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
         lags = v ** (1.0 / al)
         taus = np.maximum(t - lags, 0.0)
         damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
-        e_mats = table(lags)
+        e_mats = ml_matrix(params, lags, m, spec)
         if pert.is_linear:
             q_mats = np.stack([pert.q_matrix(tau) for tau in taus])
             core = np.einsum("vij,vjk->vik", e_mats, q_mats)
@@ -486,7 +432,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
                 acc = np.trapezoid(integrand, v, axis=0) / al
                 worst = max(worst, float(vector_norm(acc, norm)))
         else:
-            e_norms = np.array([operator_norm(e, norm) for e in e_mats])
+            e_norms = operator_norm(e_mats, norm)
             k_taus = np.array([pert.envelope(tau, norm) for tau in taus])
             base = e_norms * k_taus * damp
             for shape, _ in probes:
@@ -537,20 +483,16 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     spec = spectral_decompose(m)
     kint = kernel_integral(m, al, norm, spec=spec)
     epsilon = float(0.5 / kint["value"])
-    sup_k, lim_k = _envelope_stats(pert, norm)
+    envelope, lim_k = _pert_envelope(pert, norm)
+    sup_k, lim_k = _envelope_stats(envelope, lim_k)
 
     q_value = None
     q_error = None
     try:
-        if pert.is_linear:
-            q_value, q_error = _q_linear_scan(
-                m, al, pert, norm, kint_value=kint["value"]
-            )
-        else:
-            q_value, q_error = _q_nonlinear_scan(
-                m, al, lambda t: pert.envelope(t, norm), norm,
-                kint_value=kint["value"],
-            )
+        q_matrix = pert.q_matrix if pert.is_linear else None
+        q_value, q_error = _q_scan(
+            m, al, norm, envelope, lim_k, q_matrix, kint_value=kint["value"]
+        )
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")
 
@@ -562,8 +504,8 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         nonlocal cert, cert_attempted
         cert_attempted = True
         try:
-            cert = beta_norm_certificate(
-                m, al, pert, uniform_grid(40.0, 320), norm=norm, seed=seed
+            cert = _beta_norm_core(
+                m, al, pert, uniform_grid(40.0, 320), norm, seed, spec, kint["value"]
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")

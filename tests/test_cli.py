@@ -132,6 +132,28 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["solve", "--config", mismatch, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("analyze", "Analyze"),
+        ("decay-fit", "DecayFit"),
+        ("robust-demo", "RobustDemo"),
+        ("boundedness", "BoundednessProbe"),
+    ],
+)
+def test_alpha_one_is_an_input_error(tmp_path, capsys, command, kind):
+    cfg = {
+        "name": "one",
+        "kind": kind,
+        "system": {**BASE_SYSTEM, "alpha": 1.0},
+        "grid": {"t_max": 200.0, "n": 40},
+    }
+    path = _config(tmp_path, "one", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_decay_fit_slopes_and_sector_failure(tmp_path):
     cfg = {
         "name": "fit",

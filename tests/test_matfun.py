@@ -224,6 +224,33 @@ def test_ml_matrix_jordan_block_formula():
     assert np.allclose(out3, want3, rtol=1e-11, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "a, jordan",
+    [(ROTATION, None), (np.array([[-1.5]]), None), (JORDAN2, [(0, 2)])],
+)
+def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
+    spec = spectral_decompose(a, jordan_structure=jordan)
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])
+    for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
+        stack = ml_matrix(params, ts, a, spec)
+        assert stack.shape == (len(ts),) + a.shape
+        for t, got in zip(ts, stack):
+            want = ml_matrix(params, t, a, spec)
+            assert want.shape == a.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # the t = 0 slice is rgamma(beta) I, off-diagonal entries exactly 0
+        identity = np.eye(a.shape[0]) / math.gamma(params.beta)
+        assert np.allclose(stack[0], identity, rtol=1e-13, atol=0.0)
+
+
+def test_ml_matrix_rejects_bad_times():
+    spec = spectral_decompose(ROTATION)
+    params = MLParams(0.5, 1.0)
+    for bad in (-1.0, math.nan, math.inf, [0.5, -0.1], [1.0, math.nan], [[1.0]]):
+        with pytest.raises(DomainError):
+            ml_matrix(params, bad, ROTATION, spec)
+
+
 def test_ml_matrix_imag_truncation_gate():
     # spectral data whose eigenvalues are not conjugate-symmetric leaves an
     # O(1) imaginary residue behind

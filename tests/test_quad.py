@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracstab.errors import DomainError, GridError, NonIntegrableTailError
+from fracstab.errors import DomainError, GridError
 from fracstab.quad import (
-    TailEnvelope,
     TimeGrid,
     convolve_singular,
     graded_grid,
-    improper_integral,
     singular_weights,
     uniform_grid,
 )
-from fracstab.special_fn import MLParams, ml
+from fracstab.special_fn import MLParams, ml, ml_many
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,7 @@ def test_convolve_ml_kernel_antiderivative_identity():
     for alpha, tol64, rate in ((0.5, 6e-3, 2.2), (0.8, 7e-4, 3.5)):
         p_aa = MLParams(alpha, alpha)
         p_a1 = MLParams(alpha, 1.0)
-        kernel = lambda lag: ml(p_aa, -(lag ** alpha)).real
+        kernel = lambda lags: ml_many(p_aa, -(lags ** alpha)).real[:, None, None]
         errs = []
         for n in (64, 128):
             g = uniform_grid(4.0, n)
@@ -194,39 +192,3 @@ def test_convolve_kernel_shape_mismatch():
     vals = np.ones((5, 2))
     with pytest.raises(DomainError):
         convolve_singular(g, 0.5, vals, lambda lag: np.eye(3))
-
-
-# ---------------------------------------------------------------------------
-# improper integrals
-
-
-def test_improper_pure_tail():
-    res = improper_integral(TailEnvelope(C=1.0, p=2.0), lambda s: 0.0, 1.0)
-    assert res.value == pytest.approx(1.0, rel=1e-12)
-    assert res.tail_bound == pytest.approx(1.0, rel=1e-12)
-
-
-def test_improper_zero():
-    res = improper_integral(TailEnvelope(C=0.0, p=3.0), lambda s: 0.0, 5.0)
-    assert res.value == 0.0
-
-
-def test_improper_nonintegrable_tail():
-    with pytest.raises(NonIntegrableTailError):
-        improper_integral(TailEnvelope(C=1.0, p=1.0), lambda s: 0.0, 1.0)
-
-
-def test_improper_ml_kernel_telescopes_to_one():
-    """∫_0^inf s^(a-1) E_{a,a}(-s^a) ds = 1 for a = 0.5."""
-    alpha = 0.5
-    p = MLParams(alpha, alpha)
-
-    def f(s):
-        return s ** (alpha - 1.0) * ml(p, -(s ** alpha)).real
-
-    # envelope constant from the large-argument profile s^(2a) |E| -> 1/|Gamma(-a)|
-    split = 1.0e4
-    c_env = 0.30
-    res = improper_integral(TailEnvelope(C=c_env, p=1.0 + alpha), f, split)
-    assert res.value == pytest.approx(1.0, abs=1e-3)
-    assert res.tail_bound < 0.01

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfcx
 
+from fracstab import solver
 from fracstab.errors import (
     DomainError,
     GridError,
@@ -235,6 +236,22 @@ def test_iteration_on_coupled_system():
     ab = solve_abm(0.5, lambda t, x: a @ x + q @ x, np.array([1.0, -1.0]), g)
     assert max(lp.meta["ratios"]) < 0.5
     assert np.max(np.abs(lp.states - ab.states)) <= 2e-4
+
+
+def test_iteration_evaluates_the_kernel_once(monkeypatch):
+    betas = []
+    original = solver.ml_matrix
+
+    def counted(params, t, a, spec):
+        betas.append(params.beta)
+        return original(params, t, a, spec)
+
+    monkeypatch.setattr(solver, "ml_matrix", counted)
+    g = graded_grid(5.0, 32, 4.0)
+    lp = lyapunov_perron_iterate(0.5, A_NEG, LinearConstant([[0.5]]), 1.0, g)
+    assert lp.meta["iterations"] > 1
+    # one call for the linear part (beta = 1), one for the kernel (beta = alpha)
+    assert betas == [1.0, 0.5]
 
 
 def test_iteration_rejects_bad_controls():

@@ -19,8 +19,6 @@ from fracstab.errors import (
 from fracstab.special_fn import (
     FracOrder,
     MLParams,
-    RegionKind,
-    classify_region,
     estimate_decay_constant,
     gamma,
     ml,
@@ -87,17 +85,6 @@ def test_ml_params_validation():
         MLParams(0.0, 1.0)
     with pytest.raises(DomainError):
         MLParams(0.5, math.inf)
-
-
-def test_classify_region_bands():
-    p = MLParams(0.5, 1.0)
-    near = classify_region(p, 0.5)
-    mid = classify_region(p, 10.0)
-    far = classify_region(p, 80.0)
-    assert near.kind is RegionKind.SERIES
-    assert mid.kind is RegionKind.QUADRATURE
-    assert far.kind is RegionKind.ASYMPTOTIC
-    assert near.series_radius <= 5.0
 
 
 # ---------------------------------------------------------------------------
