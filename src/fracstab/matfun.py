@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DefectiveMatrixError,
@@ -23,6 +22,7 @@ from .errors import (
     TailConvergenceError,
 )
 from .norms import check_norm, operator_norm
+from .quad import _gk21_quad
 from .special_fn import (
     MLParams,
     _ml_dlambda_many,
@@ -315,7 +315,9 @@ def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
 
     The substitution v = tau^alpha removes the endpoint singularity exactly,
     leaving (1/alpha) * integral of ||E_{alpha,alpha}(v A)|| dv on the finite
-    part [0, T*^alpha].  The tail beyond T* is bounded through the decay
+    part [0, T*^alpha].  That part is an adaptive 21-point Gauss–Kronrod
+    quadrature, and each of its refinement rounds is one ml_matrix call on
+    every node of the round.  The tail beyond T* is bounded through the decay
     envelope ||E|| <= M_hat / tau^(2 alpha) with empirically estimated M_hat,
     and T* grows until tail_bound <= 1e-4 * value.  Returns the dict
     {value, tail_bound, t_star} with the tail estimate included in value.
@@ -347,7 +349,7 @@ def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
         return e if right is None else e @ right
 
     def enorm_v(v):
-        # integrand after substitution; v = tau^alpha
+        # integrand after substitution on an array of v = tau^alpha
         return operator_norm(propagator(v ** (1.0 / al)), norm)
 
     def m_hat(tau_star):
@@ -360,8 +362,8 @@ def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
     v_done = 0.0
     while True:
         v_star = star ** al
-        part, _ = integrate.quad(
-            enorm_v, v_done, v_star, limit=400, epsabs=1e-12, epsrel=1e-9
+        part, _ = _gk21_quad(
+            enorm_v, v_done, v_star, epsabs=1e-12, epsrel=1e-9, limit=400
         )
         finite += part / al
         v_done = v_star
@@ -383,8 +385,8 @@ def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
         t_star = float(t_star)
         if t_star > star:
             v_star = t_star ** al
-            part, _ = integrate.quad(
-                enorm_v, v_done, v_star, limit=400, epsabs=1e-12, epsrel=1e-9
+            part, _ = _gk21_quad(
+                enorm_v, v_done, v_star, epsabs=1e-12, epsrel=1e-9, limit=400
             )
             finite += part / al
             star = t_star

@@ -511,15 +511,20 @@ def ml_log_positive(alpha, x):
     x = float(x)
     if x < 0.0:
         raise DomainError("ml_log_positive requires x >= 0")
-    if x == 0.0:
-        return 0.0
+    return float(_ml_log_positive_many(alpha, np.array([x]))[0])
+
+
+def _ml_log_positive_many(alpha, x):
+    """ml_log_positive on a float array of x >= 0, with one ml_many call."""
+    out = np.zeros_like(x)
     w = x ** (1.0 / alpha)
-    if w > _LOG_SWITCH_W:
-        # E_alpha(x) = exp(w)/alpha + O(1/x); the algebraic part is
-        # exp(-w)-small relative to the leading term here.
-        return w - math.log(alpha)
-    val = _ml_core(alpha, 1.0, np.array([complex(x)]))[0].real
-    return math.log(val)
+    # E_alpha(x) = exp(w)/alpha + O(1/x); past the switch the algebraic
+    # part is exp(-w)-small relative to the leading term
+    far = w > _LOG_SWITCH_W
+    out[far] = w[far] - math.log(alpha)
+    near = (x > 0.0) & ~far
+    out[near] = np.log(ml_many(MLParams(alpha, 1.0), x[near]).real)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 from .errors import (
     DomainError,
@@ -32,9 +32,9 @@ from .matfun import (
     sup_ml_norm,
 )
 from .norms import check_norm, operator_norm, vector_norm
-from .quad import TimeGrid, uniform_grid
+from .quad import TimeGrid, _gk21_quad, uniform_grid
 from .solver import as_perturbation, solve_abm
-from .special_fn import MLParams, _order_value, gamma, ml_log_positive
+from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
 _LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
@@ -104,8 +104,9 @@ def _split_quad(f, hi):
     """Integrate f on [0, hi] piecewise; returns (value, error estimate).
 
     The integrand mixes a fast transient near 0 with a slow algebraic
-    tail, which trips the adaptive subdivision when handed the whole
-    interval at once on long horizons.
+    tail, so [0, hi] is cut at 1 and at sqrt(hi) and each piece gets its
+    own adaptive Gauss–Kronrod integral.  f takes an array of points: each
+    refinement round of a piece is one call of f on every node it needs.
     """
     cuts = sorted({0.0, min(1.0, hi), math.sqrt(hi) if hi > 1.0 else hi, hi})
     total = 0.0
@@ -113,9 +114,7 @@ def _split_quad(f, hi):
     for lo, up in zip(cuts[:-1], cuts[1:]):
         if up <= lo:
             continue
-        val, e = integrate.quad(
-            f, lo, up, limit=300, epsabs=1e-12, epsrel=1e-8
-        )
+        val, e = _gk21_quad(f, lo, up, epsabs=1e-12, epsrel=1e-8, limit=300)
         total += val
         err += e
     return total, err
@@ -155,8 +154,9 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
     if q_matrix is None:
         limit_value = lim_k * kint_value
 
-        def weigher(e, tau):
-            return operator_norm(e, norm) * float(envelope(tau))
+        def weigher(e, taus):
+            k_taus = np.array([float(envelope(tau)) for tau in taus])
+            return operator_norm(e, norm) * k_taus
 
     else:
         # a matrix that settles to a constant makes the integral monotone
@@ -165,8 +165,9 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
             m, al, norm, spec=spec, right=q_matrix(_LIMIT_TIME)
         )["value"]
 
-        def weigher(e, tau):
-            return operator_norm(e @ q_matrix(tau), norm)
+        def weigher(e, taus):
+            q_mats = np.stack([q_matrix(tau) for tau in taus])
+            return operator_norm(e @ q_mats, norm)
 
     if float(envelope(0.0)) == lim_k == sup_k:
         # constant envelope: the integral grows monotonically to its limit
@@ -176,9 +177,9 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
 
     def value_at(t):
         def f(v):
-            lag = v ** (1.0 / al)
-            e = ml_matrix(params, lag, m, spec)
-            return weigher(e, max(t - lag, 0.0))
+            lags = v ** (1.0 / al)
+            e = ml_matrix(params, lags, m, spec)
+            return weigher(e, np.maximum(t - lags, 0.0))
 
         val, e = _split_quad(f, t ** al)
         return val / al, e / al
@@ -353,14 +354,14 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
     pert = as_perturbation(pert)
     spec = spectral_decompose(m)
     kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    return _beta_norm_core(m, al, pert, grid, norm, seed, spec, kint_value)
-
-
-def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int):
-    """beta_norm_certificate on validated inputs, given the spectral data
-    and the kernel integral m_int."""
-    d = m.shape[0]
     sup_e = sup_ml_norm(m, al, norm, spec=spec, beta=al)
+    return _beta_norm_core(m, al, pert, grid, norm, seed, spec, kint_value, sup_e)
+
+
+def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int, sup_e):
+    """beta_norm_certificate on validated inputs, given the spectral data,
+    the kernel integral m_int and sup_e = sup ||E_{alpha,alpha}||."""
+    d = m.shape[0]
     sup_k, lim_k = _envelope_stats(*_pert_envelope(pert, norm))
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
@@ -396,8 +397,8 @@ def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int):
     # log of the weight, tabulated once; the weight itself overflows
     # doubles long before the horizon for steep 5M
     tau_tab = np.concatenate([[0.0], np.geomspace(1e-8, max(horizon, 2 * t_decay), 3000)])
-    lb_tab = np.array(
-        [ml_log_positive(al, 5.0 * big_m * min(t, t_decay) ** al) for t in tau_tab]
+    lb_tab = _ml_log_positive_many(
+        al, 5.0 * big_m * np.minimum(tau_tab, t_decay) ** al
     )
 
     def log_beta(ts):
@@ -483,6 +484,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     spec = spectral_decompose(m)
     kint = kernel_integral(m, al, norm, spec=spec)
     epsilon = float(0.5 / kint["value"])
+    sup_e_aa = sup_ml_norm(m, al, norm, spec=spec, beta=al)
     envelope, lim_k = _pert_envelope(pert, norm)
     sup_k, lim_k = _envelope_stats(envelope, lim_k)
 
@@ -505,7 +507,8 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         cert_attempted = True
         try:
             cert = _beta_norm_core(
-                m, al, pert, uniform_grid(40.0, 320), norm, seed, spec, kint["value"]
+                m, al, pert, uniform_grid(40.0, 320), norm, seed, spec,
+                kint["value"], sup_e_aa,
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")
@@ -534,14 +537,10 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         )
 
     sup_e_alpha = sup_ml_norm(m, al, norm, spec=spec)
-    if cert is not None:
-        m_pair = {"M_gamma": cert["M_gamma"], "M_int": cert["M_int"]}
-    else:
-        sup_e_aa = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-        m_pair = {
-            "M_gamma": float(gamma(al) * sup_e_aa * sup_k),
-            "M_int": float(kint["value"]),
-        }
+    m_pair = {
+        "M_gamma": float(gamma(al) * sup_e_aa * sup_k),
+        "M_int": float(kint["value"]),
+    }
 
     delta = None
     if verdict == "RobustStable":

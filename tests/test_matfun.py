@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstab import matfun
 from fracstab.errors import (
     DefectiveMatrixError,
     DomainError,
@@ -336,6 +337,20 @@ def test_kernel_integral_doubling_insensitive():
     r1 = kernel_integral(np.diag([-1.0, -2.0]), 0.5)
     r2 = kernel_integral(np.diag([-1.0, -2.0]), 0.5, t_star=2.0 * r1["t_star"])
     assert abs(r2["value"] - r1["value"]) <= 2e-4 * r1["value"]
+
+
+def test_kernel_integral_batches_the_propagator(monkeypatch):
+    calls = []
+    real = matfun.ml_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matfun, "ml_matrix", counted)
+    kernel_integral(ROTATION, 0.5)
+    # one propagator call per quadrature round, plus the tail constants
+    assert len(calls) <= 100
 
 
 def test_kernel_integral_sector_violation():

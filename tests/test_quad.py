@@ -9,6 +9,8 @@ from scipy import integrate
 from fracstab.errors import DomainError, GridError
 from fracstab.quad import (
     TimeGrid,
+    _GK21_X,
+    _gk21_quad,
     convolve_singular,
     graded_grid,
     singular_weights,
@@ -192,3 +194,54 @@ def test_convolve_kernel_shape_mismatch():
     vals = np.ones((5, 2))
     with pytest.raises(DomainError):
         convolve_singular(g, 0.5, vals, lambda lag: np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# batched adaptive Gauss-Kronrod integrator
+
+
+def test_gk21_exact_to_degree_31():
+    val, err = _gk21_quad(lambda x: x ** 30, 0.0, 1.0, 1e-12, 1e-8, 50)
+    assert val == pytest.approx(1.0 / 31.0, abs=1e-15)
+    assert err <= 1e-12
+
+
+def test_gk21_kink_meets_absolute_tolerance():
+    # the kink at 1/3 is never a panel edge, so it is refined by bisection
+    val, err = _gk21_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, 1e-12, 0.0, 300)
+    assert err <= 1e-12
+    assert abs(val - 5.0 / 18.0) <= 1e-12
+
+
+def test_gk21_matches_scipy_quad_on_oscillation():
+    val, _ = _gk21_quad(lambda x: np.cos(20.0 * x) * np.exp(-x), 0.0, 5.0, 1e-12, 1e-8, 300)
+    want, _ = integrate.quad(
+        lambda x: math.cos(20.0 * x) * math.exp(-x), 0.0, 5.0,
+        epsabs=1e-12, epsrel=1e-8, limit=300,
+    )
+    assert val == pytest.approx(want, abs=1e-10)
+
+
+def test_gk21_one_array_call_per_round():
+    lo, hi = 0.0, 5.0
+    calls = []
+
+    def f(x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1
+        calls.append(x.copy())
+        return np.cos(20.0 * x) * np.exp(-x)
+
+    _gk21_quad(f, lo, hi, 1e-12, 1e-8, 300)
+    assert 1 <= len(calls) <= 20
+    # round k evaluates every open panel, all of them bisected k times
+    for k, x in enumerate(calls):
+        panels = x.reshape(-1, _GK21_X.size)
+        width = 2.0 * np.ptp(panels, axis=1) / np.ptp(_GK21_X)
+        assert np.allclose(width, (hi - lo) / 2.0 ** k, rtol=1e-12)
+
+
+def test_gk21_panel_budget_returns_best_estimate():
+    # a jump the rule cannot resolve in 8 panels: no exception, a large error
+    val, err = _gk21_quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 1e-14, 0.0, 8)
+    assert val == pytest.approx(2.0 / 3.0, abs=1e-2)
+    assert err > 1e-14

@@ -19,6 +19,7 @@ from fracstab.errors import (
 from fracstab.special_fn import (
     FracOrder,
     MLParams,
+    _ml_log_positive_many,
     estimate_decay_constant,
     gamma,
     ml,
@@ -239,6 +240,19 @@ def test_ml_log_positive_switch_is_seamless():
         direct = ml_log_positive(alpha, x)
         closed = x ** (1.0 / alpha) - math.log(alpha)
         assert direct == pytest.approx(closed, abs=1e-11)
+
+
+def test_ml_log_positive_table_equals_point_values():
+    # the decay certificate's weight table takes every point in one call
+    for alpha in (0.3, 0.5, 0.8):
+        w = np.concatenate(
+            [[0.0], np.geomspace(1e-4, 44.99, 200), [45.0, 45.01], np.geomspace(46.0, 1e6, 40)]
+        )
+        x = w ** alpha
+        table = _ml_log_positive_many(alpha, x)
+        points = [ml_log_positive(alpha, xi) for xi in x]
+        assert table[0] == 0.0
+        assert table == pytest.approx(points, rel=1e-15)
 
 
 def test_ml_log_positive_domain():

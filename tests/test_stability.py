@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstab import stability
 from fracstab.errors import (
     DomainError,
     GridError,
@@ -44,6 +45,10 @@ Q_DECAY3 = 0.8354987136
 # same reference for a constant mixed-row perturbation on the diagonal system,
 # where the heavy row feeds the fast-decaying direction
 Q_MIXED_PRODUCT = 0.254066
+# contraction constants of the benchmark's two certify cases, recorded when
+# the q-scan still integrated one propagator per quadrature point
+Q_ROTATION_DECAYING = 0.15275253801627572
+Q_DIAG3_SATURATING = 0.0835498713605879
 
 
 def _decay3():
@@ -139,6 +144,30 @@ def test_q_below_one_for_gains_under_threshold():
         eps = epsilon_threshold(a, 0.5)
         q = compute_q_linear(a, 0.5, LinearConstant(0.9 * eps * np.eye(d)))
         assert q < 1.0
+
+
+def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
+    calls = []
+    real = stability.ml_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "ml_matrix", counted)
+    pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
+    q = compute_q_linear(ROTATION, 0.5, pert)
+    assert q == pytest.approx(Q_ROTATION_DECAYING, rel=1e-10)
+    # one propagator call per quadrature round, not one per point
+    assert len(calls) <= 1000
+
+
+def test_q_diag3_saturating_anchor():
+    sat = NonlinearSaturating(0.3, gamma=2.0)
+    q = compute_q_nonlinear(
+        np.diag([-1.0, -2.0, -3.0]), 0.5, lambda t: sat.envelope(t, "max")
+    )
+    assert q == pytest.approx(Q_DIAG3_SATURATING, rel=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
