@@ -6,6 +6,8 @@ wherever a norm keyword appears.
 
 import numpy as np
 
+from .errors import DomainError
+
 VECTOR_NORMS = ("max", "euclidean", "one")
 
 _VEC_ORD = {"max": np.inf, "euclidean": 2, "one": 1}
@@ -13,7 +15,7 @@ _VEC_ORD = {"max": np.inf, "euclidean": 2, "one": 1}
 
 def check_norm(kind):
     if kind not in VECTOR_NORMS:
-        raise ValueError(f"unknown norm {kind!r}, expected one of {VECTOR_NORMS}")
+        raise DomainError(f"unknown norm {kind!r}, expected one of {VECTOR_NORMS}")
     return kind
 
 

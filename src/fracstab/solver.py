@@ -21,24 +21,18 @@ from .errors import (
 from .matfun import as_square_matrix, ml_matrix, spectral_decompose
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, convolve_singular, singular_weights, _power_diff
-from .special_fn import FracOrder, MLParams, ml_many
+from .special_fn import FracOrder, MLParams, _order_value, ml_many
 
 _LP_TOL = 1e-10
 _LP_MAX_ITER = 200
 
 
 def _order(alpha):
-    """Solver order: FracOrder or a float in (0, 1].
-
-    Unlike FracOrder itself, the solvers admit alpha = 1 so classical
-    first-order problems remain available as sanity limits.
-    """
-    if isinstance(alpha, FracOrder):
-        return alpha.alpha
-    a = float(alpha)
-    if not math.isfinite(a) or not 0.0 < a <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {alpha!r}")
-    return a
+    """Solver order: the FracOrder range (0, 1), plus alpha = 1 so classical
+    first-order problems remain available as sanity limits."""
+    if not isinstance(alpha, FracOrder) and float(alpha) == 1.0:
+        return 1.0
+    return _order_value(alpha)
 
 
 def _as_state(x0, d=None):

@@ -1,5 +1,8 @@
 """Scalar special functions: Gamma and the two-parameter Mittag-Leffler family.
 
+Gamma comes from the standard library (math.gamma, math.lgamma); the
+reciprocal Gamma behind every series coefficient is built on it.
+
 The Mittag-Leffler evaluator dispatches on |z| between a Taylor series, a
 parabolic-contour Laplace inversion, and a truncated asymptotic expansion.
 Region boundaries are deterministic and the adjacent methods are
@@ -80,36 +83,12 @@ def _order_value(alpha):
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos rational approximation with fixed coefficients (g = 7)
+# Gamma, from the standard library's math.gamma and math.lgamma
 
-_LANCZOS_G = 7.0
-_LANCZOS_COF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = 2.5066282746310002
 # Gamma overflows the double range just above this argument.
 _GAMMA_MAX_X = 171.624376956302
 
 _PI = math.pi
-
-
-def _lanczos_pos(x):
-    """Gamma(x) for x >= 0.5 via the fixed-coefficient Lanczos sum."""
-    ser = _LANCZOS_COF[0]
-    for i in range(1, 9):
-        ser += _LANCZOS_COF[i] / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    # Split the power so intermediates stay inside the double range.
-    half = t ** ((x - 0.5) / 2.0)
-    return _SQRT_TWO_PI * ser * half * math.exp(-t) * half
 
 
 def _sinpi(x):
@@ -122,51 +101,36 @@ def _sinpi(x):
     return -math.sin(_PI * (2.0 - r))
 
 
-def _gamma_real(x):
-    """Gamma on the reals away from poles; reflection below 0.5."""
-    if x >= 0.5:
-        return _lanczos_pos(x)
-    s = _sinpi(x)
-    if s == 0.0:
-        return math.inf
-    return _PI / (s * _lanczos_pos(1.0 - x))
-
-
 def _rgamma(x):
     """Reciprocal Gamma on the reals; zero at the poles, never raises."""
     if x >= 0.5:
-        if x > _GAMMA_MAX_X:
-            return 0.0
-        return 1.0 / _lanczos_pos(x)
+        return 0.0 if x > _GAMMA_MAX_X else 1.0 / math.gamma(x)
+    # reflection: 1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi
     y = 1.0 - x
     s = _sinpi(x)
+    if s == 0.0:
+        return 0.0
     if y > _GAMMA_MAX_X:
         # |1/Gamma| grows factorially here; overflow to +-inf is the honest answer.
-        if s == 0.0:
-            return 0.0
-        try:
-            lg = math.lgamma(y)
-        except ValueError:
-            return 0.0
-        v = lg + math.log(abs(s) / _PI)
+        v = math.lgamma(y) + math.log(abs(s) / _PI)
         if v > 709.0:
             return math.copysign(math.inf, s)
         return math.copysign(math.exp(v), s)
-    return s * _lanczos_pos(y) / _PI
+    return s * math.gamma(y) / _PI
 
 
 def gamma(x):
-    """Gamma function for real x > 0.
+    """Gamma function for real x > 0, via the standard library's math.gamma.
 
-    Relative error is at or below 1e-13 across (0, 170].  Raises DomainError
-    off the positive axis and OverflowSignal past the representable range.
+    Raises DomainError off the positive axis and OverflowSignal past the
+    representable range.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
     if x > _GAMMA_MAX_X:
         raise OverflowSignal(f"gamma({x}) exceeds the double range")
-    return _lanczos_pos(x) if x >= 0.5 else _PI / (_sinpi(x) * _lanczos_pos(1.0 - x))
+    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +231,7 @@ def _rgamma_log_envelope(x):
     hundred terms early.
     """
     if x >= 0.5:
-        if x > _GAMMA_MAX_X:
-            return -math.inf
-        return -math.log(_lanczos_pos(x))
+        return -math.inf if x > _GAMMA_MAX_X else -math.lgamma(x)
     return math.lgamma(1.0 - x) - math.log(_PI)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DomainError,
@@ -42,6 +41,7 @@ _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
 _CONTRACTION_PASS = 0.55     # analytic factor 1/2 plus reporting tolerance
 _PROBE_COUNT = 20
 _TSEARCH_SPAN = 1e6          # decay search extends this far past the grid
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _VERDICTS = (
     "RobustStable",
@@ -120,6 +120,24 @@ def _split_quad(f, hi):
     return total, err
 
 
+def _golden_max(f, lo, hi, xtol):
+    """Largest value of f met by a golden-section search for its maximum
+    on [lo, hi]; the bracket shrinks until it is shorter than xtol."""
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xtol:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+    return max(f1, f2)
+
+
 def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     """Bound on the integral values past the largest sampled horizon.
 
@@ -194,13 +212,10 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
         err = max(err, e)
     if best > limit_value:
         # peak sits at a finite horizon; polish it inside the bracketing octaves
-        res = optimize.minimize_scalar(
-            lambda t: -value_at(t)[0],
-            bounds=(best_t / 2.0, best_t * 2.0),
-            method="bounded",
-            options={"xatol": best_t * 1e-4},
+        polished = _golden_max(
+            lambda t: value_at(t)[0], best_t / 2.0, best_t * 2.0, best_t * 1e-4
         )
-        best = max(best, -res.fun)
+        best = max(best, polished)
     value = max(best, limit_value)
     if env_far == 0.0 and sup_k > 0.0:
         # vanished envelope: past the last horizon the integral only decays

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracstab
 from fracstab.cli import load_config, main, parse_config
 from fracstab.errors import ConfigError
 
@@ -323,3 +326,17 @@ def test_runs_are_byte_identical(tmp_path):
         digests.append(blob)
     assert digests[0] == digests[1]
     assert not any(name.endswith(".tmp") for name, _ in digests[0])
+
+
+def test_package_imports_without_scipy():
+    src = os.path.dirname(os.path.dirname(fracstab.__file__))
+    code = (
+        "import fracstab, fracstab.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

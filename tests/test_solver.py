@@ -32,7 +32,7 @@ from fracstab.solver import (
     solve_linear_exact,
     solve_rl_scalar_exact,
 )
-from fracstab.special_fn import MLParams, ml
+from fracstab.special_fn import FracOrder, MLParams, ml
 
 A_NEG = np.array([[-1.0]])
 
@@ -145,6 +145,18 @@ def test_exact_linear_half_order_matches_scaled_erfc():
     want = erfcx(np.sqrt(g.nodes))
     assert np.allclose(traj.states[:, 0], want, rtol=1e-10, atol=1e-13)
     assert traj.states[0, 0] == 1.0
+
+
+def test_solvers_take_the_fractional_order_range_plus_one():
+    g = uniform_grid(1.0, 8)
+    zero_field = lambda t, x: 0.0 * x
+    assert np.all(solve_abm(1.0, zero_field, 1.0, g).states == 1.0)
+    assert solve_linear_exact(FracOrder(0.5), A_NEG, 1.0, g).states[0, 0] == 1.0
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            solve_abm(bad, zero_field, 1.0, g)
+        with pytest.raises(DomainError):
+            solve_linear_exact(bad, A_NEG, 1.0, g)
 
 
 # ---------------------------------------------------------------------------

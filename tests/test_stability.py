@@ -8,6 +8,7 @@ import pytest
 from fracstab import stability
 from fracstab.errors import (
     DomainError,
+    FracstabError,
     GridError,
     NoDecayError,
     SectorViolationError,
@@ -168,6 +169,36 @@ def test_q_diag3_saturating_anchor():
         np.diag([-1.0, -2.0, -3.0]), 0.5, lambda t: sat.envelope(t, "max")
     )
     assert q == pytest.approx(Q_DIAG3_SATURATING, rel=1e-10)
+
+
+def test_golden_max_finds_an_interior_peak():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -((t - 1.3) ** 2)
+
+    xtol = 1e-4
+    # the q-scan polish bracket [t/2, 2t] with xtol = t * 1e-4, at t = 1
+    best = stability._golden_max(f, 0.5, 2.0, xtol)
+    assert best <= 0.0
+    assert best >= -(xtol ** 2)  # f changes by at most xtol**2 within xtol of 1.3
+    assert len(calls) <= 25
+    assert all(0.5 <= t <= 2.0 for t in calls)
+
+
+def test_golden_max_finds_a_peak_at_either_end():
+    xtol = 1e-4
+    # slope 1, so f changes by xtol over xtol
+    assert stability._golden_max(lambda t: t, 1.0, 3.0, xtol) >= 3.0 - xtol
+    assert stability._golden_max(lambda t: -t, 1.0, 3.0, xtol) >= -1.0 - xtol
+
+
+def test_classify_rejects_unknown_norm_as_domain_error():
+    with pytest.raises(DomainError):
+        classify(A_NEG, 0.5, LinearConstant(np.array([[0.5]])), norm="l2")
+    with pytest.raises(FracstabError):
+        compute_q_linear(A_NEG, 0.5, _decay3(), norm="l2")
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
