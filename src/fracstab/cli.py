@@ -385,7 +385,6 @@ def _run_analyze(cfg, out_dir, csv_on):
         system["alpha"],
         _build_perturbation(cfg["perturbation"]),
         norm=system["norm"],
-        seed=cfg["seed"],
     )
     payload = _base_report(cfg)
     payload.update(_report_payload(report))
@@ -441,7 +440,7 @@ def _run_robust_demo(cfg, out_dir, csv_on):
     norm = system["norm"]
     m = as_square_matrix(system["a"])
     pert = _build_perturbation(cfg["perturbation"])
-    report = classify(m, al, pert, norm=norm, seed=cfg["seed"])
+    report = classify(m, al, pert, norm=norm)
     payload = _base_report(cfg)
     payload.update(_report_payload(report))
     if report.verdict not in STABLE_VERDICTS or report.delta is None:

@@ -7,7 +7,6 @@ quantities the stability certificates are built on: the supremum of
 tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -64,12 +63,6 @@ class SpectralData:
     eigenvectors: np.ndarray
     condition_estimate: float
     jordan_structure: Optional[tuple] = None
-
-    def arg_margin(self, alpha):
-        """min over eigenvalues of |arg lambda| - alpha*pi/2."""
-        a = _order_value(alpha)
-        args = [abs(cmath.phase(lam)) for lam in self.eigenvalues]
-        return min(args) - 0.5 * a * math.pi
 
 
 def _validate_jordan(structure, d):

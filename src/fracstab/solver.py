@@ -59,8 +59,9 @@ class PerturbationSpec:
     """Base class for the perturbation f(t, x); subclasses are the kinds.
 
     Every kind exposes the value f(t, x), the Lipschitz envelope K(t) with
-    K(t) >= ||Q(t)|| for the linear kinds, and the envelope limit at large
-    times used by the decay certificates.
+    K(t) >= ||Q(t)|| for the linear kinds, the envelope limit at large
+    times used by the decay certificates, and the breakpoints of a
+    piecewise-linear envelope, so that the certificates see its sup.
     """
 
     is_linear = False
@@ -73,6 +74,10 @@ class PerturbationSpec:
 
     def limit_envelope(self, norm="max"):
         raise NotImplementedError
+
+    def breakpoints(self):
+        """Times other than t = 0 where the envelope can peak."""
+        return np.empty(0)
 
     def q_matrix(self, t):
         raise DomainError(f"{type(self).__name__} has no perturbation matrix")
@@ -192,19 +197,13 @@ class LinearTable(PerturbationSpec):
         return self.q_matrix(t) @ np.atleast_1d(np.asarray(x, dtype=float))
 
     def envelope(self, t, norm="max"):
-        t = float(t)
-        ts = self.times
-        norms = np.array([operator_norm(m, norm) for m in self.matrices])
-        if t <= ts[0]:
-            return float(norms[0])
-        if t >= ts[-1]:
-            return float(norms[-1])
-        k = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return float((1.0 - w) * norms[k] + w * norms[k + 1])
+        return float(np.interp(float(t), self.times, operator_norm(self.matrices, norm)))
 
     def limit_envelope(self, norm="max"):
         return float(operator_norm(self.matrices[-1], norm))
+
+    def breakpoints(self):
+        return self.times
 
 
 @dataclass(frozen=True)
@@ -271,6 +270,9 @@ class NonlinearTable(PerturbationSpec):
 
     def limit_envelope(self, norm="max"):
         return float(self.k_values[-1])
+
+    def breakpoints(self):
+        return self.times
 
 
 def as_perturbation(pert) -> PerturbationSpec:

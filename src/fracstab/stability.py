@@ -39,8 +39,6 @@ _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
 _LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
 _CONTRACTION_PASS = 0.55     # analytic factor 1/2 plus reporting tolerance
-_PROBE_COUNT = 20
-_TSEARCH_SPAN = 1e6          # decay search extends this far past the grid
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _VERDICTS = (
@@ -154,16 +152,28 @@ def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     return env_far * kint_value + sup_k * kernel_tail
 
 
-def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
+def _weighted_norms(e, taus, norm, envelope, q_matrix):
+    """The certificates' integrand, one value per propagator slice e[i]:
+    ||e[i] Q(taus[i])|| when q_matrix gives Q, else ||e[i]|| K(taus[i])
+    for the envelope K."""
+    if q_matrix is None:
+        k_taus = np.array([float(envelope(tau)) for tau in taus])
+        return operator_norm(e, norm) * k_taus
+    q_mats = np.stack([q_matrix(tau) for tau in taus])
+    return operator_norm(e @ q_mats, norm)
+
+
+def _q_scan(m, al, norm, envelope, lim_k, knots=(), q_matrix=None, kint_value=None):
     """(q, error estimate): sup over geometric horizons of the contraction
     integral.
 
     The integrand at kernel lag s and absolute time tau = t - s is
     ||E_{alpha,alpha}(s^alpha A) Q(tau)|| when q_matrix gives Q, else
     ||E_{alpha,alpha}(s^alpha A)|| K(tau) for the envelope K with limit
-    lim_k; the substitution v = s^alpha removes the kernel singularity.
+    lim_k and breakpoints knots; the substitution v = s^alpha removes the
+    kernel singularity.
     """
-    sup_k, lim_k = _envelope_stats(envelope, lim_k)
+    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
     if sup_k == 0.0:
         return 0.0, 0.0
     spec = spectral_decompose(m)
@@ -171,21 +181,12 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
         kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
     if q_matrix is None:
         limit_value = lim_k * kint_value
-
-        def weigher(e, taus):
-            k_taus = np.array([float(envelope(tau)) for tau in taus])
-            return operator_norm(e, norm) * k_taus
-
     else:
         # a matrix that settles to a constant makes the integral monotone
         # up to this infinite-horizon limit
         limit_value = kernel_integral(
             m, al, norm, spec=spec, right=q_matrix(_LIMIT_TIME)
         )["value"]
-
-        def weigher(e, taus):
-            q_mats = np.stack([q_matrix(tau) for tau in taus])
-            return operator_norm(e @ q_mats, norm)
 
     if float(envelope(0.0)) == lim_k == sup_k:
         # constant envelope: the integral grows monotonically to its limit
@@ -197,7 +198,9 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
         def f(v):
             lags = v ** (1.0 / al)
             e = ml_matrix(params, lags, m, spec)
-            return weigher(e, np.maximum(t - lags, 0.0))
+            return _weighted_norms(
+                e, np.maximum(t - lags, 0.0), norm, envelope, q_matrix
+            )
 
         val, e = _split_quad(f, t ** al)
         return val / al, e / al
@@ -226,10 +229,16 @@ def _q_scan(m, al, norm, envelope, lim_k, q_matrix=None, kint_value=None):
     return float(value), float(err + tail_excess)
 
 
-def _envelope_stats(envelope, lim_k):
+def _envelope_stats(envelope, lim_k, knots):
     """(sup, limit) of the envelope K(t), with the sup taken over t = 0,
-    200 geometric sample times in [1e-3, 1e6] and the limit lim_k."""
-    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 200)])
+    the breakpoints knots, 200 geometric sample times in [1e-3, 1e6] and
+    the limit lim_k.
+
+    The sup is exact for the perturbation kinds: the analytic envelopes
+    peak at t = 0 and the piecewise-linear table envelopes at a knot.  A
+    bare callable envelope is only sampled.
+    """
+    ts = np.concatenate([[0.0], knots, np.geomspace(1e-3, 1e6, 200)])
     vals = np.array([float(envelope(t)) for t in ts] + [float(lim_k)])
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         raise DomainError("envelope must be finite and nonnegative")
@@ -237,8 +246,12 @@ def _envelope_stats(envelope, lim_k):
 
 
 def _pert_envelope(pert, norm):
-    """The envelope callable and limit of a perturbation kind."""
-    return (lambda t: pert.envelope(t, norm)), pert.limit_envelope(norm)
+    """The envelope callable, limit and breakpoints of a perturbation kind."""
+    return (
+        (lambda t: pert.envelope(t, norm)),
+        pert.limit_envelope(norm),
+        pert.breakpoints(),
+    )
 
 
 def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
@@ -307,59 +320,25 @@ def delta_of_epsilon(q, eps_ball, a, alpha, norm="max"):
     return (1.0 - q) * eps_ball / sup_ml_norm(a, alpha, norm)
 
 
-def _probe_family(rng, d, horizon, t_switch):
-    """20 difference trajectories of weighted-norm size one.
-
-    Three deterministic shapes (all mass, late mass, early mass) plus
-    seeded smooth oscillations, each paired with a fixed unit direction.
-    """
-    dense = np.linspace(0.0, horizon, 2001)
-    probes = []
-
-    def direction(i):
-        if i < d:
-            vec = np.zeros(d)
-            vec[i] = 1.0
-            return vec
-        vec = rng.standard_normal(d)
-        return vec / np.max(np.abs(vec))
-
-    probes.append((lambda t: np.ones_like(t), direction(0)))
-    probes.append((lambda t: (t >= t_switch).astype(float), direction(1 % d)))
-    probes.append((lambda t: (t < t_switch).astype(float), direction(2 % d)))
-    while len(probes) < _PROBE_COUNT:
-        amps = rng.standard_normal(4)
-        freqs = rng.uniform(0.05, 3.0, 4)
-        phases = rng.uniform(0.0, 2.0 * math.pi, 4)
-
-        def shape(t, amps=amps, freqs=freqs, phases=phases):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.cos(np.outer(t, freqs) + phases) @ amps
-
-        scale = np.max(np.abs(shape(dense)))
-        probes.append(
-            (lambda t, shape=shape, scale=scale: shape(t) / scale,
-             direction(len(probes)))
-        )
-    return probes
-
-
-def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
-    """Contraction estimate for the operator in a growth-weighted norm.
+def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
+    """Contraction factor of the operator in a growth-weighted norm.
 
     Computes the smallest constant M >= 1 with
     Gamma(alpha) * sup||E_{alpha,alpha}|| * sup K <= M and
-    kernel integral <= M, locates the first time T from which every
-    sampled envelope value stays below 1/(5M), weights trajectories by
-    beta(t) = E_alpha(5 M t^alpha) frozen past T, and measures the
-    largest amplification the discretized operator achieves on a family
-    of 20 seeded difference trajectories of weighted-norm one.  The
-    weight growth is folded into the quadrature analytically (in log
-    space), so steep weights do not need a fine grid.
+    kernel integral <= M, takes as T the first grid node from which the
+    envelope stays below 1/(5M) at every later node, and weights
+    trajectories by beta(t) = E_alpha(5 M t^alpha) frozen past T.  The
+    contraction is the operator's weighted norm bound at evaluation
+    times t up to the grid horizon, the max of
+    int_0^t ||E_{alpha,alpha}((t-tau)^alpha A) Q(tau)|| beta(tau)/beta(t)
+    dtau (with ||E_{alpha,alpha}|| K(tau) in place of the product for
+    the nonlinear kinds), the same integrand the contraction constant q
+    integrates.  The weight growth is folded into the quadrature
+    analytically (in log space), so steep weights do not need a fine
+    grid.
 
-    Raises NoDecayError when the envelope never falls below 1/(5M) on
-    the searchable horizon (the grid extended geometrically beyond its
-    end).
+    Raises NoDecayError when the envelope is not below 1/(5M) at the
+    last grid node, so that T would lie past the grid horizon.
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)
@@ -370,35 +349,29 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max", seed=42):
     spec = spectral_decompose(m)
     kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
     sup_e = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-    return _beta_norm_core(m, al, pert, grid, norm, seed, spec, kint_value, sup_e)
+    return _beta_norm_core(m, al, pert, grid, norm, spec, kint_value, sup_e)
 
 
-def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int, sup_e):
+def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
     """beta_norm_certificate on validated inputs, given the spectral data,
     the kernel integral m_int and sup_e = sup ||E_{alpha,alpha}||."""
-    d = m.shape[0]
-    sup_k, lim_k = _envelope_stats(*_pert_envelope(pert, norm))
+    envelope, lim_k, knots = _pert_envelope(pert, norm)
+    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
     threshold = 1.0 / (5.0 * big_m)
 
     horizon = grid.nodes[-1]
-    search_ts = np.concatenate(
-        [grid.nodes, np.geomspace(horizon, horizon * _TSEARCH_SPAN, 160)[1:]]
-    )
-    k_vals = np.array([pert.envelope(t, norm) for t in search_ts])
-    t_decay = None
-    if lim_k < threshold:
-        below = k_vals < threshold
-        for i in range(len(search_ts)):
-            if below[i:].all():
-                t_decay = float(search_ts[i])
-                break
-    if t_decay is None:
+    k_vals = np.array([envelope(t) for t in grid.nodes])
+    above = np.flatnonzero(k_vals >= threshold)
+    # T is the node after the last node at or above the threshold
+    i_decay = int(above[-1]) + 1 if above.size else 0
+    if not lim_k < threshold or i_decay == len(grid.nodes):
         raise NoDecayError(
-            f"envelope never falls below {threshold:.6g} "
-            f"on the searchable horizon {search_ts[-1]:.3g}"
+            f"envelope does not fall below {threshold:.6g} "
+            f"within the grid horizon {horizon:.6g}"
         )
+    t_decay = float(grid.nodes[i_decay])
 
     if sup_k == 0.0:
         return {
@@ -428,9 +401,7 @@ def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int, sup_e):
     eval_ts = sorted(eval_ts)
 
     params = MLParams(al, al)
-    rng = np.random.default_rng(seed)
-    probes = _probe_family(rng, d, horizon, t_decay)
-
+    q_matrix = pert.q_matrix if pert.is_linear else None
     worst = 0.0
     for t in eval_ts:
         ua = t ** al
@@ -439,22 +410,8 @@ def _beta_norm_core(m, al, pert, grid, norm, seed, spec, m_int, sup_e):
         taus = np.maximum(t - lags, 0.0)
         damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
         e_mats = ml_matrix(params, lags, m, spec)
-        if pert.is_linear:
-            q_mats = np.stack([pert.q_matrix(tau) for tau in taus])
-            core = np.einsum("vij,vjk->vik", e_mats, q_mats)
-            for shape, dirvec in probes:
-                weights = shape(taus) * damp
-                integrand = np.einsum("vij,j->vi", core, dirvec) * weights[:, None]
-                acc = np.trapezoid(integrand, v, axis=0) / al
-                worst = max(worst, float(vector_norm(acc, norm)))
-        else:
-            e_norms = operator_norm(e_mats, norm)
-            k_taus = np.array([pert.envelope(tau, norm) for tau in taus])
-            base = e_norms * k_taus * damp
-            for shape, _ in probes:
-                integrand = base * np.abs(shape(taus))
-                acc = np.trapezoid(integrand, v) / al
-                worst = max(worst, float(acc))
+        integrand = _weighted_norms(e_mats, taus, norm, envelope, q_matrix) * damp
+        worst = max(worst, float(np.trapezoid(integrand, v) / al))
 
     return {
         "M": float(big_m),
@@ -477,6 +434,9 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     claim: all certificates are sufficient conditions only.  Failures
     inside individual certificates are recorded as notes and degrade the
     verdict rather than raising.
+
+    Every certificate is deterministic: seed is accepted for callers that
+    pass one, and no certificate depends on it.
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)
@@ -500,15 +460,15 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     kint = kernel_integral(m, al, norm, spec=spec)
     epsilon = float(0.5 / kint["value"])
     sup_e_aa = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-    envelope, lim_k = _pert_envelope(pert, norm)
-    sup_k, lim_k = _envelope_stats(envelope, lim_k)
+    envelope, lim_k, knots = _pert_envelope(pert, norm)
+    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
 
     q_value = None
     q_error = None
     try:
         q_matrix = pert.q_matrix if pert.is_linear else None
         q_value, q_error = _q_scan(
-            m, al, norm, envelope, lim_k, q_matrix, kint_value=kint["value"]
+            m, al, norm, envelope, lim_k, knots, q_matrix, kint_value=kint["value"]
         )
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")
@@ -522,7 +482,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         cert_attempted = True
         try:
             cert = _beta_norm_core(
-                m, al, pert, uniform_grid(40.0, 320), norm, seed, spec,
+                m, al, pert, uniform_grid(40.0, 320), norm, spec,
                 kint["value"], sup_e_aa,
             )
         except FracstabError as exc:

@@ -374,9 +374,3 @@ def test_decay_along_decades():
         ]
         assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))
         assert norms[-1] < 1e-2
-
-
-def test_spectral_data_arg_margin():
-    spec = spectral_decompose(ROTATION)
-    assert spec.arg_margin(0.9) == pytest.approx(0.05 * math.pi)
-    assert spec.arg_margin(0.5) == pytest.approx(0.25 * math.pi)

@@ -271,11 +271,30 @@ def test_certificate_nonlinear_envelope():
 
 
 def test_certificate_deterministic_under_seed():
-    first = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID, seed=7)
-    second = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID, seed=7)
+    first = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID)
+    second = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID)
     assert first == second
-    other = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID, seed=8)
+    other = beta_norm_certificate(A_NEG, 0.5, _decay3(), CERT_GRID)
     assert other["contraction"] <= 0.55
+
+
+def test_certificate_bounds_the_rotation_operator_norm():
+    # 0.0702 is the largest amplification that 20 seeded probe trajectories
+    # found on this case; the operator-norm bound must not fall below it
+    cert = beta_norm_certificate(
+        ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), 1.0), CERT_GRID
+    )
+    assert 0.0702 <= cert["contraction"] <= 0.55
+
+
+def test_certificate_rejects_decay_past_the_grid_horizon():
+    # the envelope 50/(1+t)^2 falls below 1/(5M) = 1/250 only past t = 110,
+    # beyond the grid's horizon of 40
+    with pytest.raises(NoDecayError):
+        beta_norm_certificate(
+            A_NEG, 0.5, LinearDecaying(np.array([[50.0]]), 2.0),
+            uniform_grid(40.0, 320),
+        )
 
 
 def test_certificate_rejects_persistent_envelope():
@@ -403,6 +422,20 @@ def test_classify_inconclusive_settling_envelope():
     assert any("not an instability claim" in note for note in report.notes)
     assert any("decay certificate unavailable" in note for note in report.notes)
     assert any("uniform threshold" in note for note in report.notes)
+
+
+def test_classify_sees_a_table_peak_between_envelope_samples():
+    # 0 at two neighbouring envelope sample times and 6 at their geometric
+    # midpoint: the sup sits at a table time, not at a sample time
+    samples = np.geomspace(1e-3, 1e6, 200)
+    lo, hi = samples[100], samples[101]
+    table = LinearTable(
+        np.array([lo, math.sqrt(lo * hi), hi]),
+        np.array([[[0.0]], [[6.0]], [[0.0]]]),
+    )
+    report = classify(A_NEG, 0.5, table)
+    assert report.sup_envelope == 6.0
+    assert report.q > 0.0
 
 
 def test_classify_report_is_json_safe():
