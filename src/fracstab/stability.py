@@ -50,6 +50,12 @@ _VERDICTS = (
 )
 
 
+def _q_contracts(q, q_error):
+    """The contraction gate: the computed q plus its error estimate (None
+    reads as 0) must stay below 1."""
+    return q is not None and q + (0.0 if q_error is None else q_error) < 1.0
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Everything the certificates produced for one system.
@@ -75,9 +81,8 @@ class StabilityReport:
     def __post_init__(self):
         if self.verdict not in _VERDICTS:
             raise DomainError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "RobustStable":
-            if self.q is None or not self.q < 1.0:
-                raise DomainError("RobustStable requires q < 1")
+        if self.verdict == "RobustStable" and not _q_contracts(self.q, self.q_error):
+            raise DomainError("RobustStable requires q + q_error < 1")
         if self.verdict == "UniformSmallStable":
             if (
                 self.sup_envelope is None
@@ -427,13 +432,13 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
 
     The gate order is: sector check, then for perturbations whose
     envelope vanishes at infinity the decay certificate (the machinery
-    built for exactly that shape), then the contraction constant q < 1,
-    then the uniform threshold sup K < epsilon; for non-vanishing
-    envelopes q and the threshold come first and the decay certificate
-    is the fallback.  A report of Inconclusive is not an instability
-    claim: all certificates are sufficient conditions only.  Failures
-    inside individual certificates are recorded as notes and degrade the
-    verdict rather than raising.
+    built for exactly that shape), then the contraction constant
+    q + q_error < 1, then the uniform threshold sup K < epsilon; for
+    non-vanishing envelopes q and the threshold come first and the decay
+    certificate is the fallback.  A report of Inconclusive is not an
+    instability claim: all certificates are sufficient conditions only.
+    Failures inside individual certificates are recorded as notes and
+    degrade the verdict rather than raising.
 
     Every certificate is deterministic: seed is accepted for callers that
     pass one, and no certificate depends on it.
@@ -493,7 +498,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         run_certificate()
         if cert is not None and cert["contraction"] <= _CONTRACTION_PASS:
             verdict = "DecayingStable"
-    if verdict is None and q_value is not None and q_value < 1.0:
+    if verdict is None and _q_contracts(q_value, q_error):
         verdict = "RobustStable"
     if verdict is None and sup_k < epsilon:
         verdict = "UniformSmallStable"
@@ -523,7 +528,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     elif verdict == "UniformSmallStable":
         delta = float((1.0 - sup_k * kint["value"]) / sup_e_alpha)
     elif verdict == "DecayingStable":
-        if q_value is not None and q_value < 1.0:
+        if _q_contracts(q_value, q_error):
             delta = float((1.0 - q_value) / sup_e_alpha)
         else:
             # past T the envelope is under 1/(5M) <= 1/(5 kint), so the

@@ -10,9 +10,11 @@ import random
 import numpy as np
 import pytest
 
+from fracstab import special_fn as sf
 from fracstab.errors import (
     DomainError,
     OverflowSignal,
+    QuadratureConvergenceError,
     SectorViolationError,
     UnsupportedOrderError,
 )
@@ -169,6 +171,83 @@ def test_ml_region_seams():
                 continue
             b = sf._ml_contour(alpha, 1.0, z)[0]
             assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-8)
+
+
+def _contour_points(rng, alpha, n_random, n_tight):
+    """Seeded points with 1 < |z| <= 50 for the contour regime.
+
+    The random ones skip arguments whose exponential part overflows.  The
+    tight ones put the pole at clearance just above _MU_MIN_SEP from the
+    first mu candidate, so _choose_mu settles there."""
+    r = rng.uniform(1.0, 50.0, 4 * n_random)
+    th = rng.uniform(-math.pi, math.pi, 4 * n_random)
+    z = r * np.exp(1j * th)
+    finite = (np.abs(th) >= alpha * math.pi) | ((z ** (1.0 / alpha)).real < 500.0)
+    mu = sf._MU_CANDIDATES[0]
+    c = 1.0 + rng.choice([-1.0, 1.0], n_tight) * (sf._MU_MIN_SEP + 0.01)
+    y = rng.uniform(0.6, 3.0, n_tight) * rng.choice([-1.0, 1.0], n_tight)
+    tight = (mu * (c + 1j * y) ** 2) ** alpha
+    pts = np.concatenate([z[finite][:n_random], tight])
+    return pts[(np.abs(pts) > 1.0) & (np.abs(pts) <= 50.0)]
+
+
+def test_ml_contour_matches_dense_reference_at_every_order():
+    """Every accepted contour value lies within the accept tolerance of a
+    3,841-node trapezoid sum on the same contour, at every derivative order.
+
+    The floor is 1e-15 * mass, not the accept rule's 4e-16 * mass: that
+    floor bounds the difference of two levels, and where the value cancels
+    to 1e-4 of the mass the roundoff of an 81-node sum alone reaches about
+    5e-16 * mass."""
+    rng = np.random.default_rng(2015)
+    # a pole near one end of the contour, where end nodes at full trapezoid
+    # weight miss the reference by 1.8 times the tolerance at l = 6
+    near_end = {0.5: [2.026673048243906 - 6.364922835527043j]}
+    for alpha in (0.3, 0.5, 0.8, 0.95):
+        z = np.append(_contour_points(rng, alpha, 24, 8), near_end.get(alpha, []))
+        poles = sf._principal_poles(alpha, z)
+        mu = sf._choose_mu(alpha, z, poles)
+        sep = np.abs(sf._clearance(mu, poles[0][0]))
+        assert np.sum(sep < sf._MU_MIN_SEP + 0.02) >= 4
+        for beta in (alpha, 1.0):
+            for l in range(7):
+                got = sf._ml_contour(alpha, beta, z, l)
+                ref, mass = sf._contour_sum(alpha, beta, z, l, mu, 3841)
+                res = sf._contour_residues(alpha, beta, z, l, mu, poles)
+                scale = np.maximum(np.abs(ref + res), np.abs(ref))
+                assert np.all(
+                    np.abs(got - (ref + res)) <= 1e-12 * scale + 1e-15 * mass
+                ), (alpha, beta, l)
+
+
+def test_ml_contour_failure_raises(monkeypatch):
+    # three- and five-node levels cannot meet the tolerance anywhere
+    monkeypatch.setattr(sf, "_CONTOUR_LEVELS", (3, 5))
+    with pytest.raises(QuadratureConvergenceError):
+        ml_many(MLParams(0.5, 0.5), np.array([-10.0 + 3.0j, 4.0 - 20.0j]))
+
+
+def test_ml_contour_work_and_batch_independence(monkeypatch):
+    """Most points stop at a coarse level, and a point's value does not
+    depend on the batch it came in."""
+    rng = np.random.default_rng(7)
+    z = _contour_points(rng, 0.5, 150, 50)
+    z = z[np.abs(z) > 1.05 * sf._series_radius(0.5)]
+    nodes = []
+    integrand = sf._contour_integrand
+
+    def counted(*args):
+        out = integrand(*args)
+        nodes.append(out.size)
+        return out
+
+    monkeypatch.setattr(sf, "_contour_integrand", counted)
+    p = MLParams(0.5, 0.5)
+    batch = ml_many(p, z)
+    assert sum(nodes) / z.size <= 150
+    single = np.array([ml(p, v) for v in z])
+    assert np.all(np.isfinite(batch))
+    assert np.array_equal(batch, single)
 
 
 def test_ml_many_matches_scalar():

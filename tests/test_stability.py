@@ -327,6 +327,21 @@ def test_report_enforces_robust_fields():
     assert report.q == 0.7
 
 
+def test_robust_gate_counts_the_q_error(monkeypatch):
+    # q itself is below 1, but q + q_error is not
+    with pytest.raises(DomainError):
+        StabilityReport(
+            sector=_sector_ok(), verdict="RobustStable", q=0.9999999, q_error=1e-6
+        )
+    pert = LinearConstant(np.array([[0.6]]))  # sup 0.6 is above epsilon = 0.5
+    for q_error, robust in ((1e-6, False), (0.0, True)):
+        monkeypatch.setattr(
+            stability, "_q_scan", lambda *args, e=q_error, **kw: (0.9999999, e)
+        )
+        report = classify(A_NEG, 0.5, pert)
+        assert (report.verdict == "RobustStable") == robust
+
+
 def test_report_enforces_uniform_fields():
     with pytest.raises(DomainError):
         StabilityReport(sector=_sector_ok(), verdict="UniformSmallStable")
