@@ -6,7 +6,9 @@ reciprocal Gamma behind every series coefficient is built on it.
 The Mittag-Leffler evaluator dispatches on |z| between a Taylor series, a
 parabolic-contour Laplace inversion, and a truncated asymptotic expansion.
 Region boundaries are deterministic and the adjacent methods are
-cross-validated on overlap annuli by the test suite.  The contour's
+cross-validated on overlap annuli by the test suite.  The series is a
+Horner sum over a coefficient table built once per (alpha, beta, derivative
+order), whose length the disk radius fixes.  The contour's
 trapezoid node count is chosen per point: it starts at the coarsest of a
 set of nested levels whose step meets the target error at the rate that the
 pole's clearance from the contour predicts, and each refinement adds only
@@ -15,6 +17,7 @@ respect to the eigenvalue argument (up to order 6) reuse the same three
 regimes, which keeps decay-constant estimation stable out to t = 1e6.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,35 +153,66 @@ def _series_radius(alpha):
     return min(5.0, _SERIES_LOG_CAP ** alpha)
 
 
+def _series_disk(alpha, l):
+    # differentiated series terms carry k^l weights that amplify the
+    # alternating-sum cancellation, so hand the edge over to the contour
+    return _series_radius(alpha) * (1.0 - 0.06 * min(l, _DERIV_CAP))
+
+
 # ---------------------------------------------------------------------------
 # Taylor regime
 
 _SERIES_KMAX = 20000
+# the table ends where the dropped tail, bounded over the whole disk, falls
+# below this fraction of the largest term: the sum's roundoff is of the
+# order 1e-16 times the same largest term
+_SERIES_TAIL = 1e-17
+
+
+@functools.lru_cache(maxsize=128)
+def _series_table(alpha, beta, l):
+    """Series coefficients c_k = k!/(k-l)! / Gamma(alpha k + beta) for
+    k = l..K, highest k first, as Horner takes them.
+
+    K is fixed by the disk radius r0 alone.  Once alpha (k-1) + beta > 0,
+    the ratio b_k/b_{k-1} of the term bounds b_k = |c_k| r0^(k-l) only
+    falls (log Gamma is convex), so past their peak the tail from k on is
+    at most b_k / (1 - b_k/b_{k-1}); the table stops at the first k where
+    that bound is below _SERIES_TAIL times the largest b_k."""
+    r0 = _series_disk(alpha, l)
+    coef = []
+    fall = float(math.factorial(l))  # k!/(k-l)! at k = l
+    peak = prev = 0.0
+    for k in range(l, _SERIES_KMAX):
+        c = fall * _rgamma(alpha * k + beta)
+        bound = abs(c) * r0 ** (k - l)
+        if (
+            alpha * (k - 1) + beta > 0.0
+            and bound < prev
+            and bound / (1.0 - bound / prev) <= _SERIES_TAIL * peak
+        ):
+            return tuple(reversed(coef))
+        coef.append(c)
+        peak = max(peak, bound)
+        prev = bound
+        fall = fall * (k + 1) / (k + 1 - l)
+    raise QuadratureConvergenceError("Taylor series failed to settle")
 
 
 def _ml_series(alpha, beta, z, l=0):
     """Differentiated Taylor series, valid inside the cancellation-safe disk.
 
     Computes d^l/dz^l E_{alpha,beta}(z) = sum_{k>=l} k!/(k-l)! z^{k-l} /
-    Gamma(alpha k + beta).
+    Gamma(alpha k + beta) by Horner's rule over _series_table; each
+    point's value depends on that point alone.
     """
     z = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(z)
-    # k = l term: power z^0 = 1 regardless of z (including z = 0).
-    power = np.ones_like(z)
-    fall = math.factorial(l)  # k!/(k-l)! at k = l
-    settled = np.zeros(z.shape, dtype=int)
-    for k in range(l, _SERIES_KMAX):
-        term = (fall * _rgamma(alpha * k + beta)) * power
-        acc += term
-        small = np.abs(term) <= 1e-17 * (np.abs(acc) + 1e-300)
-        settled = np.where(small, settled + 1, 0)
-        if np.all(settled >= 3) and k > l + 2:
-            break
-        power = power * z
-        fall = fall * (k + 1) / (k + 1 - l)
-    else:
-        raise QuadratureConvergenceError("Taylor series failed to settle")
+    table = _series_table(alpha, beta, l)
+    acc = np.full_like(z, table[0])
+    # out of place: numpy's in-place complex multiply rounds a one-element
+    # array differently from a longer one
+    for c in table[1:]:
+        acc = acc * z + c
     return acc
 
 
@@ -461,10 +495,7 @@ def _ml_core(alpha, beta, z, l=0):
             return np.exp(z)  # every z-derivative of exp is exp
     out = np.empty_like(z)
     az = np.abs(z)
-    # differentiated series terms carry k^l weights that amplify the
-    # alternating-sum cancellation, so hand the edge over to the contour
-    r0 = _series_radius(alpha) * (1.0 - 0.06 * min(l, _DERIV_CAP))
-    ser = az <= r0
+    ser = az <= _series_disk(alpha, l)
     asym = az > _ASYM_RADIUS
     mid = ~ser & ~asym
     if np.any(ser):
@@ -513,10 +544,10 @@ def ml_dlambda(params, t, lam, l):
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"ml_dlambda requires t >= 0, got {t!r}")
-    ta = t ** params.alpha
-    z = complex(lam) * ta
-    val = _ml_core(params.alpha, params.beta, np.array([z]), l)[0]
-    return complex(ta ** l * val)
+    # the batched path's numpy powers round differently from Python's, so
+    # a single point goes through it too
+    val = _ml_dlambda_many(params.alpha, params.beta, np.array([t]), complex(lam), l)
+    return complex(val[0])
 
 
 def _ml_dlambda_many(alpha, beta, times, lam, l):

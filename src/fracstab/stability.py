@@ -38,7 +38,7 @@ from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
 _LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
-_CONTRACTION_PASS = 0.55     # analytic factor 1/2 plus reporting tolerance
+_CONTRACTION_PASS = 0.5      # the theorem's contraction factor; the value is a bound
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _VERDICTS = (
@@ -99,7 +99,7 @@ class StabilityReport:
             ):
                 raise DomainError(
                     "DecayingStable requires the weighted-norm contraction "
-                    f"estimate <= {_CONTRACTION_PASS}"
+                    f"bound <= {_CONTRACTION_PASS}"
                 )
 
 

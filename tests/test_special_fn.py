@@ -255,7 +255,115 @@ def test_ml_many_matches_scalar():
     zs = np.array([-0.5 + 0.1j, -8.0 + 2.0j, -60.0 - 5.0j])
     batch = ml_many(p, zs)
     for z, v in zip(zs, batch):
-        assert v == pytest.approx(ml(p, z), rel=1e-12)
+        assert v == ml(p, z)
+
+
+def test_ml_many_equals_ml_in_every_regime():
+    """A point's value, at every derivative order, does not depend on the
+    batch it came in: one-point ml_dlambda calls equal one batched call."""
+    rng = np.random.default_rng(1607)
+    counts = np.zeros(3, dtype=int)
+    for alpha in (0.3, 0.5, 0.8):
+        # 40 radii in each regime: series (inside every order's disk),
+        # contour and asymptotic
+        r = np.concatenate([
+            rng.uniform(0.0, sf._series_disk(alpha, 6), 40),
+            rng.uniform(sf._series_radius(alpha), sf._ASYM_RADIUS, 40),
+            rng.uniform(sf._ASYM_RADIUS, 120.0, 40),
+        ])
+        th = rng.uniform(-math.pi, math.pi, r.size)
+        # stay clear of float overflow in the exponential branch
+        keep = r ** (1.0 / alpha) * np.cos(th / alpha) <= 500.0
+        z = (r * np.exp(1j * th))[keep]
+        t = rng.uniform(0.5, 4.0, z.size)
+        lam = z / t ** alpha
+        for beta in (alpha, 1.0):
+            for l in range(7):
+                many = sf._ml_dlambda_many(alpha, beta, t, lam, l)
+                one = [ml_dlambda(MLParams(alpha, beta), ti, li, l) for ti, li in zip(t, lam)]
+                assert np.array_equal(many, np.array(one)), (alpha, beta, l)
+        az = np.abs(z)
+        counts += [
+            np.sum(az <= sf._series_disk(alpha, 6)),
+            np.sum((az > sf._series_radius(alpha)) & (az <= sf._ASYM_RADIUS)),
+            np.sum(az > sf._ASYM_RADIUS),
+        ]
+    assert np.all(counts >= 60), counts
+
+
+def _mp_series_coefficients(mp, alpha, beta, l, r0):
+    """50-digit c_k = k!/(k-l)! / Gamma(alpha k + beta), far past where the
+    term bounds |c_k| r0^(k-l) fall under 1e-30 of their peak."""
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    coef, peak, k = [], mp.mpf(0), l
+    while True:
+        c = mp.factorial(k) / mp.factorial(k - l) * mp.rgamma(a * k + b)
+        coef.append(c)
+        bound = abs(c) * mp.mpf(r0) ** (k - l)
+        peak = max(peak, bound)
+        if k > l + 10 and bound < mp.mpf(10) ** -30 * peak:
+            return coef
+        k += 1
+
+
+def test_ml_series_matches_high_precision_sum():
+    """Every series value lies within 4e-15 of the absolute mass
+    sum |c_k| |z|^(k-l) of a 50-digit sum, over the whole disk."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(4417)
+    with mp.workdps(50):
+        for alpha in (0.3, 0.5, 0.8, 0.95):
+            for beta in (alpha, 1.0):
+                for l in range(7):
+                    r0 = sf._series_disk(alpha, l)
+                    # uniform in the disk, with the rim itself as the last point
+                    rad = np.append(r0 * np.sqrt(rng.uniform(0.0, 1.0, 3)), r0)
+                    z = rad * np.exp(1j * rng.uniform(-math.pi, math.pi, rad.size))
+                    got = sf._ml_series(alpha, beta, z, l)
+                    coef = _mp_series_coefficients(mp, alpha, beta, l, r0)[::-1]
+                    abs_coef = [abs(c) for c in coef]
+                    for zi, gi in zip(z, got):
+                        zz = mp.mpc(zi.real, zi.imag)
+                        err = abs(mp.mpc(gi.real, gi.imag) - mp.polyval(coef, zz))
+                        mass = mp.polyval(abs_coef, abs(zz))
+                        assert err <= 4e-15 * mass, (alpha, beta, l, zi)
+
+
+def test_ml_series_table_is_built_once_and_bounds_its_tail(monkeypatch):
+    sf._series_table.cache_clear()
+    calls = []
+    rgamma = sf._rgamma
+
+    def counted(x):
+        calls.append(x)
+        return rgamma(x)
+
+    monkeypatch.setattr(sf, "_rgamma", counted)
+    p = MLParams(0.45, 0.45)
+    z = np.linspace(-1.5, 1.5, 31) * (1.0 - 0.5j)
+    assert np.all(np.abs(z) <= sf._series_radius(0.45))
+    first = ml_many(p, z)
+    built = len(calls)
+    assert built > 0
+    assert np.array_equal(ml_many(p, z), first)
+    assert len(calls) == built
+    monkeypatch.undo()
+
+    # the dropped tail, summed at the disk radius, is under 1e-17 of the
+    # largest term the table keeps
+    for alpha, beta, l in ((0.3, 0.3, 0), (0.5, 1.0, 3), (0.8, 0.8, 6), (0.95, 1.0, 1)):
+        r0 = sf._series_disk(alpha, l)
+        top = l + len(sf._series_table(alpha, beta, l)) - 1
+        bound = [math.perm(k, l) * abs(sf._rgamma(alpha * k + beta)) * r0 ** (k - l)
+                 for k in range(l, top + 100)]
+        assert sum(bound[top - l + 1:]) <= 1e-17 * max(bound[: top - l + 1])
+
+
+def test_ml_series_table_failure_raises(monkeypatch):
+    monkeypatch.setattr(sf, "_SERIES_KMAX", 5)
+    sf._series_table.cache_clear()
+    with pytest.raises(QuadratureConvergenceError):
+        ml_many(MLParams(0.5, 0.5), np.array([0.3 - 0.2j]))
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,17 @@ def test_report_enforces_decay_fields():
     )
 
 
+def test_report_rejects_contraction_above_one_half():
+    """The contraction is a bound, so nothing above the theorem's 1/2 passes."""
+    with pytest.raises(DomainError):
+        StabilityReport(
+            sector=_sector_ok(), verdict="DecayingStable", beta_contraction=0.52
+        )
+    StabilityReport(
+        sector=_sector_ok(), verdict="DecayingStable", beta_contraction=0.5
+    )
+
+
 def test_classify_constant_gain_is_robust():
     report = classify(A_NEG, 0.5, LinearConstant(np.array([[0.5]])))
     assert report.verdict == "RobustStable"
