@@ -170,6 +170,19 @@ def _ml_matrix_jordan(params, ts, m, spec):
     return out
 
 
+def _ml_spectrum(params, times, lam):
+    """(n, d) values E_{alpha,beta}(t^alpha lam) at every time and eigenvalue.
+
+    E(conj z) = conj E(z), so an eigenvalue whose exact conjugate is also in
+    the spectrum (as LAPACK returns them for a real matrix) is folded onto
+    the upper half-plane; each distinct folded value is evaluated once.
+    """
+    flip = (lam.imag < 0.0) & np.isin(lam.conj(), lam)
+    distinct, where = np.unique(np.where(flip, lam.conj(), lam), return_inverse=True)
+    vals = ml_many(params, np.multiply.outer(times ** params.alpha, distinct))[:, where]
+    return np.where(flip, vals.conj(), vals)
+
+
 def ml_matrix(params, t, a, spec):
     """E_{alpha,beta}(t^alpha A) from the spectral data of A.
 
@@ -193,8 +206,7 @@ def ml_matrix(params, t, a, spec):
     if spec.jordan_structure is not None:
         out = _ml_matrix_jordan(params, times, m, spec)
     else:
-        lam = np.asarray(spec.eigenvalues)
-        fvals = ml_many(params, np.multiply.outer(times ** params.alpha, lam))
+        fvals = _ml_spectrum(params, times, np.asarray(spec.eigenvalues))
         v = spec.eigenvectors
         vf = v[None, :, :] * fvals[:, None, :]
         out = np.linalg.solve(v.T, vf.transpose(0, 2, 1)).transpose(0, 2, 1)

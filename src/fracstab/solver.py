@@ -55,6 +55,13 @@ def _as_q_matrix(q0):
     return m
 
 
+def _per_time(values, t):
+    """values broadcast over the times t: a scalar t gives the values
+    themselves, an array of n times an (n, ...) stack."""
+    values = np.asarray(values, dtype=float)
+    return np.broadcast_to(values, np.shape(t) + values.shape)[()]
+
+
 class PerturbationSpec:
     """Base class for the perturbation f(t, x); subclasses are the kinds.
 
@@ -62,6 +69,9 @@ class PerturbationSpec:
     K(t) >= ||Q(t)|| for the linear kinds, the envelope limit at large
     times used by the decay certificates, and the breakpoints of a
     piecewise-linear envelope, so that the certificates see its sup.
+    `envelope` and `q_matrix` take a time or an array of n times: a time
+    gives a number or a (d, d) matrix, the array an (n,) vector or an
+    (n, d, d) stack.
     """
 
     is_linear = False
@@ -93,7 +103,7 @@ class NoPerturbation(PerturbationSpec):
         return np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def envelope(self, t, norm="max"):
-        return 0.0
+        return _per_time(0.0, t)
 
     def limit_envelope(self, norm="max"):
         return 0.0
@@ -117,13 +127,13 @@ class LinearConstant(PerturbationSpec):
         return self.q0 @ np.atleast_1d(np.asarray(x, dtype=float))
 
     def envelope(self, t, norm="max"):
-        return operator_norm(self.q0, norm)
+        return _per_time(operator_norm(self.q0, norm), t)
 
     def limit_envelope(self, norm="max"):
         return operator_norm(self.q0, norm)
 
     def q_matrix(self, t):
-        return self.q0
+        return _per_time(self.q0, t)
 
 
 @dataclass(frozen=True)
@@ -147,13 +157,15 @@ class LinearDecaying(PerturbationSpec):
         return (self.q0 @ x) / (1.0 + float(t)) ** self.gamma
 
     def envelope(self, t, norm="max"):
-        return operator_norm(self.q0, norm) / (1.0 + float(t)) ** self.gamma
+        decay = np.power(1.0 + np.asarray(t, dtype=float), self.gamma)
+        return operator_norm(self.q0, norm) / decay
 
     def limit_envelope(self, norm="max"):
         return 0.0
 
     def q_matrix(self, t):
-        return self.q0 / (1.0 + float(t)) ** self.gamma
+        decay = np.power(1.0 + np.asarray(t, dtype=float)[..., None, None], self.gamma)
+        return self.q0 / decay
 
 
 @dataclass(frozen=True)
@@ -183,21 +195,20 @@ class LinearTable(PerturbationSpec):
         object.__setattr__(self, "matrices", ms)
 
     def q_matrix(self, t):
-        t = float(t)
-        ts = self.times
-        if t <= ts[0]:
-            return self.matrices[0]
-        if t >= ts[-1]:
-            return self.matrices[-1]
-        k = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * self.matrices[k] + w * self.matrices[k + 1]
+        knots, mats = self.times, self.matrices
+        if len(knots) == 1:
+            return _per_time(mats[0], t)
+        # clamped to the table, an end time lands on its row exactly (w = 0 or 1)
+        tc = np.clip(np.asarray(t, dtype=float), knots[0], knots[-1])
+        k = np.clip(np.searchsorted(knots, tc) - 1, 0, len(knots) - 2)
+        w = ((tc - knots[k]) / (knots[k + 1] - knots[k]))[..., None, None]
+        return (1.0 - w) * mats[k] + w * mats[k + 1]
 
     def field(self, t, x):
         return self.q_matrix(t) @ np.atleast_1d(np.asarray(x, dtype=float))
 
     def envelope(self, t, norm="max"):
-        return float(np.interp(float(t), self.times, operator_norm(self.matrices, norm)))
+        return np.interp(t, self.times, operator_norm(self.matrices, norm))
 
     def limit_envelope(self, norm="max"):
         return float(operator_norm(self.matrices[-1], norm))
@@ -233,7 +244,7 @@ class NonlinearSaturating(PerturbationSpec):
         return self.c * (1.0 + float(t)) ** (-self.gamma) * np.tanh(x)
 
     def envelope(self, t, norm="max"):
-        return abs(self.c) * (1.0 + float(t)) ** (-self.gamma)
+        return abs(self.c) * np.power(1.0 + np.asarray(t, dtype=float), -self.gamma)
 
     def limit_envelope(self, norm="max"):
         return 0.0 if self.gamma > 0.0 else abs(self.c)
@@ -259,7 +270,7 @@ class NonlinearTable(PerturbationSpec):
         object.__setattr__(self, "k_values", ks)
 
     def _k(self, t):
-        return float(np.interp(float(t), self.times, self.k_values))
+        return np.interp(t, self.times, self.k_values)
 
     def field(self, t, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))

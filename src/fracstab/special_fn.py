@@ -255,6 +255,17 @@ def _eval_exp_part(alpha, beta, z, l, omega=1.0 + 0.0j):
     return out
 
 
+def _require_finite(values, z):
+    """values, unless the exponential part behind one of them left the
+    double range: then OverflowSignal names the first such argument."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise OverflowSignal(
+            f"Mittag-Leffler exponential part overflows at z = {z[bad][0]}"
+        )
+    return values
+
+
 # ---------------------------------------------------------------------------
 # asymptotic regime
 
@@ -273,6 +284,26 @@ def _rgamma_log_envelope(x):
     return math.lgamma(1.0 - x) - math.log(_PI)
 
 
+@functools.lru_cache(maxsize=128)
+def _asymptotic_table(alpha, beta, l):
+    """Terms k = 1, 2, ... of the differentiated algebraic expansion as
+    pairs (c_k, e_k): c_k = (-1)^l k(k+1)...(k+l-1) / Gamma(beta - alpha k)
+    is the coefficient of z^-(k+l), and e_k - (k+l) log|z| is the log of
+    the term's smooth majorant."""
+    rising = float(math.factorial(l))  # (k)(k+1)...(k+l-1) at k = 1 is l!
+    sign = -1.0 if l % 2 else 1.0
+    terms = []
+    for k in range(1, _ASYM_KMAX + 1):
+        arg = beta - alpha * k
+        if arg < -160.0:
+            break
+        terms.append(
+            (sign * rising * _rgamma(arg), _rgamma_log_envelope(arg) + math.log(rising))
+        )
+        rising = rising * (k + l) / k
+    return tuple(terms)
+
+
 def _ml_asymptotic(alpha, beta, z, l=0):
     """Truncated large-|z| expansion; the exponential branch enters on the
     wedge |arg z| <= alpha*pi where it is not transcendentally small."""
@@ -287,26 +318,20 @@ def _ml_asymptotic(alpha, beta, z, l=0):
     ln_az = np.log(np.abs(z))
     zin = 1.0 / z
     power = zin ** (l + 1)
-    rising = float(math.factorial(l))  # (k)(k+1)...(k+l-1) at k = 1 is l!
-    sign = -1.0 if l % 2 else 1.0
     prev_env = np.full(z.shape, np.inf)
     env_head = None
     active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _ASYM_KMAX + 1):
-        arg = beta - alpha * k
-        if arg < -160.0:
-            break
-        env = _rgamma_log_envelope(arg) + math.log(rising) - (k + l) * ln_az
+    for k, (coef, log_env) in enumerate(_asymptotic_table(alpha, beta, l), start=1):
+        env = log_env - (k + l) * ln_az
         if env_head is None:
             env_head = env
         active &= (env < prev_env) & (env - env_head > -45.0)
         if not np.any(active):
             break
-        term = (sign * rising * _rgamma(arg)) * power
+        term = coef * power
         out[active] -= term[active]
         prev_env = env
         power = power * zin
-        rising = rising * (k + l) / k
     return out
 
 
@@ -434,7 +459,7 @@ def _contour_residues(alpha, beta, z, l, mu, poles):
         if np.any(right):
             omega = complex(np.exp(2j * _PI * j / alpha))
             res[right] += _eval_exp_part(alpha, beta, z[right], l, omega)
-    return res
+    return _require_finite(res, z)
 
 
 def _ml_contour(alpha, beta, z, l=0):
@@ -503,7 +528,7 @@ def _ml_core(alpha, beta, z, l=0):
     if np.any(mid):
         out[mid] = _ml_contour(alpha, beta, z[mid], l)
     if np.any(asym):
-        out[asym] = _ml_asymptotic(alpha, beta, z[asym], l)
+        out[asym] = _require_finite(_ml_asymptotic(alpha, beta, z[asym], l), z[asym])
     return out
 
 
@@ -511,7 +536,8 @@ def ml(params, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z).
 
     Target relative error is 1e-10 or better for |z| <= 100.  Accepts real
-    or complex z; returns a complex value.
+    or complex z; returns a complex value.  Raises OverflowSignal where the
+    value's exponential part leaves the double range.
     """
     if not isinstance(params, MLParams):
         raise DomainError("ml expects MLParams")

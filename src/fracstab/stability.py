@@ -32,7 +32,7 @@ from .matfun import (
 )
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, _gk21_quad, uniform_grid
-from .solver import as_perturbation, solve_abm
+from .solver import PerturbationSpec, as_perturbation, solve_abm
 from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
@@ -157,54 +157,56 @@ def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     return env_far * kint_value + sup_k * kernel_tail
 
 
-def _weighted_norms(e, taus, norm, envelope, q_matrix):
+def _weighted_norms(e, taus, norm, pert, product):
     """The certificates' integrand, one value per propagator slice e[i]:
-    ||e[i] Q(taus[i])|| when q_matrix gives Q, else ||e[i]|| K(taus[i])
-    for the envelope K."""
-    if q_matrix is None:
-        k_taus = np.array([float(envelope(tau)) for tau in taus])
-        return operator_norm(e, norm) * k_taus
-    q_mats = np.stack([q_matrix(tau) for tau in taus])
-    return operator_norm(e @ q_mats, norm)
+    ||e[i] Q(taus[i])|| with product set, else ||e[i]|| K(taus[i]) for the
+    envelope K of the perturbation kind pert."""
+    if product:
+        return operator_norm(e @ pert.q_matrix(taus), norm)
+    return operator_norm(e, norm) * pert.envelope(taus, norm)
 
 
-def _q_scan(m, al, norm, envelope, lim_k, knots=(), q_matrix=None, kint_value=None):
+def _q_scan(m, al, norm, pert, product, kint_value=None):
     """(q, error estimate): sup over geometric horizons of the contraction
     integral.
 
     The integrand at kernel lag s and absolute time tau = t - s is
-    ||E_{alpha,alpha}(s^alpha A) Q(tau)|| when q_matrix gives Q, else
-    ||E_{alpha,alpha}(s^alpha A)|| K(tau) for the envelope K with limit
-    lim_k and breakpoints knots; the substitution v = s^alpha removes the
-    kernel singularity.
+    ||E_{alpha,alpha}(s^alpha A) Q(tau)|| with product set, else
+    ||E_{alpha,alpha}(s^alpha A)|| K(tau) for the envelope K of the kind
+    pert; the substitution v = s^alpha removes the kernel singularity.
     """
-    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
+    sup_k, lim_k = _envelope_stats(pert, norm)
     if sup_k == 0.0:
         return 0.0, 0.0
     spec = spectral_decompose(m)
     if kint_value is None:
         kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    if q_matrix is None:
+    if not product:
         limit_value = lim_k * kint_value
     else:
         # a matrix that settles to a constant makes the integral monotone
         # up to this infinite-horizon limit
         limit_value = kernel_integral(
-            m, al, norm, spec=spec, right=q_matrix(_LIMIT_TIME)
+            m, al, norm, spec=spec, right=pert.q_matrix(_LIMIT_TIME)
         )["value"]
 
-    if float(envelope(0.0)) == lim_k == sup_k:
+    if float(pert.envelope(0.0, norm)) == lim_k == sup_k:
         # constant envelope: the integral grows monotonically to its limit
         return float(limit_value), 0.0
-    env_far = float(envelope(_FAR_TIME))
+    env_far = float(pert.envelope(_FAR_TIME, norm))
     params = MLParams(al, al)
+    # every horizon's [0, 1] piece, and the polish's, starts on the same
+    # lag arrays: one propagator stack per array for the whole scan
+    stacks = {}
 
     def value_at(t):
         def f(v):
             lags = v ** (1.0 / al)
-            e = ml_matrix(params, lags, m, spec)
+            key = v.tobytes()
+            if key not in stacks:
+                stacks[key] = ml_matrix(params, lags, m, spec)
             return _weighted_norms(
-                e, np.maximum(t - lags, 0.0), norm, envelope, q_matrix
+                stacks[key], np.maximum(t - lags, 0.0), norm, pert, product
             )
 
         val, e = _split_quad(f, t ** al)
@@ -234,29 +236,20 @@ def _q_scan(m, al, norm, envelope, lim_k, knots=(), q_matrix=None, kint_value=No
     return float(value), float(err + tail_excess)
 
 
-def _envelope_stats(envelope, lim_k, knots):
-    """(sup, limit) of the envelope K(t), with the sup taken over t = 0,
-    the breakpoints knots, 200 geometric sample times in [1e-3, 1e6] and
-    the limit lim_k.
+def _envelope_stats(pert, norm):
+    """(sup, limit) of the envelope K(t) of a perturbation kind, with the
+    sup taken over t = 0, its breakpoints, 200 geometric sample times in
+    [1e-3, 1e6] and the limit.
 
-    The sup is exact for the perturbation kinds: the analytic envelopes
-    peak at t = 0 and the piecewise-linear table envelopes at a knot.  A
-    bare callable envelope is only sampled.
+    The sup is exact for the kinds: the analytic envelopes peak at t = 0
+    and the piecewise-linear table envelopes at a knot.
     """
-    ts = np.concatenate([[0.0], knots, np.geomspace(1e-3, 1e6, 200)])
-    vals = np.array([float(envelope(t)) for t in ts] + [float(lim_k)])
+    lim_k = float(pert.limit_envelope(norm))
+    ts = np.concatenate([[0.0], pert.breakpoints(), np.geomspace(1e-3, 1e6, 200)])
+    vals = np.append(pert.envelope(ts, norm), lim_k)
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         raise DomainError("envelope must be finite and nonnegative")
-    return float(vals.max()), float(lim_k)
-
-
-def _pert_envelope(pert, norm):
-    """The envelope callable, limit and breakpoints of a perturbation kind."""
-    return (
-        (lambda t: pert.envelope(t, norm)),
-        pert.limit_envelope(norm),
-        pert.breakpoints(),
-    )
+    return float(vals.max()), lim_k
 
 
 def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
@@ -278,23 +271,23 @@ def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
         raise DomainError("compute_q_linear requires a linear perturbation kind")
     if mode not in ("product", "bound"):
         raise DomainError(f"unknown mode {mode!r}")
-    q_matrix = pert.q_matrix if mode == "product" else None
-    return _q_scan(m, al, norm, *_pert_envelope(pert, norm), q_matrix)[0]
+    return _q_scan(m, al, norm, pert, mode == "product")[0]
 
 
-def compute_q_nonlinear(a, alpha, k, norm="max"):
+def compute_q_nonlinear(a, alpha, pert, norm="max"):
     """Contraction constant with the Lipschitz envelope outside the norm.
 
     Same horizon construction as the linear variant but with integrand
-    ||E|| * K(tau), matching the certificate available when only a
-    Lipschitz envelope of the perturbation is known.
+    ||E|| * K(tau) for the envelope K of the perturbation kind pert,
+    matching the certificate available when only a Lipschitz envelope of
+    the perturbation is known.  A tabulated envelope is a NonlinearTable.
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)
     check_norm(norm)
-    if not callable(k):
-        raise DomainError("envelope must be callable")
-    return _q_scan(m, al, norm, k, k(_LIMIT_TIME))[0]
+    if not isinstance(pert, PerturbationSpec):
+        raise DomainError(f"expected a PerturbationSpec, got {type(pert).__name__}")
+    return _q_scan(m, al, norm, pert, False)[0]
 
 
 def epsilon_threshold(a, alpha, norm="max"):
@@ -360,14 +353,13 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
 def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
     """beta_norm_certificate on validated inputs, given the spectral data,
     the kernel integral m_int and sup_e = sup ||E_{alpha,alpha}||."""
-    envelope, lim_k, knots = _pert_envelope(pert, norm)
-    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
+    sup_k, lim_k = _envelope_stats(pert, norm)
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
     threshold = 1.0 / (5.0 * big_m)
 
     horizon = grid.nodes[-1]
-    k_vals = np.array([envelope(t) for t in grid.nodes])
+    k_vals = pert.envelope(grid.nodes, norm)
     above = np.flatnonzero(k_vals >= threshold)
     # T is the node after the last node at or above the threshold
     i_decay = int(above[-1]) + 1 if above.size else 0
@@ -406,7 +398,6 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
     eval_ts = sorted(eval_ts)
 
     params = MLParams(al, al)
-    q_matrix = pert.q_matrix if pert.is_linear else None
     worst = 0.0
     for t in eval_ts:
         ua = t ** al
@@ -415,7 +406,7 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
         taus = np.maximum(t - lags, 0.0)
         damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
         e_mats = ml_matrix(params, lags, m, spec)
-        integrand = _weighted_norms(e_mats, taus, norm, envelope, q_matrix) * damp
+        integrand = _weighted_norms(e_mats, taus, norm, pert, pert.is_linear) * damp
         worst = max(worst, float(np.trapezoid(integrand, v) / al))
 
     return {
@@ -465,15 +456,13 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     kint = kernel_integral(m, al, norm, spec=spec)
     epsilon = float(0.5 / kint["value"])
     sup_e_aa = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-    envelope, lim_k, knots = _pert_envelope(pert, norm)
-    sup_k, lim_k = _envelope_stats(envelope, lim_k, knots)
+    sup_k, lim_k = _envelope_stats(pert, norm)
 
     q_value = None
     q_error = None
     try:
-        q_matrix = pert.q_matrix if pert.is_linear else None
         q_value, q_error = _q_scan(
-            m, al, norm, envelope, lim_k, knots, q_matrix, kint_value=kint["value"]
+            m, al, norm, pert, pert.is_linear, kint_value=kint["value"]
         )
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")

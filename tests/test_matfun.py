@@ -21,7 +21,7 @@ from fracstab.matfun import (
     spectral_decompose,
     sup_ml_norm,
 )
-from fracstab.special_fn import MLParams, ml, ml_dlambda
+from fracstab.special_fn import MLParams, ml, ml_dlambda, ml_many
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 JORDAN2 = np.array([[-2.0, 1.0], [0.0, -2.0]])
@@ -242,6 +242,53 @@ def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
         # the t = 0 slice is rgamma(beta) I, off-diagonal entries exactly 0
         identity = np.eye(a.shape[0]) / math.gamma(params.beta)
         assert np.allclose(stack[0], identity, rtol=1e-13, atol=0.0)
+
+
+def _per_eigenvalue_reference(params, ts, a, spec):
+    """V diag(E(t^alpha lam_j)) V^-1 with every eigenvalue evaluated on its
+    own, conjugates included, and the same linear algebra as ml_matrix."""
+    v = spec.eigenvectors
+    f = np.stack(
+        [ml_many(params, ts ** params.alpha * lam) for lam in spec.eigenvalues], axis=1
+    )
+    vf = v[None, :, :] * f[:, None, :]
+    out = np.linalg.solve(v.T, vf.transpose(0, 2, 1)).transpose(0, 2, 1).real
+    out[ts == 0.0] = np.eye(len(v)) / math.gamma(params.beta)
+    return out
+
+
+def test_ml_matrix_evaluates_each_conjugate_pair_once(monkeypatch):
+    rng = np.random.default_rng(20260418)
+    cases = [ROTATION, np.diag([-1.0, -1.0])]
+    while len(cases) < 6:
+        b = rng.standard_normal((4, 4))
+        w = np.linalg.eigvals(b)
+        if np.sum(w.imag != 0.0) >= 2:
+            cases.append(b - (np.max(w.real) + 0.5) * np.eye(4))
+    # times that put t^alpha lam in the series, contour and asymptotic regimes
+    ts = np.concatenate([[0.0], np.geomspace(1e-2, 5e3, 25)])
+    points = []
+    real_ml_many = matfun.ml_many
+
+    def counted(params, z):
+        points.append(np.size(z))
+        return real_ml_many(params, z)
+
+    monkeypatch.setattr(matfun, "ml_many", counted)
+    for a in cases:
+        spec = spectral_decompose(a)
+        lam = np.array(spec.eigenvalues)
+        folded = {complex(x.real, abs(x.imag)) for x in lam}
+        for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
+            points.clear()
+            got = ml_matrix(params, ts, a, spec)
+            assert points == [len(ts) * len(folded)]
+            want = _per_eigenvalue_reference(params, ts, a, spec)
+            # the series and asymptotic regimes give conj E(z) exactly at
+            # conj z, the contour to its roundoff: about 1e-14 of the value,
+            # which the eigenbasis passes on scaled by its condition
+            bound = 1e-15 * spec.condition_estimate * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= bound
 
 
 def test_ml_matrix_rejects_bad_times():

@@ -100,6 +100,37 @@ def test_table_envelope_dominates_interpolated_norm():
         assert np.allclose(p.q_matrix(9.5), mats[-1])
 
 
+def test_kinds_evaluate_arrays_of_times_like_single_times():
+    rng = np.random.default_rng(20260418)
+    knots = np.array([0.5, 1.25, 3.0, 4.0])
+    mats = rng.normal(size=(4, 2, 2))
+    kinds = [
+        NoPerturbation(),
+        LinearConstant(mats[0]),
+        LinearDecaying(mats[1], gamma=1.5),
+        LinearTable(knots, mats),
+        LinearTable([2.0], mats[:1]),
+        NonlinearSaturating(-0.4, gamma=1.5),
+        NonlinearTable(knots, [0.5, 0.1, 0.3, 0.2]),
+    ]
+    # before, at and between the knots, and past the last one
+    ts = np.concatenate([[0.0, 0.2], knots, [0.8, 2.1, 3.99, 4.5, 1e3]])
+    for p in kinds:
+        for norm in ("max", "euclidean", "one"):
+            env = p.envelope(ts, norm)
+            assert env.shape == ts.shape
+            assert np.array_equal(env, [p.envelope(t, norm) for t in ts])
+            assert np.ndim(p.envelope(ts[3], norm)) == 0
+        if p.is_linear and not isinstance(p, NoPerturbation):
+            q = p.q_matrix(ts)
+            assert q.shape == ts.shape + (2, 2)
+            assert np.array_equal(q, np.stack([p.q_matrix(t) for t in ts]))
+            assert p.q_matrix(ts[3]).shape == (2, 2)
+    table = kinds[3]
+    assert np.array_equal(table.q_matrix(knots), mats)
+    assert np.array_equal(table.q_matrix([0.0, 9.0]), mats[[0, -1]])
+
+
 def test_nonlinear_kinds_vanish_at_zero_and_are_lipschitz():
     rng = np.random.default_rng(20240814)
     kinds = [

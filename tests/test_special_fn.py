@@ -359,6 +359,36 @@ def test_ml_series_table_is_built_once_and_bounds_its_tail(monkeypatch):
         assert sum(bound[top - l + 1:]) <= 1e-17 * max(bound[: top - l + 1])
 
 
+def test_ml_asymptotic_table_is_built_once(monkeypatch):
+    sf._asymptotic_table.cache_clear()
+    calls = []
+    rgamma = sf._rgamma
+
+    def counted(x):
+        calls.append(x)
+        return rgamma(x)
+
+    monkeypatch.setattr(sf, "_rgamma", counted)
+    p = MLParams(0.45, 0.45)
+    z = np.geomspace(60.0, 4e3, 40) * np.exp(1j * np.linspace(1.6, 3.1, 40))
+    assert np.all(np.abs(z) > sf._ASYM_RADIUS)
+    first = ml_many(p, z)
+    built = len(calls)
+    assert built > 0
+    assert np.array_equal(ml_many(p, z), first)
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+def test_ml_exponential_overflow_raises(beta):
+    # the residue exp(z^(1/alpha)) of this contour-band point overflows
+    with pytest.raises(OverflowSignal):
+        ml_many(MLParams(0.3, beta), np.array([28.09 - 4.92j]))
+    # as does the exponential branch of the asymptotic wedge
+    with pytest.raises(OverflowSignal):
+        ml(MLParams(0.5, beta), 1000.0)
+
+
 def test_ml_series_table_failure_raises(monkeypatch):
     monkeypatch.setattr(sf, "_SERIES_KMAX", 5)
     sf._series_table.cache_clear()

@@ -19,6 +19,7 @@ from fracstab.solver import (
     LinearDecaying,
     LinearTable,
     NonlinearSaturating,
+    NonlinearTable,
     NoPerturbation,
 )
 from fracstab.stability import (
@@ -111,16 +112,16 @@ def test_q_rejects_bad_inputs():
 
 
 def test_q_nonlinear_constant_envelope():
-    assert compute_q_nonlinear(A_NEG, 0.5, lambda t: 0.7) == pytest.approx(
+    assert compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(0.7)) == pytest.approx(
         0.7, abs=1e-3
     )
-    assert compute_q_nonlinear(A_DIAG, 0.5, lambda t: 0.5) == pytest.approx(
+    assert compute_q_nonlinear(A_DIAG, 0.5, NonlinearSaturating(0.5)) == pytest.approx(
         0.5, abs=1e-3
     )
 
 
 def test_q_nonlinear_decaying_envelope():
-    q = compute_q_nonlinear(A_NEG, 0.5, lambda t: 0.5 / (1.0 + t))
+    q = compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(0.5, gamma=1.0))
     assert 0.0 < q < 0.5
 
 
@@ -128,9 +129,11 @@ def test_q_nonlinear_rejects_bad_envelopes():
     with pytest.raises(DomainError):
         compute_q_nonlinear(A_NEG, 0.5, 0.3)
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, lambda t: -1.0)
+        compute_q_nonlinear(A_NEG, 0.5, lambda t: 0.3)
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, lambda t: math.nan)
+        compute_q_nonlinear(A_NEG, 0.5, NonlinearTable([0.0], [-1.0]))
+    with pytest.raises(DomainError):
+        compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(math.nan))
 
 
 def test_q_below_one_for_gains_under_threshold():
@@ -151,9 +154,9 @@ def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
     calls = []
     real = stability.ml_matrix
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(params, t, a, spec):
+        calls.append(np.asarray(t, dtype=float).tobytes())
+        return real(params, t, a, spec)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
@@ -161,13 +164,14 @@ def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
     assert q == pytest.approx(Q_ROTATION_DECAYING, rel=1e-10)
     # one propagator call per quadrature round, not one per point
     assert len(calls) <= 1000
+    # and no lag array twice: every horizon's [0, 1] piece and every
+    # polish step share their propagator stacks
+    assert len(calls) == len(set(calls))
 
 
 def test_q_diag3_saturating_anchor():
     sat = NonlinearSaturating(0.3, gamma=2.0)
-    q = compute_q_nonlinear(
-        np.diag([-1.0, -2.0, -3.0]), 0.5, lambda t: sat.envelope(t, "max")
-    )
+    q = compute_q_nonlinear(np.diag([-1.0, -2.0, -3.0]), 0.5, sat)
     assert q == pytest.approx(Q_DIAG3_SATURATING, rel=1e-10)
 
 
