@@ -338,15 +338,15 @@ def _run_solve(cfg, out_dir, csv_on):
         return m @ x + pert.field(t, x)
 
     traj = solve_abm(al, field, x0, grid)
-    norms = [float(vector_norm(x, system["norm"])) for x in traj.states]
+    norms = vector_norm(traj.states, system["norm"])
     residual = residual_check(traj, al, m, pert=pert, norm=system["norm"])
     report = _base_report(cfg)
     report.update(
         {
             "method": traj.meta["method"],
             "t_max": grid.horizon,
-            "final_norm": norms[-1],
-            "sup_norm": max(norms),
+            "final_norm": float(norms[-1]),
+            "sup_norm": float(norms.max()),
             "residual": float(residual),
         }
     )

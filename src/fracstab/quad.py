@@ -26,7 +26,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing nodes starting at 0; r = 1 means uniform."""
+    """Strictly increasing nodes starting at 0; r is the grading exponent of
+    graded_grid, and r = 1 with evenly spaced nodes is a uniform grid."""
 
     nodes: np.ndarray
     r: float = 1.0
@@ -51,7 +52,10 @@ class TimeGrid:
 
     @property
     def is_uniform(self) -> bool:
-        return self.r == 1.0
+        """r = 1 and nodes evenly spaced up to the rounding of their values."""
+        dt = np.diff(self.nodes)
+        spread = dt.max() - dt.min() if dt.size else 0.0
+        return self.r == 1.0 and bool(spread <= 4.0 * np.finfo(float).eps * self.horizon)
 
     @property
     def step(self) -> float:
@@ -113,15 +117,22 @@ def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
     if n < 1 or n >= len(grid):
         raise GridError("target_index must name an interior or final node")
     t = grid.nodes[: n + 1]
-    tn = t[-1]
-    left = tn - t[:-1]
-    right = tn - t[1:]
-    dt = t[1:] - t[:-1]
-    seg0 = _power_diff(left, right, a) / a
-    seg1 = left * seg0 - _power_diff(left, right, a + 1.0) / (a + 1.0)
-    w = np.zeros(n + 1)
-    w[:-1] += seg0 - seg1 / dt
-    w[1:] += seg1 / dt
+    seg0, seg1 = _lag_moments(t[-1] - t[:-1], t[-1] - t[1:], a)
+    return _trapezoid_weights(seg0, seg1, t[1:] - t[:-1])
+
+
+def _lag_moments(left, right, alpha):
+    """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over [right, left]."""
+    seg0 = _power_diff(left, right, alpha) / alpha
+    return seg0, left * seg0 - _power_diff(left, right, alpha + 1.0) / (alpha + 1.0)
+
+
+def _trapezoid_weights(seg0, seg1, dt):
+    """Node weights of the product trapezoid from its intervals' moments."""
+    right_share = seg1 / dt
+    w = np.zeros(seg0.size + 1)
+    w[:-1] += seg0 - right_share
+    w[1:] += right_share
     return w
 
 

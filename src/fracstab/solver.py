@@ -20,7 +20,7 @@ from .errors import (
 )
 from .matfun import as_square_matrix, ml_matrix, spectral_decompose
 from .norms import check_norm, operator_norm, vector_norm
-from .quad import TimeGrid, convolve_singular, singular_weights, _power_diff
+from .quad import TimeGrid, convolve_singular, _lag_moments, _trapezoid_weights
 from .special_fn import FracOrder, MLParams, _order_value, ml_many
 
 _LP_TOL = 1e-10
@@ -337,11 +337,22 @@ def solve_linear_exact(alpha, a, x0, grid: TimeGrid, spec=None) -> Trajectory:
     )
 
 
-def _rectangle_weights(t, n, al):
-    # integral of (t_n - tau)^(alpha-1) over each history interval
-    left = t[n] - t[:n]
-    right = t[n] - t[1 : n + 1]
-    return _power_diff(left, right, al) / al
+def _abm_weights(grid: TimeGrid, al):
+    """Predictor (product-rectangle) and corrector (product-trapezoid)
+    weights of steps n = 1, 2, ...; the rectangle weights are the first
+    moments.  On a uniform grid interval j of step n has lags t_{n-j} down to
+    t_{n-j-1}, so the moments tabulate once; step n reads the last n entries
+    of the reversed tables."""
+    t = grid.nodes
+    dt = np.diff(t)
+    steps = range(1, t.size)
+    if grid.is_uniform:
+        tables = [v[::-1].copy() for v in (*_lag_moments(t[1:], t[:-1], al), dt)]
+        rows = ([v[-n:] for v in tables] for n in steps)
+    else:
+        rows = ((*_lag_moments(t[n] - t[:n], t[n] - t[1 : n + 1], al), dt[:n]) for n in steps)
+    for seg0, seg1, widths in rows:
+        yield seg0, _trapezoid_weights(seg0, seg1, widths)
 
 
 def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int = 1) -> Trajectory:
@@ -349,7 +360,8 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
 
     Predictor: product-rectangle rule over the field history.  Corrector:
     product-trapezoid rule, swept corrector_sweeps times.  Global order is
-    min(2, 1 + alpha) for smooth fields.
+    min(2, 1 + alpha) for smooth fields.  On a uniform grid the weights are
+    tabulated once per solve; a graded grid computes them step by step.
     """
     al = _order(alpha)
     sweeps = int(corrector_sweeps)
@@ -370,10 +382,8 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     inv_gamma = 1.0 / math.gamma(al)
     fhist = np.empty((n_nodes, d))
     fhist[0] = np.atleast_1d(np.asarray(field(t[0], x), dtype=float))
-    for n in range(1, n_nodes):
-        rect = _rectangle_weights(t, n, al)
+    for n, (rect, w) in enumerate(_abm_weights(grid, al), start=1):
         predictor = x + inv_gamma * (rect @ fhist[:n])
-        w = singular_weights(grid, al, n)
         base = x + inv_gamma * (w[:n] @ fhist[:n])
         state = predictor
         for _ in range(sweeps):

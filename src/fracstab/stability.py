@@ -580,7 +580,7 @@ def boundedness_probe(b, alpha, grid, norm="max", corrector_sweeps=1):
             sup_norms.append(math.inf)
             notes.append(f"basis {i}: solver failed ({exc})")
             continue
-        norms = np.array([vector_norm(s, norm) for s in traj.states])
+        norms = vector_norm(traj.states, norm)
         sup_first = float(norms[first].max())
         sup_second = float(norms[~first].max()) if np.any(~first) else 0.0
         sup_norms.append(float(norms.max()))

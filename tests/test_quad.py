@@ -37,6 +37,9 @@ def test_graded_grid_clusters_at_origin():
     assert not g.is_uniform
     with pytest.raises(GridError):
         g.step
+    # uneven nodes are not uniform whatever r says
+    assert not TimeGrid(g.nodes).is_uniform
+    assert TimeGrid(uniform_grid(7.0, 300).nodes).is_uniform
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erfcx
 
-from fracstab import solver
+from fracstab import quad, solver
 from fracstab.errors import (
     DomainError,
     GridError,
@@ -16,7 +16,7 @@ from fracstab.errors import (
     NonFiniteStateError,
 )
 from fracstab.norms import operator_norm, vector_norm
-from fracstab.quad import TimeGrid, graded_grid, uniform_grid
+from fracstab.quad import TimeGrid, graded_grid, singular_weights, uniform_grid
 from fracstab.solver import (
     LinearConstant,
     LinearDecaying,
@@ -234,6 +234,64 @@ def test_abm_blowup_raises_nonfinite():
 def test_abm_rejects_zero_sweeps():
     with pytest.raises(DomainError):
         solve_abm(0.5, lambda t, x: -x, 1.0, uniform_grid(1.0, 4), corrector_sweeps=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_abm_tabulated_weights_match_the_per_step_path(alpha):
+    g = uniform_grid(7.0, 150)
+    # the same nodes with r != 1 take the per-step weights
+    graded = TimeGrid(g.nodes, r=2.0)
+    a = np.array([[-0.2, 1.0], [-1.0, -0.2]])
+    cases = [
+        (lambda t, x: -x + 0.3 * np.sin(t) * np.tanh(x), 1.0),
+        (lambda t, x: a @ x + 0.3 * np.sin(t) * np.tanh(x), np.array([1.0, -0.5])),
+    ]
+    for field, x0 in cases:
+        for sweeps in (1, 2):
+            tab = solve_abm(alpha, field, x0, g, corrector_sweeps=sweeps).states
+            row = solve_abm(alpha, field, x0, graded, corrector_sweeps=sweeps).states
+            assert np.max(np.abs(tab - row)) <= 1e-13 * np.max(np.abs(row))
+    # uneven nodes take the per-step weights even with the default r
+    uneven = graded_grid(7.0, 60, 2.0)
+    field = cases[0][0]
+    assert np.array_equal(
+        solve_abm(alpha, field, 1.0, TimeGrid(uneven.nodes)).states,
+        solve_abm(alpha, field, 1.0, uneven).states,
+    )
+    steps = list(solver._abm_weights(g, alpha))
+    for n in (1, 2, 17, 150):
+        rect, w = steps[n - 1]
+        ref = singular_weights(g, alpha, n)
+        assert rect.shape == (n,) and w.shape == (n + 1,)
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # both rules integrate the kernel itself exactly
+        total = g.nodes[n] ** alpha / alpha
+        assert rect.sum() == pytest.approx(total, rel=1e-13)
+        assert w.sum() == pytest.approx(total, rel=1e-13)
+
+
+def test_abm_weight_work_per_grid_kind(monkeypatch):
+    calls = []
+    original = quad._power_diff
+
+    def counted(a, b, p):
+        calls.append(p)
+        return original(a, b, p)
+
+    # count every binding of the moment kernel the solver can reach
+    monkeypatch.setattr(quad, "_power_diff", counted)
+    monkeypatch.setattr(solver, "_power_diff", counted, raising=False)
+
+    def count(grid):
+        calls.clear()
+        solve_abm(0.5, lambda t, x: -x, 1.0, grid)
+        return len(calls)
+
+    # uniform: one table per moment, whatever the step count
+    assert count(uniform_grid(5.0, 64)) == count(uniform_grid(5.0, 256)) == 2
+    # graded: the two moments of each step, the rectangle rule sharing the first
+    for n in (64, 256):
+        assert count(graded_grid(5.0, n, 2.0)) == 2 * n
 
 
 # ---------------------------------------------------------------------------
