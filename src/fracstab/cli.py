@@ -285,10 +285,11 @@ def _write_csv(out_dir, name, header, rows):
 
 
 def _trajectory_rows(times, states, norm):
-    rows = []
-    for t, x in zip(times, states):
-        rows.append([float(t), *(float(v) for v in x), float(vector_norm(x, norm))])
-    return rows
+    norms = vector_norm(states, norm)
+    return [
+        [float(t), *(float(v) for v in x), float(n)]
+        for t, x, n in zip(times, states, norms)
+    ]
 
 
 def _base_report(cfg):

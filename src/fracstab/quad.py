@@ -3,7 +3,11 @@
 The central integral is ∫_0^t (t-tau)^(alpha-1) g(tau) dtau with alpha in
 (0,1): the kernel factor is integrated exactly against the piecewise-linear
 interpolant of g (product trapezoidal rule), so the endpoint singularity
-never enters a function evaluation.  The certificates' smooth integrals use
+never enters a function evaluation.  The convolution with a matrix kernel is
+built once per grid into per-interval kernel blocks and then applied to
+values; on a uniform grid the blocks depend only on the lag index, and the
+rule is a discrete convolution summed directly (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985).  The certificates' smooth integrals use
 an adaptive Gauss–Kronrod rule that evaluates its integrand on arrays.
 """
 from __future__ import annotations
@@ -97,12 +101,12 @@ def _power_diff(a, b, p):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty_like(a)
+    # only b = 0 breaks the ratio form, so evaluate it everywhere and patch
+    # those entries afterwards
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = b ** p * np.expm1(p * np.log1p((a - b) / b))
     zero = b <= 0.0
     out[zero] = a[zero] ** p
-    nz = ~zero
-    with np.errstate(divide="ignore"):
-        out[nz] = b[nz] ** p * np.expm1(p * np.log1p((a[nz] - b[nz]) / b[nz]))
     return out
 
 
@@ -152,6 +156,93 @@ def _kernel_stack(raw, n_lags, d):
     return k
 
 
+def _row_coeffs(lag_a, lag_b, a_):
+    """Per-interval moment coefficients (c_phi_u, c_phi_v, c_psi_u, c_psi_v)
+    of the intervals running from lag_a down to lag_b.
+
+    The u-part of (second moment - yb * first moment) collapses to
+    dy^2 / (2 alpha), which keeps the cross term stable near lag 0.
+    """
+    dy = _power_diff(lag_a, lag_b, a_)
+    m1 = dy / a_
+    m1t = _power_diff(lag_a, lag_b, a_ + 1.0) / (a_ + 1.0)
+    m2t = _power_diff(lag_a, lag_b, 2.0 * a_ + 1.0) / (2.0 * a_ + 1.0)
+    yb = lag_b ** a_
+    c_psi_u = dy / (2.0 * a_)
+    c_psi_v = lag_a * c_psi_u - (m2t - yb * m1t) / dy
+    return m1, lag_a * m1 - m1t, c_psi_u, c_psi_v
+
+
+def _interval_blocks(kernel, lo, hi, lag_a, lag_b, a_):
+    """The (n_intervals, d, 2d) blocks [P | Q] of the intervals running from
+    lag_a down to lag_b: P u + Q v is an interval's share of the integral
+    for the value u at its left node and its slope v.  kernel[lo] and
+    kernel[hi] are the kernel at the smaller lag lag_b and the larger lag
+    lag_a.  The halves are filled in place, which keeps the build's peak
+    memory below that of the kernel evaluation on graded grids."""
+    cpu, cpv, csu, csv = (c[:, None, None] for c in _row_coeffs(lag_a, lag_b, a_))
+    d = kernel.shape[1]
+    blocks = np.empty((lo.size, d, 2 * d))
+    for half, c_lo, c_hi in ((blocks[..., :d], cpu - csu, csu), (blocks[..., d:], cpv - csv, csv)):
+        np.multiply(kernel[lo], c_lo, out=half)
+        half += kernel[hi] * c_hi
+    return blocks
+
+
+def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
+    """Build the discretized convolution of convolve_singular once: returns
+    apply(work), which maps the (len(grid), d) values to their integrals.
+
+    The kernel is evaluated and the moment coefficients are folded into
+    per-interval d x d blocks here, so an iteration that applies the
+    operator again and again pays only for the products with the values.
+    """
+    a_ = float(alpha)
+    if not (0.0 < a_ <= 1.0):
+        raise DomainError("alpha must lie in (0, 1]")
+    t = grid.nodes
+    n_int = t.size - 1
+    dt = np.diff(t)[:, None]
+
+    if grid.is_uniform and n_int > 0:
+        # interval j of row n runs from lag t_{m+1} down to lag t_m with
+        # m = n - 1 - j, so the N blocks depend on m alone and out[n] is a
+        # causal discrete convolution of them with the values and slopes
+        k = _kernel_stack(kernel_matrix_at(t), t.size, d)
+        m = np.arange(n_int)
+        blocks = _interval_blocks(k, m, m + 1, t[1:], t[:-1], a_)
+
+        def apply(work):
+            uv = np.concatenate([work[:-1], np.diff(work, axis=0) / dt], axis=1)
+            out = np.zeros_like(work)
+            for a in range(d):
+                for b in range(2 * d):
+                    out[1:, a] += np.convolve(blocks[:, a, b], uv[:, b])[:n_int]
+            return out
+
+        return apply
+
+    # row n needs the lags t_n - t_j, j = 0..n, stored from offset start[n];
+    # interval j of the row runs from lag upper = start[n] + j down to the
+    # next one.  The blocks are packed row after row, row n's from first[n-1].
+    lags = np.concatenate([t[n] - t[: n + 1] for n in range(t.size)])
+    start = np.concatenate([[0], np.cumsum(np.arange(1, t.size + 1))])
+    kall = _kernel_stack(kernel_matrix_at(lags), lags.size, d)
+    rows = np.repeat(np.arange(1, t.size), np.arange(1, t.size))
+    upper = np.delete(np.arange(lags.size - 1), start[1:-1] - 1)
+    blocks = _interval_blocks(kall, upper + 1, upper, lags[upper], lags[upper + 1], a_)
+    node = upper - start[rows]
+    first = np.cumsum(np.arange(n_int))
+
+    def apply(work):
+        uv = np.concatenate([work[:-1], np.diff(work, axis=0) / dt], axis=1)
+        out = np.zeros_like(work)
+        out[1:] = np.add.reduceat(np.einsum("mab,mb->ma", blocks, uv[node]), first)
+        return out
+
+    return apply
+
+
 def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
     """Product-integration approximation of the singular convolution
 
@@ -164,13 +255,16 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
 
     kernel_matrix_at is called once, with the 1-d array of every lag the
     grid needs: the nodes themselves on a uniform grid (O(N) lags), the
-    row lags t_n - t_0, ..., t_n - t_n of each row in turn on a graded one
+    row lags t_n - t_0, ..., t_n - t_n of every row n on a graded one
     (O(N^2) lags).  It returns a scalar, a (d, d) matrix or the
     (n_lags, d, d) stack of kernel values at those lags.
+
+    The rule is built into per-interval kernel blocks and then applied to
+    the values, the same two steps an iteration takes when it builds the
+    operator once per solve and applies it per iteration.  Uniform grids
+    apply it as a discrete convolution of O(N) blocks, graded grids as one
+    product over their O(N^2) blocks.
     """
-    a_ = float(alpha)
-    if not (0.0 < a_ <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != len(grid):
         raise GridError("values length must equal the grid length")
@@ -178,58 +272,7 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
     work = vals[:, None] if scalar_input else vals
     if work.ndim != 2:
         raise DomainError("values must be a list of scalars or of vectors")
-    d = work.shape[1]
-
-    n_nodes = len(grid)
-    out = np.zeros_like(work)
-    t = grid.nodes
-    dt = np.diff(t)
-    u_all = work[:-1]
-    v_all = np.diff(work, axis=0) / dt[:, None]
-
-    def row_coeffs(lag_a, lag_b):
-        # per-interval moment coefficients multiplying the value samples;
-        # the u-part of (second moment - yb * first moment) collapses to
-        # dy^2 / (2 alpha), which keeps the cross term stable near lag 0
-        dy = _power_diff(lag_a, lag_b, a_)
-        m1 = dy / a_
-        m1t = _power_diff(lag_a, lag_b, a_ + 1.0) / (a_ + 1.0)
-        m2t = _power_diff(lag_a, lag_b, 2.0 * a_ + 1.0) / (2.0 * a_ + 1.0)
-        yb = lag_b ** a_
-        c_phi_u = m1
-        c_phi_v = lag_a * m1 - m1t
-        c_psi_u = dy / (2.0 * a_)
-        c_psi_v = lag_a * c_psi_u - (m2t - yb * m1t) / dy
-        return c_phi_u, c_phi_v, c_psi_u, c_psi_v
-
-    if grid.is_uniform and n_nodes > 2:
-        # on a uniform grid interval j of row n sees lags that depend only
-        # on n - j, so moments and kernel samples tabulate once
-        cpu, cpv, csu, csv = row_coeffs(t[1:], t[:-1])
-        kstack = _kernel_stack(kernel_matrix_at(t), n_nodes, d)
-        for n in range(1, n_nodes):
-            r = slice(n - 1, None, -1)
-            phi0 = u_all[:n] * cpu[r][:, None] + v_all[:n] * cpv[r][:, None]
-            psi = u_all[:n] * csu[r][:, None] + v_all[:n] * csv[r][:, None]
-            out[n] = np.einsum(
-                "jab,jb->a", kstack[n - 1 :: -1], phi0 - psi
-            ) + np.einsum("jab,jb->a", kstack[n:0:-1], psi)
-        return out[:, 0] if scalar_input else out
-
-    # row n needs the lags t_n - t_j, j = 0..n, stored from offset start[n]
-    lags = np.concatenate([t[n] - t[: n + 1] for n in range(n_nodes)])
-    start = np.concatenate([[0], np.cumsum(np.arange(1, n_nodes + 1))])
-    kall = _kernel_stack(kernel_matrix_at(lags), lags.size, d)
-    for n in range(1, n_nodes):
-        row = lags[start[n] : start[n + 1]]
-        k = kall[start[n] : start[n + 1]]
-        # interval j of the row runs from lag row[j] down to lag row[j + 1]
-        cpu, cpv, csu, csv = row_coeffs(row[:-1], row[1:])
-        phi0 = u_all[:n] * cpu[:, None] + v_all[:n] * cpv[:, None]
-        psi = u_all[:n] * csu[:, None] + v_all[:n] * csv[:, None]
-        out[n] = np.einsum("jab,jb->a", k[1:], phi0 - psi) + np.einsum(
-            "jab,jb->a", k[:-1], psi
-        )
+    out = _convolution_operator(grid, alpha, kernel_matrix_at, work.shape[1])(work)
     return out[:, 0] if scalar_input else out
 
 

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .matfun import as_square_matrix, ml_matrix, spectral_decompose
 from .norms import check_norm, operator_norm, vector_norm
-from .quad import TimeGrid, convolve_singular, _lag_moments, _trapezoid_weights
+from .quad import TimeGrid, _convolution_operator, _lag_moments, _trapezoid_weights
 from .special_fn import FracOrder, MLParams, _order_value, ml_many
 
 _LP_TOL = 1e-10
@@ -62,6 +62,16 @@ def _per_time(values, t):
     return np.broadcast_to(values, np.shape(t) + values.shape)[()]
 
 
+def _growth(t, gamma):
+    """(1 + t)^gamma for a time or an array of times.  One time keeps
+    Python's float power, which ABM's per-step calls have always used;
+    np.power can differ from it in the last bit.  (np.ndim would cost those
+    calls about a microsecond each.)"""
+    if getattr(t, "ndim", 0):
+        return np.power(1.0 + np.asarray(t, dtype=float), gamma)
+    return (1.0 + float(t)) ** gamma
+
+
 class PerturbationSpec:
     """Base class for the perturbation f(t, x); subclasses are the kinds.
 
@@ -71,7 +81,12 @@ class PerturbationSpec:
     piecewise-linear envelope, so that the certificates see its sup.
     `envelope` and `q_matrix` take a time or an array of n times: a time
     gives a number or a (d, d) matrix, the array an (n,) vector or an
-    (n, d, d) stack.
+    (n, d, d) stack.  `field` takes a time and a (d,) state, or an array of
+    n times and the (n, d) states at them, and gives a (d,) vector or an
+    (n, d) stack.  The constant-matrix and scalar-gain kinds work on the
+    transposed states, whose columns line up with the times; for one state
+    the transposes do nothing, so a single call does exactly the arithmetic
+    it always did.
     """
 
     is_linear = False
@@ -124,7 +139,7 @@ class LinearConstant(PerturbationSpec):
         object.__setattr__(self, "q0", _as_q_matrix(self.q0))
 
     def field(self, t, x):
-        return self.q0 @ np.atleast_1d(np.asarray(x, dtype=float))
+        return (self.q0 @ np.atleast_1d(np.asarray(x, dtype=float)).T).T
 
     def envelope(self, t, norm="max"):
         return _per_time(operator_norm(self.q0, norm), t)
@@ -154,7 +169,7 @@ class LinearDecaying(PerturbationSpec):
 
     def field(self, t, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (self.q0 @ x) / (1.0 + float(t)) ** self.gamma
+        return (self.q0 @ x.T / _growth(t, self.gamma)).T
 
     def envelope(self, t, norm="max"):
         decay = np.power(1.0 + np.asarray(t, dtype=float), self.gamma)
@@ -205,7 +220,8 @@ class LinearTable(PerturbationSpec):
         return (1.0 - w) * mats[k] + w * mats[k + 1]
 
     def field(self, t, x):
-        return self.q_matrix(t) @ np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return np.matmul(self.q_matrix(t), x[..., None])[..., 0]
 
     def envelope(self, t, norm="max"):
         return np.interp(t, self.times, operator_norm(self.matrices, norm))
@@ -241,7 +257,7 @@ class NonlinearSaturating(PerturbationSpec):
 
     def field(self, t, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.c * (1.0 + float(t)) ** (-self.gamma) * np.tanh(x)
+        return (self.c * _growth(t, -self.gamma) * np.tanh(x).T).T
 
     def envelope(self, t, norm="max"):
         return abs(self.c) * np.power(1.0 + np.asarray(t, dtype=float), -self.gamma)
@@ -274,7 +290,7 @@ class NonlinearTable(PerturbationSpec):
 
     def field(self, t, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._k(t) * np.tanh(x)
+        return (self._k(t) * np.tanh(x).T).T
 
     def envelope(self, t, norm="max"):
         return self._k(t)
@@ -400,28 +416,15 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     )
 
 
-def _ml_kernel(al, m, spec):
-    """lags -> stack of E_{alpha,alpha}(lag^alpha A), the operator kernel.
-
-    Keeps the last (lags, stack) pair: every application of the operator
-    on one grid asks for the same lags, so they are evaluated once.
-    """
+def _lp_operator(grid, al, m, spec, linear_states, pert):
+    """xi -> T(xi), the discretized variation-of-constants operator.  Its
+    convolution with the kernel E_{alpha,alpha}(lag^alpha A) is built here,
+    once per solve; each application evaluates the field and applies it."""
     params = MLParams(al, al)
-    last = [None, None]
-
-    def kernel(lags):
-        if last[0] is None or not np.array_equal(last[0], lags):
-            last[:] = [np.array(lags), ml_matrix(params, lags, m, spec)]
-        return last[1]
-
-    return kernel
-
-
-def _apply_operator(grid, al, linear_states, pert, states, kernel):
-    fvals = np.stack(
-        [pert.field(t, s) for t, s in zip(grid.nodes, states)]
-    ).astype(float)
-    return linear_states + convolve_singular(grid, al, fvals, kernel)
+    convolve = _convolution_operator(
+        grid, al, lambda lags: ml_matrix(params, lags, m, spec), m.shape[0]
+    )
+    return lambda states: linear_states + convolve(pert.field(grid.nodes, states))
 
 
 def lyapunov_perron_iterate(
@@ -463,12 +466,12 @@ def lyapunov_perron_iterate(
             states=linear,
             meta={"method": "lyapunov_perron", "iterations": 0, "residual": 0.0, "ratios": []},
         )
-    kernel = _ml_kernel(al, m, spec)
+    operator = _lp_operator(grid, al, m, spec, linear, pert)
     states = linear
     ratios = []
     prev_diff = None
     for k in range(1, max_iter + 1):
-        new_states = _apply_operator(grid, al, linear, pert, states, kernel)
+        new_states = operator(states)
         diff = float(np.max(vector_norm(new_states - states, norm)))
         if prev_diff is not None and prev_diff > 0.0:
             ratios.append(diff / prev_diff)
@@ -542,6 +545,5 @@ def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max", spe
         spec = spectral_decompose(m)
     x = traj.states[0]
     linear = solve_linear_exact(al, m, x, grid, spec=spec).states
-    kernel = _ml_kernel(al, m, spec)
-    image = _apply_operator(grid, al, linear, pert, traj.states, kernel)
+    image = _lp_operator(grid, al, m, spec, linear, pert)(traj.states)
     return float(np.max(vector_norm(image - traj.states, norm)))

@@ -16,6 +16,7 @@ from fracstab.quad import (
     singular_weights,
     uniform_grid,
 )
+from fracstab.matfun import ml_matrix, spectral_decompose
 from fracstab.special_fn import MLParams, ml, ml_many
 
 
@@ -184,6 +185,28 @@ def test_convolve_smooth_order_two():
         errs[n] = abs(out[-1] - want)
     order = math.log2(errs[128] / errs[256])
     assert order >= 1.8
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_convolve_uniform_and_per_row_branches_agree(alpha):
+    g = uniform_grid(4.0, 96)
+    # the same nodes with r != 1 take the per-row branch
+    rowwise = TimeGrid(g.nodes, r=1.5)
+    a = np.array([[-1.0, 3.0], [0.0, -0.4]])  # non-normal
+    spec = spectral_decompose(a)
+    p = MLParams(alpha, alpha)
+    rng = np.random.default_rng(2026)
+    kernels = {
+        1: lambda lags: ml_many(p, -(lags ** alpha)).real[:, None, None],
+        2: lambda lags: ml_matrix(p, lags, a, spec),
+    }
+    for d, kernel in kernels.items():
+        vals = np.column_stack([np.cos(g.nodes + k) for k in range(d)])
+        vals += 0.1 * rng.normal(size=vals.shape)
+        fast = convolve_singular(g, alpha, vals, kernel)
+        ref = convolve_singular(rowwise, alpha, vals, kernel)
+        assert fast.shape == ref.shape == (len(g), d)
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_convolve_length_mismatch():

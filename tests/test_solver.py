@@ -129,6 +129,13 @@ def test_kinds_evaluate_arrays_of_times_like_single_times():
     table = kinds[3]
     assert np.array_equal(table.q_matrix(knots), mats)
     assert np.array_equal(table.q_matrix([0.0, 9.0]), mats[[0, -1]])
+    # the field takes n times with the (n, d) states at them
+    xs = rng.normal(size=ts.shape + (2,)) * 3.0
+    for p in kinds:
+        f = p.field(ts, xs)
+        assert f.shape == xs.shape
+        per_node = np.stack([p.field(t, x) for t, x in zip(ts, xs)])
+        assert np.max(np.abs(f - per_node)) <= 1e-15 * max(np.max(np.abs(per_node)), 1e-300)
 
 
 def test_nonlinear_kinds_vanish_at_zero_and_are_lipschitz():
@@ -353,6 +360,30 @@ def test_iteration_evaluates_the_kernel_once(monkeypatch):
     assert lp.meta["iterations"] > 1
     # one call for the linear part (beta = 1), one for the kernel (beta = alpha)
     assert betas == [1.0, 0.5]
+
+
+def test_iteration_builds_the_convolution_once(monkeypatch):
+    calls = []
+    original = quad._power_diff
+
+    def counted(a, b, p):
+        calls.append(p)
+        return original(a, b, p)
+
+    monkeypatch.setattr(quad, "_power_diff", counted)
+    pert = LinearConstant([[0.5]])
+    for g in (uniform_grid(5.0, 64), graded_grid(5.0, 64, 2.0)):
+        calls.clear()
+        quad.convolve_singular(g, 0.5, np.ones(len(g)), lambda lags: 1.0)
+        one_build = len(calls)
+        calls.clear()
+        lp = lyapunov_perron_iterate(0.5, A_NEG, pert, 1.0, g)
+        assert lp.meta["iterations"] >= 5
+        # the moments are computed for the build, not per iteration
+        assert len(calls) == one_build
+        calls.clear()
+        residual_check(lp, 0.5, A_NEG, pert)
+        assert len(calls) == one_build
 
 
 def test_iteration_rejects_bad_controls():
