@@ -444,7 +444,10 @@ def _run_robust_demo(cfg, out_dir, csv_on):
     report = classify(m, al, pert, norm=norm)
     payload = _base_report(cfg)
     payload.update(_report_payload(report))
-    if report.verdict not in STABLE_VERDICTS or report.delta is None:
+    delta = report.delta if report.verdict in STABLE_VERDICTS else None
+    if delta is not None and delta <= 0.0:
+        payload["notes"].append("delta is 0: there is no initial ball to demonstrate on")
+    if delta is None or delta <= 0.0:
         payload["demo"] = None
         _write_json(out_dir, "report.json", payload)
         return 1
@@ -456,7 +459,7 @@ def _run_robust_demo(cfg, out_dir, csv_on):
     def field(t, x):
         return m @ x + pert.field(t, x)
 
-    radius = report.delta / 2.0
+    radius = delta / 2.0
     ratios = []
     worst = None
     for _ in range(DEMO_POINTS):

@@ -122,20 +122,31 @@ def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
         raise GridError("target_index must name an interior or final node")
     t = grid.nodes[: n + 1]
     seg0, seg1 = _lag_moments(t[-1] - t[:-1], t[-1] - t[1:], a)
-    return _trapezoid_weights(seg0, seg1, t[1:] - t[:-1])
+    return _trapezoid_weights(seg0, seg1, t[1:] - t[:-1], np.empty(n + 1))
 
 
 def _lag_moments(left, right, alpha):
-    """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over [right, left]."""
-    seg0 = _power_diff(left, right, alpha) / alpha
-    return seg0, left * seg0 - _power_diff(left, right, alpha + 1.0) / (alpha + 1.0)
+    """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over [right, left].
+
+    One log ratio and one power serve both: left^a - right^a as in
+    _power_diff, and left^(a+1) - right^(a+1) = left (left^a - right^a)
+    + (left - right) right^a for the second."""
+    gap = left - right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right_pow = right ** alpha
+        diff = right_pow * np.expm1(alpha * np.log1p(gap / right))
+    zero = np.flatnonzero(right <= 0.0)
+    diff[zero] = left[zero] ** alpha
+    seg0 = diff / alpha
+    return seg0, (left * seg0 - gap * right_pow) / (alpha + 1.0)
 
 
-def _trapezoid_weights(seg0, seg1, dt):
-    """Node weights of the product trapezoid from its intervals' moments."""
+def _trapezoid_weights(seg0, seg1, dt, w):
+    """Node weights of the product trapezoid from its intervals' moments,
+    written into w, which has one entry more than there are intervals."""
     right_share = seg1 / dt
-    w = np.zeros(seg0.size + 1)
-    w[:-1] += seg0 - right_share
+    np.subtract(seg0, right_share, out=w[:-1])
+    w[-1] = 0.0
     w[1:] += right_share
     return w
 

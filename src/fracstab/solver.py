@@ -356,19 +356,24 @@ def solve_linear_exact(alpha, a, x0, grid: TimeGrid, spec=None) -> Trajectory:
 def _abm_weights(grid: TimeGrid, al):
     """Predictor (product-rectangle) and corrector (product-trapezoid)
     weights of steps n = 1, 2, ...; the rectangle weights are the first
-    moments.  On a uniform grid interval j of step n has lags t_{n-j} down to
-    t_{n-j-1}, so the moments tabulate once; step n reads the last n entries
-    of the reversed tables."""
+    moments, and w lives in one buffer until the next step.  On a uniform
+    grid interval j of step n has lags t_{n-j} down to t_{n-j-1}, so the
+    moments tabulate once, and so do the weights: step n shares nodes 1..n
+    with the last n of the final step's weights; only node 0 differs."""
     t = grid.nodes
     dt = np.diff(t)
-    steps = range(1, t.size)
+    w = np.empty(t.size)
     if grid.is_uniform:
-        tables = [v[::-1].copy() for v in (*_lag_moments(t[1:], t[:-1], al), dt)]
-        rows = ([v[-n:] for v in tables] for n in steps)
-    else:
-        rows = ((*_lag_moments(t[n] - t[:n], t[n] - t[1 : n + 1], al), dt[:n]) for n in steps)
-    for seg0, seg1, widths in rows:
-        yield seg0, _trapezoid_weights(seg0, seg1, widths)
+        seg0, seg1 = _lag_moments(t[1:], t[:-1], al)
+        last = _trapezoid_weights(seg0[::-1], seg1[::-1], dt[::-1], np.empty(t.size))
+        first, rect_tab = seg0 - seg1 / dt, seg0[::-1].copy()
+        for n in range(1, t.size):
+            w[0], w[1 : n + 1] = first[n - 1], last[t.size - n :]
+            yield rect_tab[t.size - 1 - n :], w[: n + 1]
+        return
+    for n in range(1, t.size):
+        seg0, seg1 = _lag_moments(t[n] - t[:n], t[n] - t[1 : n + 1], al)
+        yield seg0, _trapezoid_weights(seg0, seg1, dt[:n], w[: n + 1])
 
 
 def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int = 1) -> Trajectory:
@@ -378,6 +383,7 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     product-trapezoid rule, swept corrector_sweeps times.  Global order is
     min(2, 1 + alpha) for smooth fields.  On a uniform grid the weights are
     tabulated once per solve; a graded grid computes them step by step.
+    The field's value must broadcast to the state shape (d,).
     """
     al = _order(alpha)
     sweeps = int(corrector_sweeps)
@@ -397,18 +403,21 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     t = grid.nodes
     inv_gamma = 1.0 / math.gamma(al)
     fhist = np.empty((n_nodes, d))
-    fhist[0] = np.atleast_1d(np.asarray(field(t[0], x), dtype=float))
+    f0 = np.asarray(field(t[0], x), dtype=float)
+    try:
+        fhist[0] = np.broadcast_to(f0, (d,))
+    except ValueError:
+        raise DomainError(f"field value of shape {f0.shape} does not broadcast to ({d},)") from None
     for n, (rect, w) in enumerate(_abm_weights(grid, al), start=1):
         predictor = x + inv_gamma * (rect @ fhist[:n])
         base = x + inv_gamma * (w[:n] @ fhist[:n])
         state = predictor
         for _ in range(sweeps):
-            fn = np.atleast_1d(np.asarray(field(t[n], state), dtype=float))
-            state = base + inv_gamma * w[n] * fn
-        if not np.all(np.isfinite(state)):
+            state = base + inv_gamma * w[n] * np.asarray(field(t[n], state), dtype=float)
+        if not np.isfinite(state).all():
             raise NonFiniteStateError(f"state left the representable range at t = {t[n]}")
         states[n] = state
-        fhist[n] = np.atleast_1d(np.asarray(field(t[n], state), dtype=float))
+        fhist[n] = field(t[n], state)
     return Trajectory(
         grid=grid,
         states=states,

@@ -335,6 +335,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     analytically (in log space), so steep weights do not need a fine
     grid.
 
+    The result also carries log beta(T), the weight's largest value.
     Raises NoDecayError when the envelope is not below 1/(5M) at the
     last grid node, so that T would lie past the grid horizon.
     """
@@ -371,10 +372,12 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
     t_decay = float(grid.nodes[i_decay])
 
     if sup_k == 0.0:
+        # with nothing to contract, the weight beta = 1 serves
         return {
             "M": float(big_m),
             "T": t_decay,
             "contraction": 0.0,
+            "log_beta_T": 0.0,
             "M_gamma": float(m_gamma),
             "M_int": float(m_int),
         }
@@ -413,6 +416,8 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
         "M": float(big_m),
         "T": t_decay,
         "contraction": worst,
+        # the table's last time is past T, where the weight is frozen
+        "log_beta_T": float(lb_tab[-1]),
         "M_gamma": float(m_gamma),
         "M_int": float(m_int),
     }
@@ -520,10 +525,16 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         if _q_contracts(q_value, q_error):
             delta = float((1.0 - q_value) / sup_e_alpha)
         else:
-            # past T the envelope is under 1/(5M) <= 1/(5 kint), so the
-            # restarted system has contraction constant at most 1/5
-            delta = float(0.8 / sup_e_alpha)
-            notes.append("delta from the post-decay tail bound")
+            # the operator's beta-norm is at most c, and beta >= 1 is
+            # nondecreasing and frozen past T, so |x(t)| <= beta(T) ||x||_beta
+            # <= beta(T) sup||E_alpha|| |x0| / (1 - c)
+            log_delta = (
+                math.log1p(-cert["contraction"]) - math.log(sup_e_alpha) - cert["log_beta_T"]
+            )
+            delta = math.exp(log_delta)
+            notes.append("delta from the weighted-norm bound, weight beta(T) included")
+            if delta == 0.0:
+                notes.append(f"delta underflows: log delta = {log_delta:.6g}")
 
     return StabilityReport(
         sector=sector,

@@ -269,6 +269,29 @@ def test_robust_demo_contracts(tmp_path):
     assert report2["demo"] is None
 
 
+def test_robust_demo_without_a_delta_ball(tmp_path):
+    # a decaying gain whose certified delta underflows to 0: no demo, exit 1,
+    # and a report.json that stays valid JSON (no NaN ratios)
+    cfg = {
+        "name": "demo0",
+        "kind": "RobustDemo",
+        "system": dict(BASE_SYSTEM),
+        "perturbation": {"kind": "linear_decaying", "q0": [[12.0]], "gamma": 2.0},
+        "grid": {"t_max": 10.0, "n": 200},
+    }
+    path = _config(tmp_path, "d0", cfg)
+    out = tmp_path / "out"
+    assert main(["robust-demo", "--config", path, "--out", str(out)]) == 1
+    text = (out / "report.json").read_text(encoding="utf-8")
+    assert "NaN" not in text
+    report = json.loads(text)
+    assert report["verdict"] == "DecayingStable"
+    assert report["delta"] == 0.0
+    assert report["demo"] is None
+    assert any("delta is 0" in note for note in report["notes"])
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_boundedness_subcommand(tmp_path):
     cfg = {
         "name": "bnd",

@@ -265,7 +265,8 @@ def test_abm_tabulated_weights_match_the_per_step_path(alpha):
         solve_abm(alpha, field, 1.0, TimeGrid(uneven.nodes)).states,
         solve_abm(alpha, field, 1.0, uneven).states,
     )
-    steps = list(solver._abm_weights(g, alpha))
+    # a step's corrector weights live in a buffer the next step overwrites
+    steps = [(rect.copy(), w.copy()) for rect, w in solver._abm_weights(g, alpha)]
     for n in (1, 2, 17, 150):
         rect, w = steps[n - 1]
         ref = singular_weights(g, alpha, n)
@@ -279,26 +280,77 @@ def test_abm_tabulated_weights_match_the_per_step_path(alpha):
 
 def test_abm_weight_work_per_grid_kind(monkeypatch):
     calls = []
-    original = quad._power_diff
+    original = quad._lag_moments
 
-    def counted(a, b, p):
-        calls.append(p)
-        return original(a, b, p)
+    def counted(left, right, alpha):
+        calls.append(alpha)
+        return original(left, right, alpha)
 
     # count every binding of the moment kernel the solver can reach
-    monkeypatch.setattr(quad, "_power_diff", counted)
-    monkeypatch.setattr(solver, "_power_diff", counted, raising=False)
+    monkeypatch.setattr(quad, "_lag_moments", counted)
+    monkeypatch.setattr(solver, "_lag_moments", counted)
 
     def count(grid):
         calls.clear()
         solve_abm(0.5, lambda t, x: -x, 1.0, grid)
         return len(calls)
 
-    # uniform: one table per moment, whatever the step count
-    assert count(uniform_grid(5.0, 64)) == count(uniform_grid(5.0, 256)) == 2
-    # graded: the two moments of each step, the rectangle rule sharing the first
+    # uniform: one table of both moments, whatever the step count
+    assert count(uniform_grid(5.0, 64)) == count(uniform_grid(5.0, 256)) == 1
+    # graded: both moments of each step in one call, the rectangle rule
+    # sharing the first
     for n in (64, 256):
-        assert count(graded_grid(5.0, n, 2.0)) == 2 * n
+        assert count(graded_grid(5.0, n, 2.0)) == n
+
+
+def _reference_abm(alpha, field, x0, grid, sweeps):
+    """The predictor-corrector step by step: corrector weights from the
+    public singular_weights, rectangle weights from the lag powers."""
+    t = grid.nodes
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    c = 1.0 / math.gamma(alpha)
+    states, fs = [x], [np.broadcast_to(field(t[0], x), x.shape)]
+    for n in range(1, t.size):
+        w = singular_weights(grid, alpha, n)
+        lags = t[n] - t[: n + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rect = lags[1:] ** alpha * np.expm1(alpha * np.log1p(-np.diff(lags) / lags[1:]))
+        rect[-1] = lags[-2] ** alpha
+        hist = np.array(fs)
+        state = x + c * ((rect / alpha) @ hist)
+        base = x + c * (w[:n] @ hist)
+        for _ in range(sweeps):
+            state = base + c * w[n] * field(t[n], state)
+        states.append(state)
+        fs.append(np.broadcast_to(field(t[n], state), x.shape))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("grid", [uniform_grid(6.0, 120), graded_grid(6.0, 120, 2.0)], ids=["uniform", "graded"])
+def test_abm_matches_a_step_by_step_reference(alpha, grid):
+    a = np.array([[-0.2, 1.0], [-1.0, -0.2]])
+    cases = [
+        (lambda t, x: -x + 0.3 * np.sin(t) * np.tanh(x), 1.0),
+        (lambda t, x: a @ x + 0.3 * np.sin(t) * np.tanh(x), np.array([1.0, -0.5])),
+    ]
+    for field, x0 in cases:
+        for sweeps in (1, 2):
+            got = solve_abm(alpha, field, x0, grid, corrector_sweeps=sweeps).states
+            want = _reference_abm(alpha, field, x0, grid, sweeps)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_abm_checks_the_field_shape_once():
+    g = uniform_grid(2.0, 16)
+    x0 = np.array([1.0, -0.5])
+    for bad in (np.ones(3), np.ones((2, 1))):
+        with pytest.raises(DomainError, match="does not broadcast"):
+            solve_abm(0.5, lambda t, x, bad=bad: bad, x0, g)
+    # a scalar field value stands for every component
+    scalar = solve_abm(0.5, lambda t, x: -1.0, x0, g).states
+    vector = solve_abm(0.5, lambda t, x: -np.ones(2), x0, g).states
+    assert np.array_equal(scalar, vector)
 
 
 # ---------------------------------------------------------------------------

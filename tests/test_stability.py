@@ -14,6 +14,7 @@ from fracstab.errors import (
     SectorViolationError,
 )
 from fracstab.quad import uniform_grid
+from fracstab.special_fn import MLParams, ml
 from fracstab.solver import (
     LinearConstant,
     LinearDecaying,
@@ -21,6 +22,7 @@ from fracstab.solver import (
     NonlinearSaturating,
     NonlinearTable,
     NoPerturbation,
+    solve_abm,
 )
 from fracstab.stability import (
     StabilityReport,
@@ -38,6 +40,8 @@ A_POS = np.array([[1.0]])
 A_DIAG = np.diag([-1.0, -2.0])
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 CERT_GRID = uniform_grid(40.0, 320)
+# whole-trajectory check of a reported delta
+DELTA_GRID = uniform_grid(10.0, 2000)
 
 # grid-maximization oracle for sup_t ||E_{1/2}(t^{1/2} ROTATION)||, max norm
 SUP_ROTATION_HALF = 1.2611620384
@@ -416,12 +420,54 @@ def test_classify_decaying_gain_prefers_decay_certificate():
     assert report.m_pair["M_int"] == pytest.approx(1.0, rel=1e-6)
 
 
+def _abm_sup_from_delta(report, pert):
+    """sup |x| over whole ABM trajectories of x' = -x + f from +-0.99 delta."""
+    field = lambda t, x: -x + pert.field(t, x)
+    return max(
+        float(np.max(np.abs(solve_abm(0.5, field, sign * 0.99 * report.delta, DELTA_GRID).states)))
+        for sign in (1.0, -1.0)
+    )
+
+
 def test_classify_large_decaying_gain_uses_tail_delta():
-    report = classify(A_NEG, 0.5, LinearDecaying(np.array([[12.0]]), 2.0))
+    pert = LinearDecaying(np.array([[12.0]]), 2.0)
+    report = classify(A_NEG, 0.5, pert)
     assert report.verdict == "DecayingStable"
     assert report.q is not None and report.q > 1.0
-    assert report.delta == pytest.approx(0.8, rel=1e-6)
-    assert any("tail bound" in note for note in report.notes)
+    # beta(T) = E_{1/2}(5 M sqrt(T)) with T near 26 is far past the doubles,
+    # so the delta of the weighted-norm bound underflows; the post-decay tail
+    # bound alone gave 0.8, which trajectories break by 13 orders
+    assert report.delta == 0.0
+    assert any("delta underflows" in note for note in report.notes)
+    assert _abm_sup_from_delta(report, pert) < 1.0
+
+
+@pytest.mark.parametrize(
+    "pert",
+    [
+        LinearTable([0.0, 1.0, 1.5], [[[2.0]], [[2.0]], [[0.0]]]),
+        LinearTable([0.0, 2.0, 2.5], [[[3.0]], [[3.0]], [[0.0]]]),
+        LinearTable([0.0, 5.0, 6.0], [[[3.0]], [[3.0]], [[0.0]]]),
+        LinearDecaying(np.array([[12.0]]), 2.0),
+    ],
+    ids=["table-1.5", "table-2.5", "table-6", "decaying-12"],
+)
+def test_decaying_delta_keeps_whole_trajectories_in_the_unit_ball(pert):
+    report = classify(A_NEG, 0.5, pert)
+    assert report.verdict == "DecayingStable"
+    assert report.q > 1.0
+    assert report.delta >= 0.0
+    assert _abm_sup_from_delta(report, pert) < 1.0
+
+
+def test_decaying_delta_is_the_weighted_norm_bound():
+    # delta = (1 - c) / (sup ||E_alpha|| beta(T)) with beta = E_{1/2}(5 M t^{1/2})
+    # frozen at T; sup ||E_{1/2}(-t^{1/2})|| = 1
+    report = classify(A_NEG, 0.5, LinearTable([0.0, 1.0, 1.5], [[[2.0]], [[2.0]], [[0.0]]]))
+    big_m = max(1.0, report.m_pair["M_gamma"], report.m_pair["M_int"])
+    beta_t = ml(MLParams(0.5, 1.0), 5.0 * big_m * math.sqrt(report.t_decay)).real
+    want = (1.0 - report.beta_contraction) / beta_t
+    assert report.delta == pytest.approx(want, rel=1e-9)
 
 
 def test_classify_unperturbed_system():
