@@ -35,15 +35,6 @@ from .solver import (
 from .special_fn import MLParams
 from .stability import boundedness_probe, classify
 
-KINDS = (
-    "MlEval",
-    "Solve",
-    "Analyze",
-    "DecayFit",
-    "RobustDemo",
-    "Counterexample",
-    "BoundednessProbe",
-)
 # kinds whose certificates need a strictly fractional order
 _FRACTIONAL_KINDS = ("Analyze", "DecayFit", "RobustDemo", "BoundednessProbe")
 FORMATS = ("json", "csv")
@@ -581,25 +572,18 @@ def _run_boundedness(cfg, out_dir, csv_on):
     return 0
 
 
-_RUNNERS = {
-    "MlEval": _run_ml_eval,
-    "Solve": _run_solve,
-    "Analyze": _run_analyze,
-    "DecayFit": _run_decay_fit,
-    "RobustDemo": _run_robust_demo,
-    "Counterexample": _run_counterexample,
-    "BoundednessProbe": _run_boundedness,
-}
-
+# subcommand -> (config kind, runner); KINDS keeps the table's order
 _SUBCOMMANDS = {
-    "ml-eval": "MlEval",
-    "solve": "Solve",
-    "analyze": "Analyze",
-    "decay-fit": "DecayFit",
-    "robust-demo": "RobustDemo",
-    "counterexample": "Counterexample",
-    "boundedness": "BoundednessProbe",
+    "ml-eval": ("MlEval", _run_ml_eval),
+    "solve": ("Solve", _run_solve),
+    "analyze": ("Analyze", _run_analyze),
+    "decay-fit": ("DecayFit", _run_decay_fit),
+    "robust-demo": ("RobustDemo", _run_robust_demo),
+    "counterexample": ("Counterexample", _run_counterexample),
+    "boundedness": ("BoundednessProbe", _run_boundedness),
 }
+KINDS = tuple(kind for kind, _ in _SUBCOMMANDS.values())
+_RUNNERS = dict(_SUBCOMMANDS.values())
 
 
 def run(cfg, out_dir):
@@ -639,7 +623,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        expected = _SUBCOMMANDS[args.command]
+        expected = _SUBCOMMANDS[args.command][0]
         if cfg["kind"] != expected:
             raise ConfigError(
                 f"config kind {cfg['kind']!r} does not match subcommand "

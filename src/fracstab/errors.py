@@ -28,10 +28,6 @@ class UnsupportedOrderError(FracstabError, ValueError):
 class DefectiveMatrixError(FracstabError):
     """Eigenvector basis numerically defective and no block structure was declared."""
 
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
 
 class ImagTruncationError(FracstabError):
     """Imaginary residue of a real matrix function too large to truncate."""
@@ -39,11 +35,6 @@ class ImagTruncationError(FracstabError):
 
 class IterationDivergenceError(FracstabError):
     """Fixed-point iteration failed to contract within the iteration cap."""
-
-    def __init__(self, message, iterations=None, last_ratio=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_ratio = last_ratio
 
 
 class NonFiniteStateError(FracstabError):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
+from .special_fn import _order_incl_one
 
 __all__ = [
     "TimeGrid",
@@ -94,29 +95,11 @@ def graded_grid(horizon: float, n_steps: int, r: float) -> TimeGrid:
     return TimeGrid(horizon * (k / n_steps) ** r, r=r)
 
 
-def _power_diff(a, b, p):
-    """a**p - b**p without cancellation when a and b are close.
-
-    Requires a >= b >= 0 elementwise.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # only b = 0 breaks the ratio form, so evaluate it everywhere and patch
-    # those entries afterwards
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = b ** p * np.expm1(p * np.log1p((a - b) / b))
-    zero = b <= 0.0
-    out[zero] = a[zero] ** p
-    return out
-
-
 def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
     """Product-trapezoidal weights w_j with
     sum_j w_j g(t_j) = ∫_0^{t_n} (t_n - tau)^(alpha-1) ghat(tau) dtau
     exact for the piecewise-linear interpolant ghat; n = target_index."""
-    a = float(alpha)
-    if not (0.0 < a <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    a = _order_incl_one(alpha)
     n = int(target_index)
     if n < 1 or n >= len(grid):
         raise GridError("target_index must name an interior or final node")
@@ -128,9 +111,10 @@ def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
 def _lag_moments(left, right, alpha):
     """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over [right, left].
 
-    One log ratio and one power serve both: left^a - right^a as in
-    _power_diff, and left^(a+1) - right^(a+1) = left (left^a - right^a)
-    + (left - right) right^a for the second."""
+    One log ratio and one power serve both: left^a - right^a is
+    right^a expm1(a log1p(gap / right)), free of cancellation when left and
+    right are close, and left^(a+1) - right^(a+1) = left (left^a - right^a)
+    + (left - right) right^a gives the second."""
     gap = left - right
     with np.errstate(divide="ignore", invalid="ignore"):
         right_pow = right ** alpha
@@ -171,17 +155,18 @@ def _row_coeffs(lag_a, lag_b, a_):
     """Per-interval moment coefficients (c_phi_u, c_phi_v, c_psi_u, c_psi_v)
     of the intervals running from lag_a down to lag_b.
 
-    The u-part of (second moment - yb * first moment) collapses to
-    dy^2 / (2 alpha), which keeps the cross term stable near lag 0.
+    The phi pair is the product trapezoid's (seg0, seg1) of _lag_moments.
+    The psi pair weighs the same moments by the kernel's hat
+    (lag^alpha - yb) / dy, with yb = lag_b^alpha and dy = alpha seg0.  With
+    lag_a^(2a+1) - lag_b^(2a+1) = lag_a^(a+1) dy + yb (lag_a^(a+1) -
+    lag_b^(a+1)) they reduce to seg0 / 2 and
+    (lag_a seg0 / 2 - yb seg1 / seg0) / (2 alpha + 1), so yb is the only
+    new power.
     """
-    dy = _power_diff(lag_a, lag_b, a_)
-    m1 = dy / a_
-    m1t = _power_diff(lag_a, lag_b, a_ + 1.0) / (a_ + 1.0)
-    m2t = _power_diff(lag_a, lag_b, 2.0 * a_ + 1.0) / (2.0 * a_ + 1.0)
-    yb = lag_b ** a_
-    c_psi_u = dy / (2.0 * a_)
-    c_psi_v = lag_a * c_psi_u - (m2t - yb * m1t) / dy
-    return m1, lag_a * m1 - m1t, c_psi_u, c_psi_v
+    seg0, seg1 = _lag_moments(lag_a, lag_b, a_)
+    c_psi_u = 0.5 * seg0
+    c_psi_v = (lag_a * c_psi_u - lag_b ** a_ * seg1 / seg0) / (2.0 * a_ + 1.0)
+    return seg0, seg1, c_psi_u, c_psi_v
 
 
 def _interval_blocks(kernel, lo, hi, lag_a, lag_b, a_):
@@ -208,9 +193,7 @@ def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
     per-interval d x d blocks here, so an iteration that applies the
     operator again and again pays only for the products with the values.
     """
-    a_ = float(alpha)
-    if not (0.0 < a_ <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
+    a_ = _order_incl_one(alpha)
     t = grid.nodes
     n_int = t.size - 1
     dt = np.diff(t)[:, None]

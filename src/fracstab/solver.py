@@ -21,18 +21,10 @@ from .errors import (
 from .matfun import as_square_matrix, ml_matrix, spectral_decompose
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, _convolution_operator, _lag_moments, _trapezoid_weights
-from .special_fn import FracOrder, MLParams, _order_value, ml_many
+from .special_fn import MLParams, _order_incl_one, ml_many
 
 _LP_TOL = 1e-10
 _LP_MAX_ITER = 200
-
-
-def _order(alpha):
-    """Solver order: the FracOrder range (0, 1), plus alpha = 1 so classical
-    first-order problems remain available as sanity limits."""
-    if not isinstance(alpha, FracOrder) and float(alpha) == 1.0:
-        return 1.0
-    return _order_value(alpha)
 
 
 def _as_state(x0, d=None):
@@ -338,7 +330,7 @@ class Trajectory:
 
 def solve_linear_exact(alpha, a, x0, grid: TimeGrid, spec=None) -> Trajectory:
     """states[n] = E_alpha(t_n^alpha A) x0, the exact linear solution."""
-    al = _order(alpha)
+    al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     x = _as_state(x0, m.shape[0])
     if spec is None:
@@ -385,7 +377,7 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     tabulated once per solve; a graded grid computes them step by step.
     The field's value must broadcast to the state shape (d,).
     """
-    al = _order(alpha)
+    al = _order_incl_one(alpha)
     sweeps = int(corrector_sweeps)
     if sweeps < 1:
         raise DomainError("corrector_sweeps must be >= 1")
@@ -455,7 +447,7 @@ def lyapunov_perron_iterate(
     difference falls below tol.  Iteration ratios are recorded in
     meta["ratios"].
     """
-    al = _order(alpha)
+    al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     pert = as_perturbation(pert)
     check_norm(norm)
@@ -512,7 +504,7 @@ def solve_rl_scalar_exact(alpha, lam, b, x0, grid: TimeGrid) -> Trajectory:
     b; states start at the first positive node because the solution is
     singular at t = 0.
     """
-    al = _order(alpha)
+    al = _order_incl_one(alpha)
     lam = float(lam)
     if not math.isfinite(lam) or lam <= 0.0:
         raise DomainError(f"lambda must be positive, got {lam!r}")
@@ -537,7 +529,7 @@ def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max", spe
     Returns the max over nodes of ||xi(t_n) - (T xi)(t_n)|| with T the same
     discretized operator the fixed-point iteration applies.
     """
-    al = _order(alpha)
+    al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     pert = as_perturbation(pert)
     check_norm(norm)

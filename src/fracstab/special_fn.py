@@ -89,6 +89,15 @@ def _order_value(alpha):
     return FracOrder(float(alpha)).alpha
 
 
+def _order_incl_one(alpha):
+    """Order of the solvers and quadrature rules: the FracOrder range (0, 1),
+    plus alpha = 1 so classical first-order problems remain available as
+    sanity limits."""
+    if not isinstance(alpha, FracOrder) and float(alpha) == 1.0:
+        return 1.0
+    return _order_value(alpha)
+
+
 # ---------------------------------------------------------------------------
 # Gamma, from the standard library's math.gamma and math.lgamma
 

@@ -252,13 +252,13 @@ def _envelope_stats(pert, norm):
     return float(vals.max()), lim_k
 
 
-def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
+def compute_q_linear(a, alpha, pert, norm="max"):
     """Contraction constant of the perturbation integral, linear kinds.
 
-    Takes the sup over geometric horizons 1, 2, ..., 2^16 of the
+    Takes the sup over geometric horizons 2^-6, 2^-5, ..., 2^16 of the
     product-integrated kernel-weighted perturbation, with the norm on the
-    matrix product inside the integrand (mode "product"); mode "bound"
-    uses the cheaper majorant ||E|| * envelope instead.  A perturbation
+    matrix product inside the integrand; compute_q_nonlinear gives the
+    cheaper majorant ||E|| * envelope instead.  A perturbation
     matrix that settles to a constant makes the integral monotone up to
     its infinite-horizon limit, which is evaluated analytically through
     the kernel integral and included in the sup.
@@ -269,9 +269,7 @@ def compute_q_linear(a, alpha, pert, norm="max", mode="product"):
     pert = as_perturbation(pert)
     if not pert.is_linear:
         raise DomainError("compute_q_linear requires a linear perturbation kind")
-    if mode not in ("product", "bound"):
-        raise DomainError(f"unknown mode {mode!r}")
-    return _q_scan(m, al, norm, pert, mode == "product")[0]
+    return _q_scan(m, al, norm, pert, True)[0]
 
 
 def compute_q_nonlinear(a, alpha, pert, norm="max"):
@@ -551,7 +549,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     )
 
 
-def boundedness_probe(b, alpha, grid, norm="max", corrector_sweeps=1):
+def boundedness_probe(b, alpha, grid, norm="max"):
     """Boundedness of basis trajectories of ^C D^alpha x = B(t) x.
 
     Solves from each standard basis vector and flags a trajectory
@@ -585,7 +583,7 @@ def boundedness_probe(b, alpha, grid, norm="max", corrector_sweeps=1):
         x0 = np.zeros(d)
         x0[i] = 1.0
         try:
-            traj = solve_abm(al, field, x0, grid, corrector_sweeps=corrector_sweeps)
+            traj = solve_abm(al, field, x0, grid)
         except (NonFiniteStateError, FracstabError) as exc:
             per_basis.append(False)
             sup_norms.append(math.inf)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fracstab import quad
 from fracstab.errors import DomainError, GridError
 from fracstab.quad import (
     TimeGrid,
@@ -207,6 +208,34 @@ def test_convolve_uniform_and_per_row_branches_agree(alpha):
         ref = convolve_singular(rowwise, alpha, vals, kernel)
         assert fast.shape == ref.shape == (len(g), d)
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_row_coeffs_match_mpmath(alpha):
+    """All four moment coefficients of the Lyapunov-Perron build, against
+    their defining powers at 40 digits, on uniform and graded rows; the
+    error is measured against the row's sum of each coefficient."""
+    mp = pytest.importorskip("mpmath")
+
+    def exact(la, lb, a):
+        dy = la ** a - lb ** a
+        m1t = (la ** (a + 1) - lb ** (a + 1)) / (a + 1)
+        m2t = (la ** (2 * a + 1) - lb ** (2 * a + 1)) / (2 * a + 1)
+        c_psi_u = dy / (2 * a)
+        return dy / a, la * dy / a - m1t, c_psi_u, la * c_psi_u - (m2t - lb ** a * m1t) / dy
+
+    for g in (uniform_grid(5.0, 800), graded_grid(5.0, 800, 2.0), graded_grid(5.0, 800, 4.0)):
+        for n in (1, 2, 800):
+            lags = g.nodes[n] - g.nodes[: n + 1]
+            got = np.column_stack(quad._row_coeffs(lags[:-1], lags[1:], alpha))
+            with mp.workdps(40):
+                want = [
+                    exact(mp.mpf(la), mp.mpf(lb), mp.mpf(alpha))
+                    for la, lb in zip(lags[:-1], lags[1:])
+                ]
+                for j in range(4):
+                    err = max(abs(mp.mpf(x) - w[j]) for x, w in zip(got[:, j], want))
+                    assert err <= 6e-13 * sum(abs(w[j]) for w in want), (g.r, n, j)
 
 
 def test_convolve_length_mismatch():

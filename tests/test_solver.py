@@ -416,13 +416,13 @@ def test_iteration_evaluates_the_kernel_once(monkeypatch):
 
 def test_iteration_builds_the_convolution_once(monkeypatch):
     calls = []
-    original = quad._power_diff
+    original = quad._lag_moments
 
-    def counted(a, b, p):
-        calls.append(p)
-        return original(a, b, p)
+    def counted(left, right, alpha):
+        calls.append(alpha)
+        return original(left, right, alpha)
 
-    monkeypatch.setattr(quad, "_power_diff", counted)
+    monkeypatch.setattr(quad, "_lag_moments", counted)
     pert = LinearConstant([[0.5]])
     for g in (uniform_grid(5.0, 64), graded_grid(5.0, 64, 2.0)):
         calls.clear()

@@ -94,23 +94,21 @@ def test_q_decaying_envelope():
 
 
 def test_q_modes_agree_for_scalar_systems():
-    qp = compute_q_linear(A_NEG, 0.5, _decay3(), mode="product")
-    qb = compute_q_linear(A_NEG, 0.5, _decay3(), mode="bound")
+    qp = compute_q_linear(A_NEG, 0.5, _decay3())
+    qb = compute_q_nonlinear(A_NEG, 0.5, _decay3())
     assert qp == pytest.approx(qb, rel=1e-9)
 
 
 def test_q_bound_mode_majorizes_product():
     mixed = LinearConstant(np.array([[0.1, 0.05], [0.2, 0.3]]))
-    qp = compute_q_linear(A_DIAG, 0.5, mixed, mode="product")
-    qb = compute_q_linear(A_DIAG, 0.5, mixed, mode="bound")
+    qp = compute_q_linear(A_DIAG, 0.5, mixed)
+    qb = compute_q_nonlinear(A_DIAG, 0.5, mixed)
     assert qp == pytest.approx(Q_MIXED_PRODUCT, abs=2e-3)
     assert qb == pytest.approx(0.5, abs=1e-3)
     assert qp < qb
 
 
 def test_q_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        compute_q_linear(A_NEG, 0.5, _decay3(), mode="tight")
     with pytest.raises(DomainError):
         compute_q_linear(A_NEG, 0.5, NonlinearSaturating(0.3))
 
