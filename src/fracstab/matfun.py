@@ -7,6 +7,7 @@ quantities the stability certificates are built on: the supremum of
 tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -170,15 +171,28 @@ def _ml_matrix_jordan(params, ts, m, spec):
     return out
 
 
-def _ml_spectrum(params, times, lam):
+@functools.lru_cache(maxsize=64)
+def _conjugate_fold(eigenvalues):
+    """Read-only (flip, distinct, where) of a spectrum: which eigenvalues
+    fold onto their conjugate, the distinct folded values, and each
+    eigenvalue's index into them."""
+    lam = np.asarray(eigenvalues)
+    flip = (lam.imag < 0.0) & np.isin(lam.conj(), lam)
+    distinct, where = np.unique(np.where(flip, lam.conj(), lam), return_inverse=True)
+    for arr in (flip, distinct, where):
+        arr.flags.writeable = False
+    return flip, distinct, where
+
+
+def _ml_spectrum(params, times, eigenvalues):
     """(n, d) values E_{alpha,beta}(t^alpha lam) at every time and eigenvalue.
 
     E(conj z) = conj E(z), so an eigenvalue whose exact conjugate is also in
     the spectrum (as LAPACK returns them for a real matrix) is folded onto
-    the upper half-plane; each distinct folded value is evaluated once.
+    the upper half-plane; each distinct folded value is evaluated once.  The
+    fold is computed once per spectrum.
     """
-    flip = (lam.imag < 0.0) & np.isin(lam.conj(), lam)
-    distinct, where = np.unique(np.where(flip, lam.conj(), lam), return_inverse=True)
+    flip, distinct, where = _conjugate_fold(eigenvalues)
     vals = ml_many(params, np.multiply.outer(times ** params.alpha, distinct))[:, where]
     return np.where(flip, vals.conj(), vals)
 
@@ -206,7 +220,7 @@ def ml_matrix(params, t, a, spec):
     if spec.jordan_structure is not None:
         out = _ml_matrix_jordan(params, times, m, spec)
     else:
-        fvals = _ml_spectrum(params, times, np.asarray(spec.eigenvalues))
+        fvals = _ml_spectrum(params, times, spec.eigenvalues)
         v = spec.eigenvectors
         vf = v[None, :, :] * fvals[:, None, :]
         out = np.linalg.solve(v.T, vf.transpose(0, 2, 1)).transpose(0, 2, 1)

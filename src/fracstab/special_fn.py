@@ -12,7 +12,9 @@ order), whose length the disk radius fixes.  The contour's
 trapezoid node count is chosen per point: it starts at the coarsest of a
 set of nested levels whose step meets the target error at the rate that the
 pole's clearance from the contour predicts, and each refinement adds only
-the midpoints, until two consecutive levels agree.  Derivatives with
+the midpoints, until two consecutive levels agree; the nodes and the
+integrand factors that do not depend on z are tabulated once per (alpha,
+beta, mu, level).  Derivatives with
 respect to the eigenvalue argument (up to order 6) reuse the same three
 regimes, which keeps decay-constant estimation stable out to t = 1e6.
 """
@@ -352,9 +354,10 @@ _MU_CANDIDATES = (3.0, 4.5, 2.0, 5.5, 1.2, 7.0, 0.8)
 # level's sum reuses every node of the level below and adds only midpoints
 _CONTOUR_LEVELS = (11, 21, 41, 81, 161, 321, 641, 1281, 2561)
 _CONTOUR_RTOL = 1e-12
-# points per contour batch: a chunk's complex work arrays stay near 1.3 MB
-# each even at the top level (64 points x 1280 midpoints); most points stop
-# at 81 nodes, where they are about 40 KB
+# points per contour batch: at the top level (64 points x 1280 midpoints) a
+# chunk's complex work arrays are 1.3 MB each and one _contour_sum peaks at
+# 2.6 MB (tracemalloc); most points stop at 81 nodes, where a sum peaks at
+# 125-250 KB
 _CONTOUR_CHUNK = 64
 
 
@@ -428,15 +431,31 @@ def _first_level(mu, poles):
     return np.clip(k, 1, len(_CONTOUR_LEVELS) - 1)
 
 
-def _contour_integrand(alpha, beta, z, l, mu, u):
-    """Integrand of the Laplace inversion at contour parameters u, one row
-    per point."""
-    iu1 = 1.0 + 1j * u
+@functools.lru_cache(maxsize=128)
+def _contour_nodes(alpha, beta, mu, n_nodes, odd):
+    """The factors of the contour integrand that do not depend on z, as
+    read-only (1, nodes) rows: s^alpha, exp(s) s^(alpha-beta) and ds/du at
+    the n_nodes-point trapezoid nodes of the contour for mu (with odd=True,
+    its odd-indexed nodes only)."""
+    mu = np.array([mu])
+    base = np.linspace(-1.0, 1.0, n_nodes)
+    if odd:
+        base = base[1::2]
+    iu1 = 1.0 + 1j * (base[None, :] * _u_max(mu)[:, None])
     s = mu[:, None] * iu1 * iu1
     ds = 2j * mu[:, None] * iu1
     logs = np.log(s)
-    denom = (np.exp(alpha * logs) - z[:, None]) ** (l + 1)
-    return np.exp(s + (alpha - beta) * logs) / denom * ds
+    nodes = (np.exp(alpha * logs), np.exp(s + (alpha - beta) * logs), ds)
+    for row in nodes:
+        row.flags.writeable = False
+    return nodes
+
+
+def _contour_integrand(nodes, z, l):
+    """Integrand of the Laplace inversion at a node table, one row per
+    point."""
+    sa, num, ds = nodes
+    return num / (sa - z[:, None]) ** (l + 1) * ds
 
 
 def _contour_sum(alpha, beta, z, l, mu, n_nodes, odd=False):
@@ -444,19 +463,22 @@ def _contour_sum(alpha, beta, z, l, mu, n_nodes, odd=False):
     absolute mass, per point.  With odd=True only the odd-indexed nodes are
     summed: the midpoints that the level below n_nodes lacks."""
     u_max = _u_max(mu)
-    base = np.linspace(-1.0, 1.0, n_nodes)
-    if odd:
-        base = base[1::2]
-    integrand = _contour_integrand(alpha, beta, z, l, mu, base[None, :] * u_max[:, None])
     scale = 2.0 * u_max / (n_nodes - 1) * (math.factorial(l) / (2.0 * _PI))
-    total = integrand.sum(axis=1)
-    mass = np.abs(integrand).sum(axis=1)
-    if not odd:
-        # trapezoid end weights 1/2: a full-weight end adds an O(h) error
-        # where a pole sits near a contour end
-        ends = integrand[:, [0, -1]]
-        total -= 0.5 * ends.sum(axis=1)
-        mass -= 0.5 * np.abs(ends).sum(axis=1)
+    total = np.empty_like(z)
+    mass = np.empty(z.shape)
+    # the points share one node table per contour, so group them by mu
+    for m in set(mu.tolist()):
+        on = mu == m
+        integrand = _contour_integrand(_contour_nodes(alpha, beta, m, n_nodes, odd), z[on], l)
+        tot = integrand.sum(axis=1)
+        mas = np.abs(integrand).sum(axis=1)
+        if not odd:
+            # trapezoid end weights 1/2: a full-weight end adds an O(h) error
+            # where a pole sits near a contour end
+            ends = integrand[:, [0, -1]]
+            tot -= 0.5 * ends.sum(axis=1)
+            mas -= 0.5 * np.abs(ends).sum(axis=1)
+        total[on], mass[on] = tot, mas
     return total * (scale / 1j), mass * scale
 
 

@@ -291,6 +291,39 @@ def test_ml_matrix_evaluates_each_conjugate_pair_once(monkeypatch):
             assert np.max(np.abs(got - want)) <= bound
 
 
+def _per_call_fold_stack(params, ts, a, spec):
+    """ml_matrix's stack with the conjugate fold recomputed on this call."""
+    lam = np.asarray(spec.eigenvalues)
+    flip = (lam.imag < 0.0) & np.isin(lam.conj(), lam)
+    distinct, where = np.unique(np.where(flip, lam.conj(), lam), return_inverse=True)
+    vals = ml_many(params, np.multiply.outer(ts ** params.alpha, distinct))[:, where]
+    fvals = np.where(flip, vals.conj(), vals)
+    v = spec.eigenvectors
+    vf = v[None, :, :] * fvals[:, None, :]
+    out = np.linalg.solve(v.T, vf.transpose(0, 2, 1)).transpose(0, 2, 1)
+    out[ts == 0.0] = np.eye(len(v)) / math.gamma(params.beta)
+    return np.ascontiguousarray(out.real)
+
+
+def test_ml_matrix_folds_each_spectrum_once():
+    rng = np.random.default_rng(1601)
+    b = rng.standard_normal((4, 4))
+    b -= (np.max(np.linalg.eigvals(b).real) + 0.5) * np.eye(4)
+    cases = [ROTATION, np.diag([-1.0, -2.0]), b]
+    ts = np.concatenate([[0.0], np.geomspace(1e-2, 5e3, 25)])
+    matfun._conjugate_fold.cache_clear()
+    for _ in range(3):
+        for a in cases:
+            spec = spectral_decompose(a)
+            for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
+                got = ml_matrix(params, ts, a, spec)
+                assert got.tobytes() == _per_call_fold_stack(params, ts, a, spec).tobytes()
+    assert matfun._conjugate_fold.cache_info().misses == len(cases)
+    for arr in matfun._conjugate_fold(spectral_decompose(ROTATION).eigenvalues):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_ml_matrix_rejects_bad_times():
     spec = spectral_decompose(ROTATION)
     params = MLParams(0.5, 1.0)

@@ -220,6 +220,61 @@ def test_ml_contour_matches_dense_reference_at_every_order():
                 ), (alpha, beta, l)
 
 
+def _contour_sum_per_point(alpha, beta, z, l, mu, n_nodes, odd):
+    """_contour_sum with every node factor recomputed for every point."""
+    u_max = sf._u_max(mu)
+    base = np.linspace(-1.0, 1.0, n_nodes)
+    if odd:
+        base = base[1::2]
+    iu1 = 1.0 + 1j * (base[None, :] * u_max[:, None])
+    s = mu[:, None] * iu1 * iu1
+    ds = 2j * mu[:, None] * iu1
+    logs = np.log(s)
+    denom = (np.exp(alpha * logs) - z[:, None]) ** (l + 1)
+    integrand = np.exp(s + (alpha - beta) * logs) / denom * ds
+    scale = 2.0 * u_max / (n_nodes - 1) * (math.factorial(l) / (2.0 * math.pi))
+    total = integrand.sum(axis=1)
+    mass = np.abs(integrand).sum(axis=1)
+    if not odd:
+        ends = integrand[:, [0, -1]]
+        total -= 0.5 * ends.sum(axis=1)
+        mass -= 0.5 * np.abs(ends).sum(axis=1)
+    return total * (scale / 1j), mass * scale
+
+
+def test_ml_contour_node_tables_keep_every_bit():
+    """The tabulated contour sum equals the per-point formula bit for bit,
+    with the mu candidates mixed in one call."""
+    rng = np.random.default_rng(1601)
+    mus = np.array(sf._MU_CANDIDATES)
+    for alpha in (0.3, 0.5, 0.8, 0.95):
+        z = _contour_points(rng, alpha, 21, 7)
+        mu = mus[np.arange(z.size) % mus.size]
+        for beta in (alpha, 1.0):
+            for l in range(7):
+                for n_nodes, odd in ((21, False), (81, True), (161, False), (321, True)):
+                    got = sf._contour_sum(alpha, beta, z, l, mu, n_nodes, odd)
+                    want = _contour_sum_per_point(alpha, beta, z, l, mu, n_nodes, odd)
+                    for g, w in zip(got, want):
+                        assert g.tobytes() == w.tobytes(), (alpha, beta, l, n_nodes, odd)
+
+
+def test_ml_contour_node_table_is_built_once_and_read_only():
+    sf._contour_nodes.cache_clear()
+    p = MLParams(0.45, 0.45)
+    z = _contour_points(np.random.default_rng(3), 0.45, 60, 20)
+    first = ml_many(p, z)
+    info = sf._contour_nodes.cache_info()
+    assert 0 < info.misses == info.currsize < info.maxsize
+    assert info.hits > 0
+    assert np.array_equal(ml_many(p, z), first)
+    assert sf._contour_nodes.cache_info().misses == info.misses
+    for row in sf._contour_nodes(0.45, 0.45, sf._MU_CANDIDATES[0], 81, True):
+        assert row.shape == (1, 40)
+        with pytest.raises(ValueError):
+            row[0, 0] = 0.0
+
+
 def test_ml_contour_failure_raises(monkeypatch):
     # three- and five-node levels cannot meet the tolerance anywhere
     monkeypatch.setattr(sf, "_CONTOUR_LEVELS", (3, 5))
