@@ -33,6 +33,12 @@ def operator_norm(m, kind="max"):
     a 3-d stack of matrices)."""
     check_norm(kind)
     m = np.atleast_2d(np.asarray(m))
-    if m.ndim == 2:
-        return float(np.linalg.norm(m, _VEC_ORD[kind]))
-    return np.linalg.norm(m, _VEC_ORD[kind], axis=(-2, -1))
+    if kind == "euclidean":
+        out = np.linalg.norm(m, 2, axis=(-2, -1))
+    else:
+        # the reductions np.linalg.norm makes for ord inf and 1, without its
+        # per-call argument handling: largest absolute row or column sum
+        if m.dtype.kind not in "fc":
+            m = m.astype(float)
+        out = np.abs(m).sum(-1 if kind == "max" else -2).max(-1)
+    return float(out) if m.ndim == 2 else out

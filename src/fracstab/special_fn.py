@@ -252,7 +252,7 @@ def _eval_exp_part(alpha, beta, z, l, omega=1.0 + 0.0j):
     w = omega * z ** (1.0 / alpha)
     out = np.zeros_like(z)
     live = w.real > -700.0  # otherwise exp underflows to an exact 0
-    if not np.any(live):
+    if not live.any():
         return out
     zl = z[live]
     wl = w[live]
@@ -270,7 +270,7 @@ def _require_finite(values, z):
     """values, unless the exponential part behind one of them left the
     double range: then OverflowSignal names the first such argument."""
     bad = ~np.isfinite(values)
-    if np.any(bad):
+    if bad.any():
         raise OverflowSignal(
             f"Mittag-Leffler exponential part overflows at z = {z[bad][0]}"
         )
@@ -322,7 +322,7 @@ def _ml_asymptotic(alpha, beta, z, l=0):
     out = np.zeros_like(z)
     for j in ((0, -1, 1) if alpha > 1.0 else (0,)):
         wedge = np.abs(np.angle(z) + 2.0 * _PI * j) <= alpha * _PI + 1e-14
-        if np.any(wedge):
+        if wedge.any():
             omega = complex(np.exp(2j * _PI * j / alpha))
             out[wedge] += _eval_exp_part(alpha, beta, z[wedge], l, omega)
     # algebraic series, truncated where its smooth envelope turns upward
@@ -337,7 +337,7 @@ def _ml_asymptotic(alpha, beta, z, l=0):
         if env_head is None:
             env_head = env
         active &= (env < prev_env) & (env - env_head > -45.0)
-        if not np.any(active):
+        if not active.any():
             break
         term = coef * power
         out[active] -= term[active]
@@ -407,7 +407,7 @@ def _choose_mu(alpha, z, poles):
         better = ~chosen & (sep > best_sep)
         mu[better] = cand
         best_sep = np.maximum(best_sep, sep)
-        if np.all(chosen):
+        if chosen.all():
             break
     return mu
 
@@ -487,7 +487,7 @@ def _contour_residues(alpha, beta, z, l, mu, poles):
     res = np.zeros_like(z)
     for pole, ok, j in poles:
         right = ok & (_clearance(mu, pole) > 0.0)
-        if np.any(right):
+        if right.any():
             omega = complex(np.exp(2j * _PI * j / alpha))
             res[right] += _eval_exp_part(alpha, beta, z[right], l, omega)
     return _require_finite(res, z)
@@ -510,7 +510,7 @@ def _ml_contour(alpha, beta, z, l=0):
         pending = np.ones(zc.shape, dtype=bool)
         for k in range(first.min(), len(_CONTOUR_LEVELS)):
             new = first == k
-            if np.any(new):
+            if new.any():
                 val[new], mass[new] = _contour_sum(
                     alpha, beta, zc[new], l, mu[new], _CONTOUR_LEVELS[k - 1]
                 )
@@ -528,9 +528,9 @@ def _ml_contour(alpha, beta, z, l=0):
             floor = 4e-16 * full_mass
             pending[run] = ~(err <= _CONTOUR_RTOL * scale + floor + 1e-250)
             val[run], mass[run] = full, full_mass
-            if not np.any(pending):
+            if not pending.any():
                 break
-        if np.any(pending):
+        if pending.any():
             worst = zc[pending][0]
             raise QuadratureConvergenceError(
                 f"contour quadrature failed its error estimate near z = {worst}"
@@ -554,11 +554,11 @@ def _ml_core(alpha, beta, z, l=0):
     ser = az <= _series_disk(alpha, l)
     asym = az > _ASYM_RADIUS
     mid = ~ser & ~asym
-    if np.any(ser):
+    if ser.any():
         out[ser] = _ml_series(alpha, beta, z[ser], l)
-    if np.any(mid):
+    if mid.any():
         out[mid] = _ml_contour(alpha, beta, z[mid], l)
-    if np.any(asym):
+    if asym.any():
         out[asym] = _require_finite(_ml_asymptotic(alpha, beta, z[asym], l), z[asym])
     return out
 

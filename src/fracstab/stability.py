@@ -103,15 +103,18 @@ class StabilityReport:
                 )
 
 
-def _split_quad(f, hi):
+def _split_quad(f, hi, kinks):
     """Integrate f on [0, hi] piecewise; returns (value, error estimate).
 
     The integrand mixes a fast transient near 0 with a slow algebraic
     tail, so [0, hi] is cut at 1 and at sqrt(hi) and each piece gets its
-    own adaptive Gauss–Kronrod integral.  f takes an array of points: each
+    own adaptive Gauss–Kronrod integral; it is also cut at each of the
+    `kinks` of f inside (0, hi).  f takes an array of points: each
     refinement round of a piece is one call of f on every node it needs.
     """
-    cuts = sorted({0.0, min(1.0, hi), math.sqrt(hi) if hi > 1.0 else hi, hi})
+    cuts = sorted(
+        {0.0, min(1.0, hi), math.sqrt(hi) if hi > 1.0 else hi, hi, *kinks}
+    )
     total = 0.0
     err = 0.0
     for lo, up in zip(cuts[:-1], cuts[1:]):
@@ -198,6 +201,8 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
     # every horizon's [0, 1] piece, and the polish's, starts on the same
     # lag arrays: one propagator stack per array for the whole scan
     stacks = {}
+    knots = np.asarray(pert.breakpoints(), dtype=float)
+    knots = knots[knots > 0.0]
 
     def value_at(t):
         def f(v):
@@ -209,7 +214,8 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
                 stacks[key], np.maximum(t - lags, 0.0), norm, pert, product
             )
 
-        val, e = _split_quad(f, t ** al)
+        # a knot kappa of the kind is a kink of the integrand at lag t - kappa
+        val, e = _split_quad(f, t ** al, (t - knots[knots < t]) ** al)
         return val / al, e / al
 
     best = 0.0

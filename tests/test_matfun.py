@@ -324,6 +324,29 @@ def test_ml_matrix_folds_each_spectrum_once():
             arr[0] = arr[0]
 
 
+def test_ml_matrix_slices_do_not_depend_on_the_stack():
+    # the stack is one solve against all of its right-hand sides, so each
+    # slice must carry the bits of the one-time call at its time
+    rng = np.random.default_rng(140)
+    cases = []
+    for d in range(1, 6):
+        w = -rng.uniform(0.2, 3.0, d)
+        v = _random_conditioned(rng, d, 10.0)
+        cases.append(v @ np.diag(w) @ np.linalg.inv(v))  # real spectrum
+        if d >= 2:
+            b = rng.standard_normal((d, d))
+            while not np.any(np.linalg.eigvals(b).imag != 0.0):
+                b = rng.standard_normal((d, d))
+            cases.append(b - (np.max(np.linalg.eigvals(b).real) + 0.5) * np.eye(d))
+    ts = np.concatenate([[0.0], np.geomspace(1e-2, 5e3, 17)])
+    for a in cases:
+        spec = spectral_decompose(a)
+        for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
+            stack = ml_matrix(params, ts, a, spec)
+            for t, got in zip(ts, stack):
+                assert got.tobytes() == ml_matrix(params, t, a, spec).tobytes()
+
+
 def test_ml_matrix_rejects_bad_times():
     spec = spectral_decompose(ROTATION)
     params = MLParams(0.5, 1.0)

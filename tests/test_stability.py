@@ -512,6 +512,15 @@ def test_classify_sees_a_table_peak_between_envelope_samples():
     assert report.q > 0.0
 
 
+def test_q_scan_splits_lag_integrals_at_the_knots():
+    # a bump 0.1 wide at t = 10: unsplit lag integrals miss it between their
+    # quadrature nodes and read q = 0; a 400k-node trapezoid puts sup I(t)
+    # at 0.970 near t = 10.075
+    table = LinearTable([0, 10.01, 10.06, 10.11], [0, 0, 6, 0])
+    report = classify(A_NEG, 0.5, table)
+    assert report.q + report.q_error >= 0.970
+
+
 def test_classify_report_is_json_safe():
     import json
 
