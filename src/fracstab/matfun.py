@@ -338,7 +338,7 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     return best
 
 
-def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
+def kernel_integral(a, alpha, norm="max", spec=None, right=None):
     """Integral over tau >= 0 of tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 
     The substitution v = tau^alpha removes the endpoint singularity exactly,
@@ -408,16 +408,4 @@ def kernel_integral(a, alpha, norm="max", spec=None, t_star=None, right=None):
             raise TailConvergenceError(
                 f"tail bound still {tail:.3e} of the value at T* = {star:.3e}"
             )
-    if t_star is not None:
-        # extend the finite part to a caller-chosen larger split point
-        t_star = float(t_star)
-        if t_star > star:
-            v_star = t_star ** al
-            part, _ = _gk21_quad(
-                enorm_v, v_done, v_star, epsabs=1e-12, epsrel=1e-9, limit=400
-            )
-            finite += part / al
-            star = t_star
-            tail = m_hat(star) * star ** (-al) / al
-            value = finite + tail
     return {"value": value, "tail_bound": tail, "t_star": star}

@@ -62,15 +62,6 @@ class TimeGrid:
         spread = dt.max() - dt.min() if dt.size else 0.0
         return self.r == 1.0 and bool(spread <= 4.0 * np.finfo(float).eps * self.horizon)
 
-    @property
-    def step(self) -> float:
-        """Node spacing; only meaningful on uniform grids."""
-        if not self.is_uniform:
-            raise GridError("step is undefined on a graded grid")
-        if self.nodes.size < 2:
-            raise GridError("degenerate grid has no step")
-        return float(self.nodes[1] - self.nodes[0])
-
     def __len__(self) -> int:
         return int(self.nodes.size)
 
@@ -321,22 +312,28 @@ def _gk21_panels(f, lo, hi):
     return resk * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
-def _gk21_quad(f, a, b, epsabs, epsrel, limit):
+def _gk21_quad(f, a, b, epsabs, epsrel, limit, points=()):
     """Adaptive 21-point Gauss–Kronrod integral of f over [a, b]; returns
     (value, error estimate).
 
-    The rule and its error estimate are QUADPACK's qk21.  Each round
-    applies the rule to every open panel through one call f(x) on the 1-d
-    array of all their nodes; f returns the values as an array of the same
-    length.  A panel is retired once its error fits its share of the
-    tolerance max(epsabs, epsrel * |value|), in proportion to its width,
-    and the others are bisected.  The partition holds at most `limit`
-    panels: when bisecting every failing panel would exceed that, only the
-    worst that fit are bisected, and with no room left (or nothing left to
-    bisect) the current value and error are returned without raising.
+    The rule and its error estimate are QUADPACK's qk21.  As in QUADPACK's
+    qagp, the `points` inside (a, b) (kinks or other trouble spots of f)
+    cut [a, b] into the starting panels, and the integral stays one
+    adaptive integral over all of them.  Each round applies the rule to
+    every open panel through one call f(x) on the 1-d array of all their
+    nodes; f returns the values as an array of the same length.  A panel
+    is retired once its error fits its share of the one tolerance
+    max(epsabs, epsrel * |value|), in proportion to its width, and the
+    others are bisected.  The partition holds at most `limit` panels per
+    starting panel: when bisecting every failing panel would exceed that,
+    only those with the largest error per unit width are bisected, and
+    with no room left (or nothing left to bisect) the current value and
+    error are returned without raising.
     """
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
+    inner = sorted({float(p) for p in points if a < p < b})
+    edges = np.array([a, *inner, b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    limit *= lo.size
     done_val = 0.0
     done_err = 0.0
     n_done = 0
@@ -350,9 +347,9 @@ def _gk21_quad(f, a, b, epsabs, epsrel, limit):
         if error <= tol or room <= 0 or not split.any():
             return value, error
         if split.sum() > room:
-            # the open panels of a round share one width, so the failing
-            # ones are exactly those with the largest errors
-            worst = np.argsort(err)[::-1][:room]
+            # bisect the failing panels whose error is densest; a panel's
+            # share of the tolerance is proportional to its width
+            worst = np.argsort(err / (hi - lo))[::-1][:room]
             split = np.zeros_like(split)
             split[worst] = True
         done_val += float(val[~split].sum())

@@ -103,29 +103,6 @@ class StabilityReport:
                 )
 
 
-def _split_quad(f, hi, kinks):
-    """Integrate f on [0, hi] piecewise; returns (value, error estimate).
-
-    The integrand mixes a fast transient near 0 with a slow algebraic
-    tail, so [0, hi] is cut at 1 and at sqrt(hi) and each piece gets its
-    own adaptive Gauss–Kronrod integral; it is also cut at each of the
-    `kinks` of f inside (0, hi).  f takes an array of points: each
-    refinement round of a piece is one call of f on every node it needs.
-    """
-    cuts = sorted(
-        {0.0, min(1.0, hi), math.sqrt(hi) if hi > 1.0 else hi, hi, *kinks}
-    )
-    total = 0.0
-    err = 0.0
-    for lo, up in zip(cuts[:-1], cuts[1:]):
-        if up <= lo:
-            continue
-        val, e = _gk21_quad(f, lo, up, epsabs=1e-12, epsrel=1e-8, limit=300)
-        total += val
-        err += e
-    return total, err
-
-
 def _golden_max(f, lo, hi, xtol):
     """Largest value of f met by a golden-section search for its maximum
     on [lo, hi]; the bracket shrinks until it is shorter than xtol."""
@@ -198,8 +175,8 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         return float(limit_value), 0.0
     env_far = float(pert.envelope(_FAR_TIME, norm))
     params = MLParams(al, al)
-    # every horizon's [0, 1] piece, and the polish's, starts on the same
-    # lag arrays: one propagator stack per array for the whole scan
+    # the last rounds of most horizons, and of the polish, refine the same
+    # panels next to lag 0: one propagator stack per lag array for the scan
     stacks = {}
     knots = np.asarray(pert.breakpoints(), dtype=float)
     knots = knots[knots > 0.0]
@@ -214,8 +191,12 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
                 stacks[key], np.maximum(t - lags, 0.0), norm, pert, product
             )
 
-        # a knot kappa of the kind is a kink of the integrand at lag t - kappa
-        val, e = _split_quad(f, t ** al, (t - knots[knots < t]) ** al)
+        # the integrand mixes a fast transient near 0 with a slow algebraic
+        # tail, so [0, t^alpha] starts cut at 1 and at t^(alpha/2); a knot
+        # kappa of the kind is a kink of the integrand at lag t - kappa
+        hi = t ** al
+        cuts = [1.0, math.sqrt(hi), *(t - knots[knots < t]) ** al]
+        val, e = _gk21_quad(f, 0.0, hi, 1e-12, 1e-8, 300, points=cuts)
         return val / al, e / al
 
     best = 0.0
@@ -244,14 +225,13 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
 
 def _envelope_stats(pert, norm):
     """(sup, limit) of the envelope K(t) of a perturbation kind, with the
-    sup taken over t = 0, its breakpoints, 200 geometric sample times in
-    [1e-3, 1e6] and the limit.
+    sup taken over t = 0, its breakpoints and the limit.
 
     The sup is exact for the kinds: the analytic envelopes peak at t = 0
     and the piecewise-linear table envelopes at a knot.
     """
     lim_k = float(pert.limit_envelope(norm))
-    ts = np.concatenate([[0.0], pert.breakpoints(), np.geomspace(1e-3, 1e6, 200)])
+    ts = np.concatenate([[0.0], pert.breakpoints()])
     vals = np.append(pert.envelope(ts, norm), lim_k)
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         raise DomainError("envelope must be finite and nonnegative")

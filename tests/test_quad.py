@@ -29,7 +29,6 @@ def test_uniform_grid_shape():
     g = uniform_grid(2.0, 8)
     assert len(g) == 9
     assert g.is_uniform
-    assert g.step == pytest.approx(0.25)
     assert g.horizon == 2.0
 
 
@@ -37,8 +36,6 @@ def test_graded_grid_clusters_at_origin():
     g = graded_grid(1.0, 10, 2.0)
     assert g.nodes[1] == pytest.approx(0.01)
     assert not g.is_uniform
-    with pytest.raises(GridError):
-        g.step
     # uneven nodes are not uniform whatever r says
     assert not TimeGrid(g.nodes).is_uniform
     assert TimeGrid(uniform_grid(7.0, 300).nodes).is_uniform
@@ -300,3 +297,63 @@ def test_gk21_panel_budget_returns_best_estimate():
     val, err = _gk21_quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 1e-14, 0.0, 8)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-2)
     assert err > 1e-14
+
+
+def _round_panels(x):
+    """(lo, hi) of the panels whose nodes one round passed to f."""
+    panels = x.reshape(-1, _GK21_X.size)
+    half = np.ptp(panels, axis=1) / np.ptp(_GK21_X)
+    centre = panels[:, _GK21_X.size // 2]
+    return centre - half, centre + half
+
+
+def test_gk21_points_one_call_per_round_over_every_piece():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.cos(40.0 * x)
+
+    val, _ = _gk21_quad(f, 0.0, 4.0, 1e-12, 1e-8, 300, points=[3.0, 1.0, 2.0, 9.0])
+    assert val == pytest.approx(math.sin(160.0) / 40.0, abs=1e-10)
+    # the points inside (0, 4) are the starting panels, and every round is
+    # one call over open panels of all four pieces
+    lo, hi = _round_panels(calls[0])
+    assert np.allclose(lo, [0.0, 1.0, 2.0, 3.0]) and np.allclose(hi, [1.0, 2.0, 3.0, 4.0])
+    assert len(calls) >= 2
+    for x in calls:
+        lo, _ = _round_panels(x)
+        assert set(np.floor(lo + 1e-9).astype(int)) == {0, 1, 2, 3}
+
+
+def test_gk21_points_at_the_kink_are_exact_in_one_round():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.abs(x - 1.0 / 3.0)
+
+    val, err = _gk21_quad(f, 0.0, 1.0, 1e-12, 0.0, 300, points=[1.0 / 3.0])
+    assert len(calls) == 1
+    assert err <= 1e-12
+    assert abs(val - 5.0 / 18.0) <= 1e-12
+
+
+def test_gk21_budget_on_unequal_pieces():
+    # a tall jump in a piece 1000 times narrower than the other, which has
+    # two low jumps: the budget goes to the densest errors, so the narrow
+    # piece is refined in every round, and the partition never holds more
+    # than `limit` panels per piece
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return 10.0 * (x > 1e-3 / 3.0) + (x > 0.37) + (x > 0.81)
+
+    limit = 3
+    _gk21_quad(f, 0.0, 1.0, 1e-12, 0.0, limit, points=[1e-3])
+    evaluated = sum(x.size for x in calls) // _GK21_X.size
+    # each bisection turns one panel into two, from the 2 starting panels
+    assert 2 + (evaluated - 2) // 2 <= 2 * limit
+    assert len(calls) >= 3
+    assert all(np.any(_round_panels(x)[1] <= 1e-3) for x in calls)

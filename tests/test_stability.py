@@ -521,6 +521,23 @@ def test_q_scan_splits_lag_integrals_at_the_knots():
     assert report.q + report.q_error >= 0.970
 
 
+def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
+    # 200 knots cut each lag integral into up to 202 pieces; as one adaptive
+    # integral each round is one propagator call for all of them
+    calls = []
+    real = stability.ml_matrix
+
+    def counted(params, t, a, spec):
+        calls.append(1)
+        return real(params, t, a, spec)
+
+    monkeypatch.setattr(stability, "ml_matrix", counted)
+    ts = np.linspace(0.0, 100.0, 200)
+    q = compute_q_linear(A_NEG, 0.5, LinearTable(ts, 0.3 + 0.2 * np.sin(ts)))
+    assert len(calls) <= 200
+    assert q == pytest.approx(0.38750817378868796, rel=1e-10)
+
+
 def test_classify_report_is_json_safe():
     import json
 
