@@ -291,13 +291,9 @@ _GK21_WG[1:10:2] = _GK21_WG[12::2] = _G10_W
 _EPS = np.finfo(float).eps
 
 
-def _gk21_panels(f, lo, hi):
-    """(values, error estimates) of the rule on the panels [lo_i, hi_i],
-    from one call of f on the (n_panels * 21) nodes."""
-    centre = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = centre[:, None] + half[:, None] * _GK21_X
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+def _gk21_rule(fx, half):
+    """(values, error estimates) of the rule on panels of half-widths
+    `half`, from the (n_panels, 21) values fx at their nodes."""
     resk = fx @ _GK21_WK
     resg = fx @ _GK21_WG
     resabs = np.abs(fx) @ _GK21_WK * np.abs(half)
@@ -328,32 +324,66 @@ def _gk21_quad(f, a, b, epsabs, epsrel, limit, points=()):
     starting panel: when bisecting every failing panel would exceed that,
     only those with the largest error per unit width are bisected, and
     with no room left (or nothing left to bisect) the current value and
-    error are returned without raising.
+    error are returned without raising.  This is `_gk21_family` with one
+    span.
     """
-    inner = sorted({float(p) for p in points if a < p < b})
-    edges = np.array([a, *inner, b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    limit *= lo.size
-    done_val = 0.0
-    done_err = 0.0
-    n_done = 0
-    while True:
-        val, err = _gk21_panels(f, lo, hi)
-        value = done_val + float(val.sum())
-        error = done_err + float(err.sum())
-        tol = max(epsabs, epsrel * abs(value))
-        room = limit - n_done - lo.size
-        split = err > tol * (hi - lo) / (b - a)
-        if error <= tol or room <= 0 or not split.any():
-            return value, error
-        if split.sum() > room:
-            # bisect the failing panels whose error is densest; a panel's
-            # share of the tolerance is proportional to its width
-            worst = np.argsort(err / (hi - lo))[::-1][:room]
-            split = np.zeros_like(split)
-            split[worst] = True
-        done_val += float(val[~split].sum())
-        done_err += float(err[~split].sum())
-        n_done += int((~split).sum())
-        mid = 0.5 * (lo[split] + hi[split])
-        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    return _gk21_family(lambda x, owner: f(x), [(a, b, points)], epsabs, epsrel, limit)[0]
+
+
+def _gk21_family(f, spans, epsabs, epsrel, limit):
+    """`_gk21_quad` on every span (a, b, points) at once; returns one
+    (value, error estimate) per span.
+
+    Each round is one call f(x, owner) on the nodes of every open panel
+    of every unfinished span, where owner[i] is the index of the span that
+    node x[i] belongs to, the nodes of each span's panels contiguous and
+    in order.  Each span keeps its own partition, tolerance, budget and
+    sums, and the rule runs on that span's rows alone, so each result is
+    bit for bit the one `_gk21_quad` gives for the span alone.
+    """
+    # per open span: lo, hi, retired value, retired error, retired panels
+    state = {}
+    for j, (a, b, points) in enumerate(spans):
+        inner = sorted({float(p) for p in points if a < p < b})
+        edges = np.array([a, *inner, b], dtype=float)
+        state[j] = [edges[:-1], edges[1:], 0.0, 0.0, 0]
+    budget = [limit * s[0].size for s in state.values()]
+    out = [None] * len(spans)
+    while state:
+        lo = np.concatenate([s[0] for s in state.values()])
+        hi = np.concatenate([s[1] for s in state.values()])
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK21_X
+        sizes = [s[0].size for s in state.values()]
+        owner = np.repeat(list(state), np.multiply(sizes, _GK21_X.size))
+        fx = np.asarray(f(x.ravel(), owner), dtype=float).reshape(x.shape)
+        for j, stop in zip(list(state), np.cumsum(sizes)):
+            s = state[j]
+            lo, hi, done_val, done_err, n_done = s
+            rows = slice(stop - lo.size, stop)
+            val, err = _gk21_rule(fx[rows], half[rows])
+            value = done_val + float(val.sum())
+            error = done_err + float(err.sum())
+            tol = max(epsabs, epsrel * abs(value))
+            room = budget[j] - n_done - lo.size
+            a, b = spans[j][:2]
+            split = err > tol * (hi - lo) / (b - a)
+            if error <= tol or room <= 0 or not split.any():
+                out[j] = (value, error)
+                del state[j]
+                continue
+            if split.sum() > room:
+                # bisect the failing panels whose error is densest; a panel's
+                # share of the tolerance is proportional to its width
+                worst = np.argsort(err / (hi - lo))[::-1][:room]
+                split = np.zeros_like(split)
+                split[worst] = True
+            mid = 0.5 * (lo[split] + hi[split])
+            s[:] = [
+                np.concatenate([lo[split], mid]),
+                np.concatenate([mid, hi[split]]),
+                done_val + float(val[~split].sum()),
+                done_err + float(err[~split].sum()),
+                n_done + int((~split).sum()),
+            ]
+    return out

@@ -31,7 +31,7 @@ from .matfun import (
     sup_ml_norm,
 )
 from .norms import check_norm, operator_norm, vector_norm
-from .quad import TimeGrid, _gk21_quad, uniform_grid
+from .quad import TimeGrid, _gk21_family, uniform_grid
 from .solver import PerturbationSpec, as_perturbation, solve_abm
 from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
@@ -40,6 +40,7 @@ _LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
 _CONTRACTION_PASS = 0.5      # the theorem's contraction factor; the value is a bound
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_STACK_LAGS = 1002           # decay-certificate lags per propagator call
 
 _VERDICTS = (
     "RobustStable",
@@ -175,42 +176,62 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         return float(limit_value), 0.0
     env_far = float(pert.envelope(_FAR_TIME, norm))
     params = MLParams(al, al)
-    # the last rounds of most horizons, and of the polish, refine the same
-    # panels next to lag 0: one propagator stack per lag array for the scan
-    stacks = {}
+    # the propagator E(s^alpha A) does not depend on the horizon: one slice
+    # stack per 21-node panel (its bytes) for the whole scan, so the [0, 1]
+    # piece that every horizon t >= 1 shares, and every panel the polish
+    # revisits, is evaluated once.  Distinct panels share a node only at a
+    # common centre (node 10, as in the concentric [1, 4] and [2, 3]), so
+    # the centres are keyed too and no node is evaluated twice
+    panels = {}
+    centres = {}
     knots = np.asarray(pert.breakpoints(), dtype=float)
     knots = knots[knots > 0.0]
 
-    def value_at(t):
-        def f(v):
+    def values_at(ts):
+        ts = np.asarray(ts, dtype=float)
+
+        def f(v, owner):
+            keys = [row.tobytes() for row in v.reshape(-1, 21)]
+            new = [k for k in dict.fromkeys(keys) if k not in panels]
+            if new:
+                fresh = np.frombuffer(b"".join(new)).reshape(-1, 21)
+                stack = np.empty(fresh.shape + m.shape)
+                held = np.zeros(fresh.shape, dtype=bool)
+                for i, c in enumerate(fresh[:, 10].tolist()):
+                    held[i, 10] = c in centres
+                    centres.setdefault(c, stack[i, 10])
+                stack[~held] = ml_matrix(params, fresh[~held] ** (1.0 / al), m, spec)
+                for i in np.flatnonzero(held[:, 10]):
+                    stack[i, 10] = centres[fresh[i, 10]]
+                panels.update(zip(new, stack))
             lags = v ** (1.0 / al)
-            key = v.tobytes()
-            if key not in stacks:
-                stacks[key] = ml_matrix(params, lags, m, spec)
             return _weighted_norms(
-                stacks[key], np.maximum(t - lags, 0.0), norm, pert, product
+                np.concatenate([panels[k] for k in keys]),
+                np.maximum(ts[owner] - lags, 0.0), norm, pert, product,
             )
 
         # the integrand mixes a fast transient near 0 with a slow algebraic
         # tail, so [0, t^alpha] starts cut at 1 and at t^(alpha/2); a knot
-        # kappa of the kind is a kink of the integrand at lag t - kappa
-        hi = t ** al
-        cuts = [1.0, math.sqrt(hi), *(t - knots[knots < t]) ** al]
-        val, e = _gk21_quad(f, 0.0, hi, 1e-12, 1e-8, 300, points=cuts)
-        return val / al, e / al
+        # kappa of the kind is a kink of the integrand at lag t - kappa.
+        # All horizons advance in lockstep, one propagator call per round
+        spans = []
+        for t in ts:
+            hi = t ** al
+            spans.append((0.0, hi, [1.0, math.sqrt(hi), *(t - knots[knots < t]) ** al]))
+        out = _gk21_family(f, spans, 1e-12, 1e-8, 300)
+        return [(val / al, e / al) for val, e in out]
 
     best = 0.0
     best_t = _HORIZONS[0]
     err = 0.0
-    for t in _HORIZONS:
-        val, e = value_at(t)
+    for t, (val, e) in zip(_HORIZONS, values_at(_HORIZONS)):
         if val > best:
             best, best_t = val, t
         err = max(err, e)
     if best > limit_value:
         # peak sits at a finite horizon; polish it inside the bracketing octaves
         polished = _golden_max(
-            lambda t: value_at(t)[0], best_t / 2.0, best_t * 2.0, best_t * 1e-4
+            lambda t: values_at([t])[0][0], best_t / 2.0, best_t * 2.0, best_t * 1e-4
         )
         best = max(best, polished)
     value = max(best, limit_value)
@@ -308,7 +329,8 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     Computes the smallest constant M >= 1 with
     Gamma(alpha) * sup||E_{alpha,alpha}|| * sup K <= M and
     kernel integral <= M, takes as T the first grid node from which the
-    envelope stays below 1/(5M) at every later node, and weights
+    envelope stays below 1/(5M) at every later grid node and knot of the
+    kind (a piecewise-linear envelope peaks at a knot), and weights
     trajectories by beta(t) = E_alpha(5 M t^alpha) frozen past T.  The
     contraction is the operator's weighted norm bound at evaluation
     times t up to the grid horizon, the max of
@@ -321,7 +343,8 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
 
     The result also carries log beta(T), the weight's largest value.
     Raises NoDecayError when the envelope is not below 1/(5M) at the
-    last grid node, so that T would lie past the grid horizon.
+    last grid node or at a knot at or past it, so that T would lie past
+    the grid horizon.
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)
@@ -344,10 +367,11 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
     threshold = 1.0 / (5.0 * big_m)
 
     horizon = grid.nodes[-1]
-    k_vals = pert.envelope(grid.nodes, norm)
-    above = np.flatnonzero(k_vals >= threshold)
-    # T is the node after the last node at or above the threshold
-    i_decay = int(above[-1]) + 1 if above.size else 0
+    # T is the grid node after the last grid node or knot at or above the
+    # threshold: a piecewise-linear envelope peaks at a knot
+    ts = np.concatenate([grid.nodes, pert.breakpoints()])
+    above = ts[pert.envelope(ts, norm) >= threshold]
+    i_decay = int(np.searchsorted(grid.nodes, above.max(), "right")) if above.size else 0
     if not lim_k < threshold or i_decay == len(grid.nodes):
         raise NoDecayError(
             f"envelope does not fall below {threshold:.6g} "
@@ -386,15 +410,21 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
 
     params = MLParams(al, al)
     worst = 0.0
+    vs = []
     for t in eval_ts:
         ua = t ** al
-        v = np.concatenate([[0.0], np.geomspace(ua * 1e-14, ua, 500)])
-        lags = v ** (1.0 / al)
-        taus = np.maximum(t - lags, 0.0)
-        damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
-        e_mats = ml_matrix(params, lags, m, spec)
-        integrand = _weighted_norms(e_mats, taus, norm, pert, pert.is_linear) * damp
-        worst = max(worst, float(np.trapezoid(integrand, v) / al))
+        vs.append(np.concatenate([[0.0], np.geomspace(ua * 1e-14, ua, 500)]))
+    # the propagators of several evaluation times per ml_matrix call
+    per_call = max(1, _STACK_LAGS // vs[0].size)
+    for i in range(0, len(eval_ts), per_call):
+        group = vs[i:i + per_call]
+        stack = ml_matrix(params, np.concatenate(group) ** (1.0 / al), m, spec)
+        for t, v, e_mats in zip(eval_ts[i:], group, np.split(stack, len(group))):
+            lags = v ** (1.0 / al)
+            taus = np.maximum(t - lags, 0.0)
+            damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
+            integrand = _weighted_norms(e_mats, taus, norm, pert, pert.is_linear) * damp
+            worst = max(worst, float(np.trapezoid(integrand, v) / al))
 
     return {
         "M": float(big_m),

@@ -357,3 +357,50 @@ def test_gk21_budget_on_unequal_pieces():
     assert 2 + (evaluated - 2) // 2 <= 2 * limit
     assert len(calls) >= 3
     assert all(np.any(_round_panels(x)[1] <= 1e-3) for x in calls)
+
+
+def test_gk21_family_matches_gk21_quad_bit_for_bit():
+    # spans of different widths, cut points inside and outside (a, b),
+    # finishing after 3, 1, 10, 14 and 2 rounds, and the jump span runs out
+    # of its panel budget
+    fs = [
+        lambda x: np.cos(5.0 * x) * np.exp(-x),
+        lambda x: np.abs(x - 1.0 / 3.0),
+        lambda x: 10.0 * (x > 1e-3 / 3.0) + (x > 0.37),
+        np.sqrt,
+        lambda x: np.exp(-x),
+    ]
+    spans = [
+        (0.0, 5.0, ()),
+        (0.0, 1.0, [1.0 / 3.0]),
+        (0.0, 1.0, [1e-3, 2.0, -1.0]),
+        (0.0, 0.01, [0.005]),
+        (-3.0, 40.0, [0.0, 50.0]),
+    ]
+    limit = 10
+    rounds = [0] * len(fs)
+
+    def family_f(x, owner):
+        out = np.empty_like(x)
+        for j, f in enumerate(fs):
+            mine = owner == j
+            if mine.any():
+                rounds[j] += 1
+                out[mine] = f(x[mine])
+        return out
+
+    got = quad._gk21_family(family_f, spans, 1e-12, 1e-8, limit)
+    for (a, b, points), f, (val, err), n in zip(spans, fs, got, rounds):
+        calls = []
+
+        def alone(x, f=f):
+            calls.append(1)
+            return f(x)
+
+        want = _gk21_quad(alone, a, b, 1e-12, 1e-8, limit, points=points)
+        assert np.array([val, err]).tobytes() == np.array(want).tobytes()
+        assert n == len(calls)
+    assert rounds == [3, 1, 10, 14, 2]
+    # only the jump span stops on its budget, above its tolerance
+    assert got[2][1] > 1e-8 * abs(got[2][0])
+    assert all(e <= max(1e-12, 1e-8 * abs(v)) for i, (v, e) in enumerate(got) if i != 2)

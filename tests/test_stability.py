@@ -538,6 +538,75 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
     assert q == pytest.approx(0.38750817378868796, rel=1e-10)
 
 
+def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
+    # all 23 horizons advance in lockstep, one propagator call per round,
+    # and the per-panel cache serves every horizon and the polish: no lag
+    # reaches ml_matrix twice
+    lags = []
+    real = stability.ml_matrix
+
+    def counted(params, t, a, spec):
+        lags.append(np.atleast_1d(np.asarray(t, dtype=float)).copy())
+        return real(params, t, a, spec)
+
+    monkeypatch.setattr(stability, "ml_matrix", counted)
+    compute_q_linear(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    every = np.concatenate(lags)
+    assert len(lags) <= 45
+    assert np.unique(every).size == every.size
+
+
+@pytest.mark.parametrize(
+    "a, pert",
+    [(A_NEG, _decay3()), (ROTATION, LinearDecaying(0.2 * np.eye(2), 1.0))],
+)
+def test_certificate_stacked_lags_are_bit_identical(monkeypatch, a, pert):
+    # two evaluation times' lags share one ml_matrix call; one per call
+    # gives the same certificate, bit for bit
+    calls = []
+    real = stability.ml_matrix
+
+    def counted(params, t, a, spec):
+        calls.append(1)
+        return real(params, t, a, spec)
+
+    monkeypatch.setattr(stability, "ml_matrix", counted)
+    stacked = beta_norm_certificate(a, 0.5, pert, CERT_GRID)
+    n_stacked = len(calls)
+    monkeypatch.setattr(stability, "_STACK_LAGS", 501)
+    single = beta_norm_certificate(a, 0.5, pert, CERT_GRID)
+    assert len(calls) - n_stacked > n_stacked
+    assert stacked.keys() == single.keys()
+    for key in stacked:
+        assert np.float64(stacked[key]).tobytes() == np.float64(single[key]).tobytes()
+
+
+def test_certificate_decay_time_sees_a_knot_past_the_horizon():
+    # the envelope is 6 on [41, 1000], past the grid horizon 40: T cannot
+    # be a grid node, so there is no decay certificate and no false
+    # DecayingStable
+    table = LinearTable([0, 40, 41, 1000, 1001], [0, 0, 6, 6, 0])
+    with pytest.raises(NoDecayError):
+        beta_norm_certificate(A_NEG, 0.5, table, CERT_GRID)
+    report = classify(A_NEG, 0.5, table)
+    assert report.verdict == "Inconclusive"
+    assert report.t_decay is None
+
+
+def test_certificate_decay_time_sees_a_knot_between_grid_nodes():
+    # the bump peaks at the knot 10.06, between the grid nodes 10 and
+    # 10.125 where the envelope reads 0: T is the node after the knot
+    table = LinearTable([0, 10.01, 10.06, 10.11], [0, 0, 6, 0])
+    cert = beta_norm_certificate(A_NEG, 0.5, table, CERT_GRID)
+    assert cert["T"] == 10.125
+    assert cert["contraction"] > 0.15
+    report = classify(A_NEG, 0.5, table)
+    assert report.verdict == "DecayingStable"
+    assert report.t_decay == 10.125
+    # delta still comes from q
+    assert report.delta == pytest.approx(0.027710413417546098, rel=1e-9)
+
+
 def test_classify_report_is_json_safe():
     import json
 
