@@ -40,7 +40,10 @@ _LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
 _CONTRACTION_PASS = 0.5      # the theorem's contraction factor; the value is a bound
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_STACK_LAGS = 1002           # decay-certificate lags per propagator call
+# lag-integral (epsabs, epsrel, limit): the decay certificate is gated at 0.5
+# with its error added, so it needs less than q
+_Q_TOL = (1e-12, 1e-8, 300)
+_CERT_TOL = (1e-6, 1e-4, 300)
 
 _VERDICTS = (
     "RobustStable",
@@ -147,22 +150,77 @@ def _weighted_norms(e, taus, norm, pert, product):
     return operator_norm(e, norm) * pert.envelope(taus, norm)
 
 
+def _lag_integrals(m, al, norm, pert, product, spec):
+    """integrate(ts, tol, log_beta=None, t_freeze=None): one (value, error
+    estimate) per time t in ts of the certificates' lag integral
+
+        int_0^t s^(alpha-1) ||E_{alpha,alpha}(s^alpha A) Q(t - s)|| w ds
+
+    (||E_{alpha,alpha}(s^alpha A)|| K(t - s) unless product is set, for the
+    envelope K of the kind pert).  In v = s^alpha, free of the kernel
+    singularity, all times advance in lockstep through one `_gk21_family`
+    with tol = (epsabs, epsrel, limit).  The weight w is 1, or given the log
+    of a nondecreasing weight beta below T = t_freeze, the ratio
+    beta(min(t - s, T)) / beta(min(t, T)), exactly 1 once t - s >= T.  The
+    propagator does not depend on t, so each node v is evaluated once for
+    every call of integrate and kept in a sorted table.
+    """
+    params = MLParams(al, al)
+    knots = np.asarray(pert.breakpoints(), dtype=float)
+    # the evaluated nodes in increasing order after a sentinel no lookup
+    # returns, and the propagator at each
+    done_v = np.array([np.inf])
+    done_e = np.empty((1,) + m.shape)
+
+    def propagators(v):
+        nonlocal done_v, done_e
+        s = np.sort(v)
+        at = np.searchsorted(done_v, s)
+        new = (done_v[at] != s) & np.append(True, s[1:] != s[:-1])
+        if new.any():
+            fresh = ml_matrix(params, s[new] ** (1.0 / al), m, spec)
+            done_e = np.insert(done_e, at[new], fresh, axis=0)
+            done_v = np.insert(done_v, at[new], s[new])
+        return done_e[np.searchsorted(done_v, v)]
+
+    def integrate(ts, tol, log_beta=None, t_freeze=None):
+        ts = np.asarray(ts, dtype=float)
+        kinks = knots if t_freeze is None else np.append(knots, t_freeze)
+        if log_beta is not None:
+            lb_t = log_beta(np.minimum(ts, t_freeze))
+
+        def f(v, owner):
+            taus = np.maximum(ts[owner] - v ** (1.0 / al), 0.0)
+            vals = _weighted_norms(propagators(v), taus, norm, pert, product)
+            if log_beta is not None:
+                low = taus < t_freeze
+                vals[low] *= np.exp(log_beta(taus[low]) - lb_t[owner[low]])
+            return vals
+
+        # a fast transient near 0 and a slow algebraic tail: [0, t^alpha]
+        # starts cut at the powers of 2 from 1 on, the same panels for every
+        # t; a knot kappa of the kind, or T, is a kink at lag t - kappa
+        spans = [
+            (0.0, t ** al, [*np.exp2(np.arange(math.floor(al * math.log2(t)) + 1)),
+                            *(t - kinks[(kinks > 0.0) & (kinks < t)]) ** al])
+            for t in ts
+        ]
+        return [(val / al, e / al) for val, e in _gk21_family(f, spans, *tol)]
+
+    return integrate
+
+
 def _q_scan(m, al, norm, pert, product, kint_value=None):
     """(q, error estimate): sup over geometric horizons of the contraction
-    integral.
-
-    The integrand at kernel lag s and absolute time tau = t - s is
-    ||E_{alpha,alpha}(s^alpha A) Q(tau)|| with product set, else
-    ||E_{alpha,alpha}(s^alpha A)|| K(tau) for the envelope K of the kind
-    pert; the substitution v = s^alpha removes the kernel singularity.
-    """
+    integral, the lag integral of `_lag_integrals` with weight 1."""
     sup_k, lim_k = _envelope_stats(pert, norm)
     if sup_k == 0.0:
         return 0.0, 0.0
     spec = spectral_decompose(m)
     if kint_value is None:
         kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    if not product:
+    if not product or lim_k == 0.0:
+        # K >= ||Q||, so a vanishing envelope limit leaves Q(inf) = 0
         limit_value = lim_k * kint_value
     else:
         # a matrix that settles to a constant makes the integral monotone
@@ -175,63 +233,19 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         # constant envelope: the integral grows monotonically to its limit
         return float(limit_value), 0.0
     env_far = float(pert.envelope(_FAR_TIME, norm))
-    params = MLParams(al, al)
-    # the propagator E(s^alpha A) does not depend on the horizon: one slice
-    # stack per 21-node panel (its bytes) for the whole scan, so the [0, 1]
-    # piece that every horizon t >= 1 shares, and every panel the polish
-    # revisits, is evaluated once.  Distinct panels share a node only at a
-    # common centre (node 10, as in the concentric [1, 4] and [2, 3]), so
-    # the centres are keyed too and no node is evaluated twice
-    panels = {}
-    centres = {}
-    knots = np.asarray(pert.breakpoints(), dtype=float)
-    knots = knots[knots > 0.0]
-
-    def values_at(ts):
-        ts = np.asarray(ts, dtype=float)
-
-        def f(v, owner):
-            keys = [row.tobytes() for row in v.reshape(-1, 21)]
-            new = [k for k in dict.fromkeys(keys) if k not in panels]
-            if new:
-                fresh = np.frombuffer(b"".join(new)).reshape(-1, 21)
-                stack = np.empty(fresh.shape + m.shape)
-                held = np.zeros(fresh.shape, dtype=bool)
-                for i, c in enumerate(fresh[:, 10].tolist()):
-                    held[i, 10] = c in centres
-                    centres.setdefault(c, stack[i, 10])
-                stack[~held] = ml_matrix(params, fresh[~held] ** (1.0 / al), m, spec)
-                for i in np.flatnonzero(held[:, 10]):
-                    stack[i, 10] = centres[fresh[i, 10]]
-                panels.update(zip(new, stack))
-            lags = v ** (1.0 / al)
-            return _weighted_norms(
-                np.concatenate([panels[k] for k in keys]),
-                np.maximum(ts[owner] - lags, 0.0), norm, pert, product,
-            )
-
-        # the integrand mixes a fast transient near 0 with a slow algebraic
-        # tail, so [0, t^alpha] starts cut at 1 and at t^(alpha/2); a knot
-        # kappa of the kind is a kink of the integrand at lag t - kappa.
-        # All horizons advance in lockstep, one propagator call per round
-        spans = []
-        for t in ts:
-            hi = t ** al
-            spans.append((0.0, hi, [1.0, math.sqrt(hi), *(t - knots[knots < t]) ** al]))
-        out = _gk21_family(f, spans, 1e-12, 1e-8, 300)
-        return [(val / al, e / al) for val, e in out]
+    integrate = _lag_integrals(m, al, norm, pert, product, spec)
 
     best = 0.0
     best_t = _HORIZONS[0]
     err = 0.0
-    for t, (val, e) in zip(_HORIZONS, values_at(_HORIZONS)):
+    for t, (val, e) in zip(_HORIZONS, integrate(_HORIZONS, _Q_TOL)):
         if val > best:
             best, best_t = val, t
         err = max(err, e)
     if best > limit_value:
         # peak sits at a finite horizon; polish it inside the bracketing octaves
         polished = _golden_max(
-            lambda t: values_at([t])[0][0], best_t / 2.0, best_t * 2.0, best_t * 1e-4
+            lambda t: integrate([t], _Q_TOL)[0][0], best_t / 2.0, best_t * 2.0, best_t * 1e-4
         )
         best = max(best, polished)
     value = max(best, limit_value)
@@ -333,13 +347,15 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     kind (a piecewise-linear envelope peaks at a knot), and weights
     trajectories by beta(t) = E_alpha(5 M t^alpha) frozen past T.  The
     contraction is the operator's weighted norm bound at evaluation
-    times t up to the grid horizon, the max of
+    times t up to the grid horizon (a sample of the grid nodes, a bracket
+    around T, T itself and every knot of the kind), the max of
     int_0^t ||E_{alpha,alpha}((t-tau)^alpha A) Q(tau)|| beta(tau)/beta(t)
     dtau (with ||E_{alpha,alpha}|| K(tau) in place of the product for
-    the nonlinear kinds), the same integrand the contraction constant q
-    integrates.  The weight growth is folded into the quadrature
-    analytically (in log space), so steep weights do not need a fine
-    grid.
+    the nonlinear kinds) plus its quadrature error estimate: the same
+    integrand the contraction constant q integrates, through the same
+    `_lag_integrals`.  The weight ratio enters at each quadrature node
+    as a difference of logs, so steep weights neither overflow nor need
+    a fine grid.
 
     The result also carries log beta(T), the weight's largest value.
     Raises NoDecayError when the envelope is not below 1/(5M) at the
@@ -390,48 +406,27 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
             "M_int": float(m_int),
         }
 
-    # log of the weight, tabulated once; the weight itself overflows
-    # doubles long before the horizon for steep 5M
-    tau_tab = np.concatenate([[0.0], np.geomspace(1e-8, max(horizon, 2 * t_decay), 3000)])
-    lb_tab = _ml_log_positive_many(
-        al, 5.0 * big_m * np.minimum(tau_tab, t_decay) ** al
-    )
+    def log_beta(taus):
+        # the weight itself overflows doubles long before the horizon for
+        # steep 5M, so it enters the integrand as a difference of logs
+        return _ml_log_positive_many(al, 5.0 * big_m * taus ** al)
 
-    def log_beta(ts):
-        return np.interp(ts, tau_tab, lb_tab)
-
-    eval_ts = set(grid.nodes[1:: max(1, len(grid.nodes) // 48)])
+    knots = pert.breakpoints()
+    # a table's integral can peak at a knot, and the weight freezes at T
+    eval_ts = {*grid.nodes[1:: max(1, len(grid.nodes) // 48)], *knots[knots <= horizon], t_decay}
     if 0.0 < t_decay < horizon:
         # bracket the weight-freeze time, where the flat region begins
         lo = max(grid.nodes[1], t_decay / 8.0)
         hi = min(horizon, max(4.0 * t_decay, 2.0 * lo))
         eval_ts.update(np.geomspace(lo, hi, 16))
-    eval_ts = sorted(eval_ts)
-
-    params = MLParams(al, al)
-    worst = 0.0
-    vs = []
-    for t in eval_ts:
-        ua = t ** al
-        vs.append(np.concatenate([[0.0], np.geomspace(ua * 1e-14, ua, 500)]))
-    # the propagators of several evaluation times per ml_matrix call
-    per_call = max(1, _STACK_LAGS // vs[0].size)
-    for i in range(0, len(eval_ts), per_call):
-        group = vs[i:i + per_call]
-        stack = ml_matrix(params, np.concatenate(group) ** (1.0 / al), m, spec)
-        for t, v, e_mats in zip(eval_ts[i:], group, np.split(stack, len(group))):
-            lags = v ** (1.0 / al)
-            taus = np.maximum(t - lags, 0.0)
-            damp = np.exp(log_beta(taus) - log_beta(np.array([t]))[0])
-            integrand = _weighted_norms(e_mats, taus, norm, pert, pert.is_linear) * damp
-            worst = max(worst, float(np.trapezoid(integrand, v) / al))
+    integrate = _lag_integrals(m, al, norm, pert, pert.is_linear, spec)
+    results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
 
     return {
         "M": float(big_m),
         "T": t_decay,
-        "contraction": worst,
-        # the table's last time is past T, where the weight is frozen
-        "log_beta_T": float(lb_tab[-1]),
+        "contraction": float(max(val + e for val, e in results)),
+        "log_beta_T": float(log_beta(np.array([t_decay]))[0]),
         "M_gamma": float(m_gamma),
         "M_int": float(m_int),
     }

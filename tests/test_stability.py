@@ -540,8 +540,9 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
 
 def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
     # all 23 horizons advance in lockstep, one propagator call per round,
-    # and the per-panel cache serves every horizon and the polish: no lag
-    # reaches ml_matrix twice
+    # and the per-node propagator table serves every horizon and the
+    # polish: no lag reaches ml_matrix twice.  The decay certificate's
+    # evaluation times share one such table
     lags = []
     real = stability.ml_matrix
 
@@ -550,35 +551,50 @@ def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
         return real(params, t, a, spec)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
-    compute_q_linear(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
+    compute_q_linear(ROTATION, 0.5, pert)
     every = np.concatenate(lags)
     assert len(lags) <= 45
     assert np.unique(every).size == every.size
 
+    lags.clear()
+    beta_norm_certificate(ROTATION, 0.5, pert, CERT_GRID)
+    every = np.concatenate(lags)
+    assert np.unique(every).size == every.size
 
-@pytest.mark.parametrize(
-    "a, pert",
-    [(A_NEG, _decay3()), (ROTATION, LinearDecaying(0.2 * np.eye(2), 1.0))],
-)
-def test_certificate_stacked_lags_are_bit_identical(monkeypatch, a, pert):
-    # two evaluation times' lags share one ml_matrix call; one per call
-    # gives the same certificate, bit for bit
-    calls = []
+
+def test_classify_ml_points_per_rotation_case(monkeypatch):
+    # the q-scan and the decay certificate integrate through one routine
+    # whose dyadic cuts repeat panels across horizons and evaluation times:
+    # 13,613 points, where a fixed 501-node rule per evaluation time needs
+    # over 40,000
+    points = []
     real = stability.ml_matrix
 
     def counted(params, t, a, spec):
-        calls.append(1)
+        points.append(np.asarray(t).size)
         return real(params, t, a, spec)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
-    stacked = beta_norm_certificate(a, 0.5, pert, CERT_GRID)
-    n_stacked = len(calls)
-    monkeypatch.setattr(stability, "_STACK_LAGS", 501)
-    single = beta_norm_certificate(a, 0.5, pert, CERT_GRID)
-    assert len(calls) - n_stacked > n_stacked
-    assert stacked.keys() == single.keys()
-    for key in stacked:
-        assert np.float64(stacked[key]).tobytes() == np.float64(single[key]).tobytes()
+    report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    assert report.verdict == "DecayingStable"
+    assert sum(points) <= 20000
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([0, 10.01, 10.06, 10.11], [0, 0, 6, 0]),
+        ([0, 3.9, 4, 4.1, 10, 10.5, 11], [0.01, 0.01, 1, 0.01, 0.01, 6, 0.01]),
+    ],
+    ids=["between-nodes", "between-horizons"],
+)
+def test_certificate_evaluates_at_every_knot_and_at_the_decay_time(times, values):
+    # a dense scan over 6,000 evaluation times puts the weighted contraction
+    # at 0.1918 (t = 10.0602) and 0.1933 (the knot 10.5); base evaluation
+    # times every eighth of a unit missed both peaks and read about 0.15
+    cert = beta_norm_certificate(A_NEG, 0.5, LinearTable(times, values), CERT_GRID)
+    assert cert["contraction"] >= 0.19
 
 
 def test_certificate_decay_time_sees_a_knot_past_the_horizon():
