@@ -22,11 +22,7 @@ class SectorViolationError(FracstabError, ValueError):
 
 
 class UnsupportedOrderError(FracstabError, ValueError):
-    """Derivative order above the supported cap."""
-
-
-class DefectiveMatrixError(FracstabError):
-    """Eigenvector basis numerically defective and no block structure was declared."""
+    """Derivative or Taylor order above the supported cap."""
 
 
 class ImagTruncationError(FracstabError):

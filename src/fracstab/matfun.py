@@ -1,6 +1,6 @@
 """Matrix-argument Mittag-Leffler propagators and spectral certificates.
 
-Evaluates E_{alpha,beta}(t^alpha A) through the eigendecomposition of A,
+Evaluates E_{alpha,beta}(t^alpha A) through a spectral basis of A,
 checks the eigenvalue sector condition, and computes the two kernel
 quantities the stability certificates are built on: the supremum of
 ||E_alpha(t^alpha A)|| over t >= 0 and the improper integral of
@@ -10,20 +10,20 @@ tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    DefectiveMatrixError,
     DomainError,
     ImagTruncationError,
     SectorViolationError,
     TailConvergenceError,
+    UnsupportedOrderError,
 )
 from .norms import check_norm, operator_norm
 from .quad import _gk21_quad
 from .special_fn import (
+    _DERIV_CAP,
     MLParams,
     _ml_dlambda_many,
     _order_value,
@@ -33,8 +33,8 @@ from .special_fn import (
 )
 
 _DIM_CAP = 64
-_DEFECT_COND = 1e8       # past this the eigenbasis loses half the mantissa
-_BLOCK_CAP = 7           # largest declared block; needs derivatives l <= 6
+_CLUSTER_TOL = 1e-2      # relative eigenvalue distance that joins a cluster
+_TAYLOR_TAIL = 1e-13     # the last Taylor term must fall below this of the block
 _IMAG_TRUNC = 1e-9
 _SUP_STABILIZE = 1e-4
 _TAIL_FRACTION = 1e-4
@@ -53,45 +53,52 @@ def as_square_matrix(a):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of a system matrix, ordered by (real, imag).
+    """Spectral basis S of a system matrix, eigenvalues ordered by (real, imag).
 
-    jordan_structure, when present, is a user-declared tuple of
-    (eigenvalue index, block size) pairs that partitions the spectrum;
-    the package never infers Jordan chains numerically.
+    Eigenvalues closer than 1e-2 of the larger modulus, chained, form a
+    cluster.  A column of S for an eigenvalue outside every cluster is its
+    `np.linalg.eig` eigenvector; the columns of a cluster are an orthonormal
+    basis of its invariant subspace.  `clusters` holds one (indices, sigma,
+    block) triple per cluster: its column indices, its eigenvalue mean sigma
+    and its block N = (S^-1 A S)_cc - sigma I.
     """
 
     eigenvalues: tuple
     eigenvectors: np.ndarray
-    condition_estimate: float
-    jordan_structure: Optional[tuple] = None
+    clusters: tuple = ()
 
 
-def _validate_jordan(structure, d):
-    blocks = []
-    for entry in structure:
-        idx, size = entry
-        idx = int(idx)
-        size = int(size)
-        if size < 1 or size > _BLOCK_CAP:
-            raise DomainError(f"jordan block size {size} outside 1..{_BLOCK_CAP}")
-        blocks.append((idx, size))
-    blocks.sort()
-    # blocks consume consecutive eigenvalue indices and must cover them all
-    expected = 0
-    for idx, size in blocks:
-        if idx != expected:
-            raise DomainError("jordan blocks must partition the eigenvalue indices")
-        expected += size
-    if expected != d:
-        raise DomainError("jordan block sizes must sum to the dimension")
-    return tuple(blocks)
+def _cluster_labels(w):
+    """Each eigenvalue's cluster label, the smallest index in its component
+    of the graph |lam_i - lam_j| <= 1e-2 max(|lam_i|, |lam_j|)."""
+    mod = np.abs(w)
+    close = np.abs(w[:, None] - w[None, :]) <= _CLUSTER_TOL * np.maximum.outer(mod, mod)
+    label = np.arange(len(w))
+    while True:
+        nxt = np.where(close, label, len(w)).min(axis=1)
+        if (nxt == label).all():
+            return label
+        label = nxt
 
 
-def spectral_decompose(a, jordan_structure=None):
-    """Eigenvalues and eigenvectors of a, sorted by (real, imag).
+def _invariant_basis(m, w, idx):
+    """Orthonormal basis of the invariant subspace of the eigenvalues w[idx]:
+    the leading left singular vectors of the product of the normalised
+    factors (A - lam I) over every eigenvalue outside them."""
+    eye = np.eye(m.shape[0])
+    p = eye.astype(complex)
+    for lam in np.delete(w, idx):
+        f = m - lam * eye
+        p = (f / np.linalg.norm(f)) @ p
+    return np.linalg.svd(p)[0][:, : len(idx)]
 
-    Raises the defectiveness signal when the eigenvector matrix condition
-    estimate exceeds 1e8 and no jordan_structure was declared.
+
+def spectral_decompose(a):
+    """Eigenvalues, sorted by (real, imag), and the spectral basis of a.
+
+    A spectrum without clusters keeps the eigenvector matrix of
+    `np.linalg.eig` as its basis; each cluster gets its invariant-subspace
+    basis and its block (see SpectralData), computed once here.
     """
     m = as_square_matrix(a)
     d = m.shape[0]
@@ -101,74 +108,20 @@ def spectral_decompose(a, jordan_structure=None):
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]
-    svals = np.linalg.svd(v, compute_uv=False)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    cond = max(1.0, cond)
-    jordan = None
-    if jordan_structure is not None:
-        jordan = _validate_jordan(jordan_structure, d)
-    elif not cond < _DEFECT_COND:
-        raise DefectiveMatrixError(
-            f"eigenvector condition estimate {cond:.3e} exceeds {_DEFECT_COND:.0e}; "
-            "declare a jordan_structure to evaluate this matrix"
+    label = _cluster_labels(w)
+    groups = [np.flatnonzero(label == k) for k in np.flatnonzero(np.bincount(label) > 1)]
+    clusters = ()
+    if groups:
+        v = v.astype(complex)
+        for idx in groups:
+            v[:, idx] = _invariant_basis(m, w, idx)
+        reduced = np.linalg.solve(v, m @ v)
+        means = [complex(np.mean(w[idx])) for idx in groups]
+        clusters = tuple(
+            (idx, sigma, reduced[np.ix_(idx, idx)] - sigma * np.eye(idx.size))
+            for idx, sigma in zip(groups, means)
         )
-    return SpectralData(
-        eigenvalues=tuple(w.tolist()),
-        eigenvectors=v,
-        condition_estimate=cond,
-        jordan_structure=jordan,
-    )
-
-
-def _hermite_nodes(spec):
-    """Interpolation nodes with multiplicities from the declared blocks.
-
-    Each block contributes its eigenvalue cluster mean, which restores an
-    exactly real (or exactly conjugate) node from the numerically split
-    copies returned by the eigensolver.
-    """
-    w = np.asarray(spec.eigenvalues)
-    nodes = []
-    reps = []
-    for idx, size in spec.jordan_structure:
-        lam = complex(np.mean(w[idx : idx + size]))
-        if abs(lam.imag) <= 1e-14 * max(1.0, abs(lam.real)):
-            lam = complex(lam.real, 0.0)
-        nodes.extend([lam] * size)
-        reps.append((lam, size))
-    return nodes, reps
-
-
-def _ml_matrix_jordan(params, ts, m, spec):
-    # Hermite interpolation polynomial of lambda -> E_{alpha,beta}(t^alpha
-    # lambda) on the declared spectrum; equals the per-block nilpotent sum
-    # Sigma_{l<size} ml_dlambda(l)/l! N^l without needing a Jordan basis.
-    d = m.shape[0]
-    nodes, reps = _hermite_nodes(spec)
-    derivs = {}
-    for lam, size in reps:
-        for l in range(size):
-            derivs[(lam, l)] = (
-                _ml_dlambda_many(params.alpha, params.beta, ts, lam, l) / math.factorial(l)
-            )
-    # confluent divided differences: repeated nodes take derivative values
-    table = [derivs[(lam, 0)] for lam in nodes]
-    coeffs = [table[0]]
-    for level in range(1, d):
-        nxt = []
-        for j in range(d - level):
-            if nodes[j + level] == nodes[j]:
-                nxt.append(derivs[(nodes[j], level)])
-            else:
-                nxt.append((table[j + 1] - table[j]) / (nodes[j + level] - nodes[j]))
-        table = nxt
-        coeffs.append(table[0])
-    mc = m.astype(complex)
-    eye = np.eye(d, dtype=complex)
-    out = coeffs[-1][:, None, None] * eye
-    for k in range(d - 2, -1, -1):
-        out = coeffs[k][:, None, None] * eye + (mc - nodes[k] * eye) @ out
-    return out
+    return SpectralData(eigenvalues=tuple(w.tolist()), eigenvectors=v, clusters=clusters)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,6 +150,32 @@ def _ml_spectrum(params, times, eigenvalues):
     return np.where(flip, vals.conj(), vals)
 
 
+def _cluster_block(params, times, f0, sigma, block):
+    """(n, k, k) stack of a cluster's block of E_{alpha,beta}(t^alpha A):
+    the Taylor sum over l <= 6 of t^(alpha l) E^(l)(sigma t^alpha)/l! N^l,
+    with the order-0 values f0 given.  Raises the unsupported-order signal
+    where the l = 6 term is not below 1e-13 of the block."""
+    out = f0[:, None, None] * np.eye(block.shape[0])
+    power = np.eye(block.shape[0], dtype=complex)
+    for l in range(1, _DERIV_CAP + 1):
+        power = power @ block
+        if not power.any():
+            return out
+        coeff = _ml_dlambda_many(params.alpha, params.beta, times, sigma, l) / math.factorial(l)
+        term = coeff[:, None, None] * power
+        out = out + term
+    last = np.abs(term).sum(-1).max(-1)
+    scale = np.abs(out).sum(-1).max(-1)
+    bad = np.flatnonzero(~(last <= _TAYLOR_TAIL * scale))
+    if bad.size:
+        k = bad[0]
+        raise UnsupportedOrderError(
+            f"cluster at {sigma:.6g} needs Taylor terms past order {_DERIV_CAP}: "
+            f"the last is {last[k]:.3e} of the block norm {scale[k]:.3e} at t = {times[k]:g}"
+        )
+    return out
+
+
 def ml_matrix(params, t, a, spec):
     """E_{alpha,beta}(t^alpha A) from the spectral data of A.
 
@@ -205,10 +184,16 @@ def ml_matrix(params, t, a, spec):
     below 1e-9 of the output norm are truncated; larger residues, in any
     slice, raise a truncation failure.
 
-    The whole stack takes one LU factorization of V^T, solved against the
-    n*d right-hand sides at once.  Each right-hand side is solved on its
-    own, so a slice's bits depend on its time alone: slice k of a stack
-    equals the one-time call at t[k] byte for byte.
+    The propagator is S F S^-1 with S the spectral basis.  F is diagonal,
+    E_{alpha,beta}(t^alpha lam) per eigenvalue, except on a cluster, whose
+    block is the Taylor sum of the cluster's N about its mean (up to order
+    6; a slower-converging block raises the unsupported-order signal).  The
+    order-0 values of the clusters come from the same Mittag-Leffler call
+    as the eigenvalues outside them.  The whole stack takes one LU
+    factorization of S^T, solved against the n*d right-hand sides at once.
+    Each right-hand side is solved on its own, so a slice's bits depend on
+    its time alone: slice k of a stack equals the one-time call at t[k]
+    byte for byte.
     """
     if not isinstance(params, MLParams):
         raise DomainError("ml_matrix expects MLParams")
@@ -222,16 +207,20 @@ def ml_matrix(params, t, a, spec):
     if d != len(spec.eigenvalues):
         raise DomainError("spectral data dimension does not match the matrix")
     times = np.atleast_1d(ts)
-    if spec.jordan_structure is not None:
-        out = _ml_matrix_jordan(params, times, m, spec)
-    else:
-        fvals = _ml_spectrum(params, times, spec.eigenvalues)
-        # out[k] = V diag(fvals[k]) V^-1, i.e. V^T out[k]^T = diag(fvals[k]) V^T:
-        # one LU of V^T against all n*d right-hand sides, column (k, i) of
-        # rhs holding row i of V diag(fvals[k])
-        v = spec.eigenvectors
-        rhs = (v.T[:, None, :] * fvals.T[:, :, None]).reshape(d, -1)
-        out = np.linalg.solve(v.T, rhs).reshape(d, -1, d).transpose(1, 2, 0)
+    nodes = list(spec.eigenvalues)
+    for idx, sigma, _ in spec.clusters:
+        for i in idx:
+            nodes[i] = sigma
+    fvals = _ml_spectrum(params, times, tuple(nodes))
+    # out[k] = S F_k S^-1, i.e. S^T out[k]^T = (S F_k)^T: one LU of S^T
+    # against all n*d right-hand sides, column (k, i) of rhs holding column
+    # i of S F_k
+    v = spec.eigenvectors
+    rhs = v.T[:, None, :] * fvals.T[:, :, None]
+    for idx, sigma, block in spec.clusters:
+        f_block = _cluster_block(params, times, fvals[:, idx[0]], sigma, block)
+        rhs[idx] = (v[:, idx] @ f_block).transpose(2, 0, 1)
+    out = np.linalg.solve(v.T, rhs.reshape(d, -1)).reshape(d, -1, d).transpose(1, 2, 0)
     out[times == 0.0] = np.eye(d) * _rgamma(params.beta)
     # the max-norm of each slice, as operator_norm computes it
     scale = np.abs(out).sum(-1).max(-1)

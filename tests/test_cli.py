@@ -99,6 +99,19 @@ def test_analyze_robust_case(tmp_path):
     assert report["seed"] == 42
 
 
+def test_analyze_jordan_block(tmp_path):
+    # a defective matrix needs no declared structure: exit 0, not 3
+    cfg = _analyze_cfg(
+        system={"alpha": 0.5, "a": [[-1.0, 1.0], [0.0, -1.0]]},
+        perturbation={"kind": "linear_constant", "q0": [[0.05, 0.0], [0.0, 0.05]]},
+    )
+    path = _config(tmp_path, "j", cfg)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["verdict"] == "RobustStable"
+
+
 def test_analyze_sector_violation_still_succeeds(tmp_path):
     cfg = _analyze_cfg(system={"alpha": 0.5, "a": [[1.0]]})
     path = _config(tmp_path, "s", cfg)

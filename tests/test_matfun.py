@@ -7,10 +7,10 @@ import pytest
 
 from fracstab import matfun
 from fracstab.errors import (
-    DefectiveMatrixError,
     DomainError,
     ImagTruncationError,
     SectorViolationError,
+    UnsupportedOrderError,
 )
 from fracstab.matfun import (
     SpectralData,
@@ -66,7 +66,7 @@ def test_square_matrix_validation():
 def test_spectral_decompose_scalar():
     spec = spectral_decompose([[-1.0]])
     assert spec.eigenvalues == (-1.0 + 0.0j,)
-    assert spec.condition_estimate == 1.0
+    assert spec.clusters == ()
 
 
 def test_spectral_decompose_rotation_order():
@@ -102,30 +102,29 @@ def test_spectral_decompose_dimension_cap():
         spectral_decompose(rng.standard_normal((65, 65)))
 
 
-def test_defective_matrix_signals():
-    # rank oracle: geometric multiplicity of the double eigenvalue is one
+def test_close_eigenvalues_form_one_cluster():
+    # a Jordan block, a nearly parallel eigenbasis, and a chain whose ends
+    # are 1.8% apart but whose neighbours are 0.9% apart
     assert np.linalg.matrix_rank(JORDAN2 + 2.0 * np.eye(2)) == 1
-    with pytest.raises(DefectiveMatrixError):
-        spectral_decompose(JORDAN2)
-    spec = spectral_decompose(JORDAN2, jordan_structure=[(0, 2)])
-    assert spec.jordan_structure == ((0, 2),)
-    assert np.allclose(np.array(spec.eigenvalues), -2.0, atol=1e-6)
-
-
-def test_ill_conditioned_eigenbasis_signals():
-    # distinct eigenvalues but a nearly parallel eigenbasis
-    a = np.array([[-1.0, 1e9], [0.0, -1.0 - 1e-6]])
-    with pytest.raises(DefectiveMatrixError):
-        spectral_decompose(a)
-
-
-def test_jordan_structure_validation():
-    with pytest.raises(DomainError):
-        spectral_decompose(JORDAN2, jordan_structure=[(0, 3)])
-    with pytest.raises(DomainError):
-        spectral_decompose(JORDAN2, jordan_structure=[(1, 1)])
-    with pytest.raises(DomainError):
-        spectral_decompose(np.diag(np.arange(1.0, 9.0) * -1.0), jordan_structure=[(0, 8)])
+    near = np.array([[-1.0, 1e9], [0.0, -1.0 - 1e-6]])
+    chain = np.diag([-1.0, -1.009, -1.018, -3.0])
+    for a, members, sigma in (
+        (JORDAN2, [0, 1], -2.0),
+        (near, [0, 1], -1.0 - 5e-7),
+        (chain, [1, 2, 3], -1.009),
+    ):
+        spec = spectral_decompose(a)
+        assert len(spec.clusters) == 1
+        idx, mean, block = spec.clusters[0]
+        assert idx.tolist() == members
+        assert mean == pytest.approx(sigma, rel=1e-15)
+        # an orthonormal basis of the invariant subspace, whose block is N
+        s = spec.eigenvectors[:, idx]
+        assert np.allclose(s.conj().T @ s, np.eye(len(idx)), atol=1e-14)
+        norm_a = np.linalg.norm(a, np.inf)
+        resid = a @ s - s @ (block + mean * np.eye(len(idx)))
+        assert np.linalg.norm(resid, np.inf) <= 1e-14 * norm_a
+    assert spectral_decompose(np.diag([-1.0, -1.011])).clusters == ()
 
 
 def test_ml_matrix_at_time_zero():
@@ -172,10 +171,7 @@ def test_ml_matrix_series_agreement():
         alpha = float(rng.uniform(0.3, 0.95))
         a = rng.standard_normal((d, d))
         a *= 2.5 / (np.linalg.norm(a, np.inf) * t ** alpha)
-        try:
-            spec = spectral_decompose(a)
-        except DefectiveMatrixError:
-            continue
+        spec = spectral_decompose(a)
         params = MLParams(alpha, 1.0)
         out = ml_matrix(params, t, a, spec)
         series = _series_matrix(params, t, a)
@@ -192,11 +188,8 @@ def test_ml_matrix_similarity_covariance():
         p = _random_conditioned(rng, d, float(rng.uniform(2.0, 100.0)))
         cond_p = np.linalg.cond(p)
         b = p @ a @ np.linalg.inv(p)
-        try:
-            fa = ml_matrix(params, 0.8, a, spectral_decompose(a))
-            fb = ml_matrix(params, 0.8, b, spectral_decompose(b))
-        except DefectiveMatrixError:
-            continue
+        fa = ml_matrix(params, 0.8, a, spectral_decompose(a))
+        fb = ml_matrix(params, 0.8, b, spectral_decompose(b))
         want = p @ fa @ np.linalg.inv(p)
         bound = 1e-7 * np.linalg.norm(fa, np.inf) * cond_p
         assert np.linalg.norm(fb - want, np.inf) <= bound
@@ -205,7 +198,7 @@ def test_ml_matrix_similarity_covariance():
 def test_ml_matrix_jordan_block_formula():
     params = MLParams(0.5, 1.0)
     t = 1.3
-    spec = spectral_decompose(JORDAN2, jordan_structure=[(0, 2)])
+    spec = spectral_decompose(JORDAN2)
     out = ml_matrix(params, t, JORDAN2, spec)
     n1 = np.array([[0.0, 1.0], [0.0, 0.0]])
     want = ml(params, -2.0 * t ** 0.5).real * np.eye(2) + ml_dlambda(
@@ -214,7 +207,7 @@ def test_ml_matrix_jordan_block_formula():
     assert np.allclose(out, want, rtol=1e-12, atol=1e-14)
 
     j3 = np.array([[-1.5, 1.0, 0.0], [0.0, -1.5, 1.0], [0.0, 0.0, -1.5]])
-    spec3 = spectral_decompose(j3, jordan_structure=[(0, 3)])
+    spec3 = spectral_decompose(j3)
     out3 = ml_matrix(params, t, j3, spec3)
     n = j3 + 1.5 * np.eye(3)
     want3 = (
@@ -225,12 +218,128 @@ def test_ml_matrix_jordan_block_formula():
     assert np.allclose(out3, want3, rtol=1e-11, atol=1e-14)
 
 
+def _mp_taylor(mp, alpha, beta, t, lam, order):
+    """[t^(alpha l) E^(l)(lam t^alpha) / l! for l < order] at working
+    precision: the power series sum_k C(k, l) z^(k-l) t^(alpha l) /
+    Gamma(alpha k + beta), z = lam t^alpha, summed until its terms fall
+    under 10^-dps of their peak."""
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    ta = mp.mpf(t) ** a
+    z = mp.mpf(lam) * ta
+    sums = [mp.mpf(0)] * order
+    peak = mp.mpf(0)
+    tiny = mp.mpf(10) ** (-mp.mp.dps)
+    zk = mp.mpf(1)
+    k = 0
+    while True:
+        term = zk * mp.rgamma(a * k + b)
+        for l in range(min(k, order - 1) + 1):
+            sums[l] += math.comb(k, l) * term
+        mag = abs(term) * (k + 1) ** order
+        peak = max(peak, mag)
+        if k > 20 and mag < tiny * peak:
+            return [s * (ta / z) ** l for l, s in enumerate(sums)]
+        zk *= z
+        k += 1
+
+
+def _max_norm_error(got, want):
+    return np.abs(got - want).sum(-1).max() / np.abs(want).sum(-1).max()
+
+
+@pytest.mark.parametrize("beta, tol", [(1.0, 1e-12), (0.5, 1e-11)])
+def test_ml_matrix_near_defective_family(beta, tol):
+    """A = [[-1, 10], [0, -1 - eps]] against the closed form of a triangular
+    f(A), [[f(a), 10 f[a, d]], [0, f(d)]], with 60-digit values.  eps = 0.1
+    is not a cluster; every smaller eps is one, down to the Jordan block."""
+    mp = pytest.importorskip("mpmath")
+    ts = np.array([0.1, 1.0, 5.0, 30.0])
+    params = MLParams(0.5, beta)
+    with mp.workdps(60):
+        for eps in (1e-1, 1e-2, 5e-3, 1e-3, 1e-4, 1e-6, 1e-8, 0.0):
+            a = np.array([[-1.0, 10.0], [0.0, -1.0 - eps]])
+            spec = spectral_decompose(a)
+            assert len(spec.clusters) == (0 if eps == 1e-1 else 1)
+            stack = ml_matrix(params, ts, a, spec)
+            for t, got in zip(ts, stack):
+                fa = _mp_taylor(mp, 0.5, beta, t, a[0, 0], 2)
+                fd = _mp_taylor(mp, 0.5, beta, t, a[1, 1], 1)[0]
+                if eps == 0.0:
+                    dd = fa[1]
+                else:
+                    dd = (fa[0] - fd) / (mp.mpf(a[0, 0]) - mp.mpf(a[1, 1]))
+                want = np.array([[float(fa[0]), float(10 * dd)], [0.0, float(fd)]])
+                assert _max_norm_error(got, want) <= tol, (eps, t)
+
+
+def _jordan(blocks):
+    d = sum(size for _, size in blocks)
+    j = np.zeros((d, d))
+    i = 0
+    for lam, size in blocks:
+        j[i : i + size, i : i + size] = lam * np.eye(size) + np.eye(size, k=1)
+        i += size
+    return j
+
+
+def test_ml_matrix_jordan_under_similarity():
+    """P J P^-1 for Jordan blocks of size 2, 3 and 5 beside a separated
+    eigenvalue, and for two Jordan-2 blocks, against P f(J) P^-1 in 60
+    digits; cond(P) runs from 4 to 170."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1801)
+    cases = [
+        ([(-1.0, 2), (-3.0, 1)], 4.0),
+        ([(-1.0, 3), (-3.0, 1)], 20.0),
+        ([(-1.0, 5), (-3.0, 1)], 60.0),
+        ([(-1.0, 2), (-2.5, 2)], 170.0),
+    ]
+    params = MLParams(0.5, 1.0)
+    with mp.workdps(60):
+        for blocks, cond in cases:
+            d = sum(size for _, size in blocks)
+            p = mp.matrix(_random_conditioned(rng, d, cond).tolist())
+            p_inv = p**-1
+            a = np.array((p * mp.matrix(_jordan(blocks).tolist()) * p_inv).tolist(), dtype=float)
+            spec = spectral_decompose(a)
+            assert sorted(len(idx) for idx, _, _ in spec.clusters) == sorted(
+                size for _, size in blocks if size > 1
+            )
+            for t in (0.5, 5.0):
+                fj = mp.zeros(d, d)
+                i = 0
+                for lam, size in blocks:
+                    coeff = _mp_taylor(mp, 0.5, 1.0, t, lam, size)
+                    for r in range(size):
+                        for l in range(size - r):
+                            fj[i + r, i + r + l] = coeff[l]
+                    i += size
+                want = np.array((p * fj * p_inv).tolist(), dtype=float)
+                got = ml_matrix(params, t, a, spec)
+                assert _max_norm_error(got, want) <= 1e-12, (blocks, t)
+
+
+def test_ml_matrix_cluster_needs_more_taylor_terms():
+    # the order-6 term of a 7x7 Jordan block is not negligible
+    j7 = _jordan([(-1.0, 7)])
+    spec = spectral_decompose(j7)
+    params = MLParams(0.5, 1.0)
+    with pytest.raises(UnsupportedOrderError):
+        ml_matrix(params, 1.0, j7, spec)
+    # the time-zero identity needs no terms, and a 6x6 block has N^6 = 0
+    assert np.array_equal(ml_matrix(params, 0.0, j7, spec), np.eye(7))
+    j6 = _jordan([(-1.0, 6)])
+    got = ml_matrix(params, 1.0, j6, spectral_decompose(j6))
+    assert got[0, 5] == pytest.approx(ml_dlambda(params, 1.0, -1.0, 5).real / 120.0, rel=1e-12)
+
+
 @pytest.mark.parametrize(
-    "a, jordan",
-    [(ROTATION, None), (np.array([[-1.5]]), None), (JORDAN2, [(0, 2)])],
+    "a",
+    [ROTATION, np.array([[-1.5]]), JORDAN2, np.diag([-1.0, -2.0, -3.0])],
+    ids=["rotation", "scalar", "jordan2", "diag3"],
 )
-def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
-    spec = spectral_decompose(a, jordan_structure=jordan)
+def test_ml_matrix_batched_equals_scalar_calls(a):
+    spec = spectral_decompose(a)
     ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])
     for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
         stack = ml_matrix(params, ts, a, spec)
@@ -238,7 +347,7 @@ def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
         for t, got in zip(ts, stack):
             want = ml_matrix(params, t, a, spec)
             assert want.shape == a.shape
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert got.tobytes() == want.tobytes()
         # the t = 0 slice is rgamma(beta) I, off-diagonal entries exactly 0
         identity = np.eye(a.shape[0]) / math.gamma(params.beta)
         assert np.allclose(stack[0], identity, rtol=1e-13, atol=0.0)
@@ -287,7 +396,7 @@ def test_ml_matrix_evaluates_each_conjugate_pair_once(monkeypatch):
             # the series and asymptotic regimes give conj E(z) exactly at
             # conj z, the contour to its roundoff: about 1e-14 of the value,
             # which the eigenbasis passes on scaled by its condition
-            bound = 1e-15 * spec.condition_estimate * np.max(np.abs(want))
+            bound = 1e-15 * np.linalg.cond(spec.eigenvectors) * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= bound
 
 
@@ -361,7 +470,6 @@ def test_ml_matrix_imag_truncation_gate():
     fake = SpectralData(
         eigenvalues=(-1.0 + 0.3j, -2.0 + 0.0j),
         eigenvectors=np.eye(2, dtype=complex),
-        condition_estimate=1.0,
     )
     with pytest.raises(ImagTruncationError):
         ml_matrix(MLParams(0.5, 1.0), 1.0, np.diag([-1.0, -2.0]), fake)

@@ -623,6 +623,32 @@ def test_certificate_decay_time_sees_a_knot_between_grid_nodes():
     assert report.delta == pytest.approx(0.027710413417546098, rel=1e-9)
 
 
+def test_classify_jordan_block_delta_keeps_whole_trajectories_in_the_unit_ball():
+    # the Jordan block is one cluster; the declared-structure path it
+    # replaces gave the same verdict, q 0.1000 and delta 0.900
+    jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])
+    pert = LinearConstant(0.05 * np.eye(2))
+    report = classify(jordan, 0.5, pert)
+    assert report.verdict == "RobustStable"
+    assert report.q == pytest.approx(0.1, abs=1e-9)
+    assert report.delta == pytest.approx(0.9, abs=1e-9)
+    field = lambda t, x: jordan @ x + pert.field(t, x)
+    grid = uniform_grid(20.0, 4000)
+    for direction in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]):
+        for sign in (1.0, -1.0):
+            x0 = sign * 0.99 * report.delta * np.array(direction)
+            states = solve_abm(0.5, field, x0, grid).states
+            assert np.max(np.abs(states)) < 1.0
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4])
+def test_classify_near_defective_matrix_gets_a_verdict(eps):
+    # both raised the imaginary-truncation signal on the eigenvector basis
+    a = np.array([[-1.0, 10.0], [0.0, -1.0 - eps]])
+    report = classify(a, 0.5, LinearConstant(0.05 * np.eye(2)))
+    assert report.verdict.endswith("Stable")
+
+
 def test_classify_report_is_json_safe():
     import json
 
