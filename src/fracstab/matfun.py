@@ -68,17 +68,19 @@ class SpectralData:
     clusters: tuple = ()
 
 
-def _cluster_labels(w):
-    """Each eigenvalue's cluster label, the smallest index in its component
-    of the graph |lam_i - lam_j| <= 1e-2 max(|lam_i|, |lam_j|)."""
+def _clusters(w):
+    """Index arrays of the clusters of w: the components of two or more
+    eigenvalues in the graph |lam_i - lam_j| <= 1e-2 max(|lam_i|, |lam_j|)."""
     mod = np.abs(w)
     close = np.abs(w[:, None] - w[None, :]) <= _CLUSTER_TOL * np.maximum.outer(mod, mod)
+    # pass the smallest index along the edges until each component holds it
     label = np.arange(len(w))
     while True:
         nxt = np.where(close, label, len(w)).min(axis=1)
         if (nxt == label).all():
-            return label
+            break
         label = nxt
+    return [np.flatnonzero(label == k) for k in np.flatnonzero(np.bincount(label) > 1)]
 
 
 def _invariant_basis(m, w, idx):
@@ -108,8 +110,7 @@ def spectral_decompose(a):
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     v = v[:, order]
-    label = _cluster_labels(w)
-    groups = [np.flatnonzero(label == k) for k in np.flatnonzero(np.bincount(label) > 1)]
+    groups = _clusters(w)
     clusters = ()
     if groups:
         v = v.astype(complex)

@@ -319,6 +319,24 @@ def test_ml_matrix_jordan_under_similarity():
                 assert _max_norm_error(got, want) <= 1e-12, (blocks, t)
 
 
+def test_ml_matrix_conjugate_jordan_pair():
+    # a real 4x4 with the defective pair -1 +- i twice: two conjugate
+    # clusters, interleaved in the eigenvalue order after a similarity
+    r = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+    a = np.block([[r, np.eye(2)], [np.zeros((2, 2)), r]])
+    p = _random_conditioned(np.random.default_rng(1802), 4, 30.0)
+    params = MLParams(0.6, 1.0)
+    for m in (a, p @ a @ np.linalg.inv(p)):
+        spec = spectral_decompose(m)
+        means = [sigma for _, sigma, _ in spec.clusters]
+        assert len(means) == 2 and means[0] == means[1].conjugate()
+        assert means[1] == pytest.approx(-1.0 + 1.0j, abs=1e-12)
+        for t in (0.3, 1.0):
+            want = _series_matrix(params, t, m).real
+            got = ml_matrix(params, t, m, spec)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_ml_matrix_cluster_needs_more_taylor_terms():
     # the order-6 term of a 7x7 Jordan block is not negligible
     j7 = _jordan([(-1.0, 7)])
@@ -334,12 +352,18 @@ def test_ml_matrix_cluster_needs_more_taylor_terms():
 
 
 @pytest.mark.parametrize(
-    "a",
-    [ROTATION, np.array([[-1.5]]), JORDAN2, np.diag([-1.0, -2.0, -3.0])],
-    ids=["rotation", "scalar", "jordan2", "diag3"],
+    "a, jordan",
+    [
+        (ROTATION, None),
+        (np.array([[-1.5]]), None),
+        (JORDAN2, [0, 1]),
+        (np.diag([-1.0, -2.0, -3.0]), None),
+    ],
 )
-def test_ml_matrix_batched_equals_scalar_calls(a):
+def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
+    # jordan: the column indices of the Jordan block's cluster, if any
     spec = spectral_decompose(a)
+    assert [idx.tolist() for idx, _, _ in spec.clusters] == ([] if jordan is None else [jordan])
     ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])
     for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
         stack = ml_matrix(params, ts, a, spec)
@@ -447,6 +471,10 @@ def test_ml_matrix_slices_do_not_depend_on_the_stack():
             while not np.any(np.linalg.eigvals(b).imag != 0.0):
                 b = rng.standard_normal((d, d))
             cases.append(b - (np.max(np.linalg.eigvals(b).real) + 0.5) * np.eye(d))
+    # a cluster with a non-trivial basis: a Jordan block under similarity
+    v = _random_conditioned(rng, 4, 10.0)
+    cases.append(v @ _jordan([(-1.0, 3), (-3.0, 1)]) @ np.linalg.inv(v))
+    assert len(spectral_decompose(cases[-1]).clusters[0][0]) == 3
     ts = np.concatenate([[0.0], np.geomspace(1e-2, 5e3, 17)])
     for a in cases:
         spec = spectral_decompose(a)
