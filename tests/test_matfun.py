@@ -102,28 +102,45 @@ def test_spectral_decompose_dimension_cap():
         spectral_decompose(rng.standard_normal((65, 65)))
 
 
-def test_close_eigenvalues_form_one_cluster():
-    # a Jordan block, a nearly parallel eigenbasis, and a chain whose ends
-    # are 1.8% apart but whose neighbours are 0.9% apart
+def _one_cluster(a, members, sigma):
+    """The single cluster of a: its members, its mean, an orthonormal basis
+    of its invariant subspace and its block N about the mean; returns N."""
+    spec = spectral_decompose(a)
+    assert len(spec.clusters) == 1
+    idx, mean, block = spec.clusters[0]
+    assert idx.tolist() == members
+    assert mean == pytest.approx(sigma, rel=1e-15)
+    s = spec.eigenvectors[:, idx]
+    assert np.allclose(s.conj().T @ s, np.eye(len(idx)), atol=1e-14)
+    norm_a = np.linalg.norm(a, np.inf)
+    resid = a @ s - s @ (block + mean * np.eye(len(idx)))
+    assert np.linalg.norm(resid, np.inf) <= 1e-14 * norm_a
+    return block
+
+
+def test_defective_matrix_signals():
+    # rank oracle: geometric multiplicity of the double eigenvalue is one
     assert np.linalg.matrix_rank(JORDAN2 + 2.0 * np.eye(2)) == 1
-    near = np.array([[-1.0, 1e9], [0.0, -1.0 - 1e-6]])
-    chain = np.diag([-1.0, -1.009, -1.018, -3.0])
-    for a, members, sigma in (
-        (JORDAN2, [0, 1], -2.0),
-        (near, [0, 1], -1.0 - 5e-7),
-        (chain, [1, 2, 3], -1.009),
-    ):
-        spec = spectral_decompose(a)
-        assert len(spec.clusters) == 1
-        idx, mean, block = spec.clusters[0]
-        assert idx.tolist() == members
-        assert mean == pytest.approx(sigma, rel=1e-15)
-        # an orthonormal basis of the invariant subspace, whose block is N
-        s = spec.eigenvectors[:, idx]
-        assert np.allclose(s.conj().T @ s, np.eye(len(idx)), atol=1e-14)
-        norm_a = np.linalg.norm(a, np.inf)
-        resid = a @ s - s @ (block + mean * np.eye(len(idx)))
-        assert np.linalg.norm(resid, np.inf) <= 1e-14 * norm_a
+    # the defect shows as one cluster whose block is a nonzero nilpotent
+    block = _one_cluster(JORDAN2, [0, 1], -2.0)
+    assert np.linalg.norm(block, 2) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(block @ block, 2) <= 1e-14
+    assert np.allclose(np.array(spectral_decompose(JORDAN2).eigenvalues), -2.0, atol=1e-6)
+
+
+def test_ill_conditioned_eigenbasis_signals():
+    # distinct eigenvalues but a nearly parallel eigenbasis: one cluster
+    # whose block carries the 1e9 coupling about a mean the eigenvalues
+    # sit 5e-7 from
+    a = np.array([[-1.0, 1e9], [0.0, -1.0 - 1e-6]])
+    block = _one_cluster(a, [0, 1], -1.0 - 5e-7)
+    assert np.linalg.norm(block, 2) == pytest.approx(1e9, rel=1e-12)
+    assert abs(np.trace(block)) <= 1e-14
+
+
+def test_close_eigenvalues_form_one_cluster():
+    # a chain whose ends are 1.8% apart but whose neighbours are 0.9% apart
+    _one_cluster(np.diag([-1.0, -1.009, -1.018, -3.0]), [1, 2, 3], -1.009)
     assert spectral_decompose(np.diag([-1.0, -1.011])).clusters == ()
 
 
