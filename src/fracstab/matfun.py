@@ -34,7 +34,9 @@ from .special_fn import (
 
 _DIM_CAP = 64
 _CLUSTER_TOL = 1e-2      # relative eigenvalue distance that joins a cluster
+_CLUSTER_FLOOR = 1e-2    # of ||A||_F: the least modulus the distance is relative to
 _TAYLOR_TAIL = 1e-13     # the last Taylor term must fall below this of the block
+_BLOCK_EIG_COND = 1e8    # past this a block eigenbasis loses half the mantissa
 _IMAG_TRUNC = 1e-9
 _SUP_STABILIZE = 1e-4
 _TAIL_FRACTION = 1e-4
@@ -55,12 +57,13 @@ def as_square_matrix(a):
 class SpectralData:
     """Spectral basis S of a system matrix, eigenvalues ordered by (real, imag).
 
-    Eigenvalues closer than 1e-2 of the larger modulus, chained, form a
-    cluster.  A column of S for an eigenvalue outside every cluster is its
-    `np.linalg.eig` eigenvector; the columns of a cluster are an orthonormal
-    basis of its invariant subspace.  `clusters` holds one (indices, sigma,
-    block) triple per cluster: its column indices, its eigenvalue mean sigma
-    and its block N = (S^-1 A S)_cc - sigma I.
+    Eigenvalues closer than 1e-2 of the larger modulus (floored at
+    1e-2 ||A||_F, so a defective block at the origin joins too), chained,
+    form a cluster.  A column of S for an eigenvalue outside every cluster
+    is its `np.linalg.eig` eigenvector; a cluster's columns are an
+    orthonormal basis of its invariant subspace.  `clusters` holds one
+    (indices, sigma, N) triple per cluster: its column indices, its
+    eigenvalue mean sigma and its block N = (S^-1 A S)_cc - sigma I.
     """
 
     eigenvalues: tuple
@@ -68,10 +71,11 @@ class SpectralData:
     clusters: tuple = ()
 
 
-def _clusters(w):
+def _clusters(w, norm_a):
     """Index arrays of the clusters of w: the components of two or more
-    eigenvalues in the graph |lam_i - lam_j| <= 1e-2 max(|lam_i|, |lam_j|)."""
-    mod = np.abs(w)
+    eigenvalues in the graph |lam_i - lam_j| <= 1e-2 max(m_i, m_j), with
+    m_i = max(|lam_i|, 1e-2 ||A||_F)."""
+    mod = np.maximum(np.abs(w), _CLUSTER_FLOOR * norm_a)
     close = np.abs(w[:, None] - w[None, :]) <= _CLUSTER_TOL * np.maximum.outer(mod, mod)
     # pass the smallest index along the edges until each component holds it
     label = np.arange(len(w))
@@ -108,20 +112,17 @@ def spectral_decompose(a):
         raise DomainError(f"dimension {d} exceeds the cap {_DIM_CAP}")
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-    groups = _clusters(w)
+    w, v = w[order], v[:, order]
+    groups = _clusters(w, np.linalg.norm(m))
     clusters = ()
     if groups:
         v = v.astype(complex)
         for idx in groups:
             v[:, idx] = _invariant_basis(m, w, idx)
         reduced = np.linalg.solve(v, m @ v)
-        means = [complex(np.mean(w[idx])) for idx in groups]
-        clusters = tuple(
-            (idx, sigma, reduced[np.ix_(idx, idx)] - sigma * np.eye(idx.size))
-            for idx, sigma in zip(groups, means)
-        )
+        for idx in groups:
+            sigma = complex(np.mean(w[idx]))
+            clusters += ((idx, sigma, reduced[np.ix_(idx, idx)] - sigma * np.eye(idx.size)),)
     return SpectralData(eigenvalues=tuple(w.tolist()), eigenvectors=v, clusters=clusters)
 
 
@@ -152,28 +153,40 @@ def _ml_spectrum(params, times, eigenvalues):
 
 
 def _cluster_block(params, times, f0, sigma, block):
-    """(n, k, k) stack of a cluster's block of E_{alpha,beta}(t^alpha A):
-    the Taylor sum over l <= 6 of t^(alpha l) E^(l)(sigma t^alpha)/l! N^l,
-    with the order-0 values f0 given.  Raises the unsupported-order signal
-    where the l = 6 term is not below 1e-13 of the block."""
-    out = f0[:, None, None] * np.eye(block.shape[0])
-    power = np.eye(block.shape[0], dtype=complex)
+    """(n, k, k) stack of a cluster's block of E_{alpha,beta}(t^alpha A): the
+    Taylor sum over l <= 6 of t^(alpha l) E^(l)(sigma t^alpha)/l! N^l, with
+    the order-0 values f0 given, at each time where its l = 6 term and an
+    estimate of the l = 7 one fall below 1e-13 of the block (N^2 = c I makes
+    N^6 small but not N^7).  At other times the block comes from the
+    eigenbasis W of sigma I + N; a W with condition 1e8 or more raises the
+    unsupported-order signal."""
+    k = block.shape[0]
+    out = f0[:, None, None] * np.eye(k)
+    power, coeff = np.eye(k, dtype=complex), None
     for l in range(1, _DERIV_CAP + 1):
         power = power @ block
         if not power.any():
             return out
-        coeff = _ml_dlambda_many(params.alpha, params.beta, times, sigma, l) / math.factorial(l)
-        term = coeff[:, None, None] * power
-        out = out + term
-    last = np.abs(term).sum(-1).max(-1)
+        prev, coeff = coeff, _ml_dlambda_many(params.alpha, params.beta, times, sigma, l)
+        coeff = coeff / math.factorial(l)
+        out = out + coeff[:, None, None] * power
+    # the l = 7 coefficient, extrapolated by the ratio of the last two
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(prev == 0.0, 0.0, np.abs(coeff / prev)) / (_DERIV_CAP + 1)
+    norm6, norm7 = (np.abs(p).sum(-1).max() for p in (power, power @ block))
+    last = np.abs(coeff) * np.maximum(norm6, ratio * norm7)
     scale = np.abs(out).sum(-1).max(-1)
-    bad = np.flatnonzero(~(last <= _TAYLOR_TAIL * scale))
-    if bad.size:
-        k = bad[0]
-        raise UnsupportedOrderError(
-            f"cluster at {sigma:.6g} needs Taylor terms past order {_DERIV_CAP}: "
-            f"the last is {last[k]:.3e} of the block norm {scale[k]:.3e} at t = {times[k]:g}"
-        )
+    bad = ~(last <= _TAYLOR_TAIL * scale)
+    if bad.any():
+        mu, w = np.linalg.eig(block + sigma * np.eye(k))
+        cond = np.linalg.cond(w)
+        if not cond < _BLOCK_EIG_COND:
+            j = np.flatnonzero(bad)[0]
+            raise UnsupportedOrderError(
+                f"cluster at {sigma:.6g} needs Taylor terms past order {_DERIV_CAP} at "
+                f"t = {times[j]:g} and its eigenbasis condition is {cond:.3e}")
+        vals = ml_many(params, np.multiply.outer(times[bad] ** params.alpha, mu))
+        out[bad] = (w * vals[:, None, :]) @ np.linalg.inv(w)
     return out
 
 
@@ -187,10 +200,10 @@ def ml_matrix(params, t, a, spec):
 
     The propagator is S F S^-1 with S the spectral basis.  F is diagonal,
     E_{alpha,beta}(t^alpha lam) per eigenvalue, except on a cluster, whose
-    block is the Taylor sum of the cluster's N about its mean (up to order
-    6; a slower-converging block raises the unsupported-order signal).  The
-    order-0 values of the clusters come from the same Mittag-Leffler call
-    as the eigenvalues outside them.  The whole stack takes one LU
+    block is the Taylor sum of the cluster's N about its mean up to order
+    6, or the block's own eigendecomposition at a time where that sum has
+    not converged.  The order-0 values of the clusters come from the same
+    Mittag-Leffler call as the eigenvalues outside them.  The whole stack takes one LU
     factorization of S^T, solved against the n*d right-hand sides at once.
     Each right-hand side is solved on its own, so a slice's bits depend on
     its time alone: slice k of a stack equals the one-time call at t[k]

@@ -368,6 +368,86 @@ def test_ml_matrix_cluster_needs_more_taylor_terms():
     assert got[0, 5] == pytest.approx(ml_dlambda(params, 1.0, -1.0, 5).real / 120.0, rel=1e-12)
 
 
+def test_ml_matrix_wide_chain_falls_back_to_the_block_eigenbasis():
+    # the 0.9%-spaced chain is one cluster whose order-6 Taylor sum stops
+    # converging at late times; there the block's own eigenbasis takes over
+    a = np.diag([-1.0, -1.009, -1.018])
+    spec = spectral_decompose(a)
+    assert [idx.tolist() for idx, _, _ in spec.clusters] == [[0, 1, 2]]
+    ts = np.array([0.1, 1.0, 1.81, 5.0, 10.0, 30.0, 1e3, 1e5])
+    for beta in (1.0, 0.5):
+        params = MLParams(0.5, beta)
+        stack = ml_matrix(params, ts, a, spec)
+        for t, got in zip(ts, stack):
+            want = np.diag(ml_many(params, t ** 0.5 * np.diag(a)).real)
+            assert _max_norm_error(got, want) <= 1e-13, (beta, t)
+
+
+def test_ml_matrix_close_complex_pairs_of_a_normal_matrix():
+    # two conjugate pairs 0.6% apart near the alpha = 1/2 sector edge,
+    # under an orthogonal similarity: two conjugate clusters, checked
+    # against Q diag(f(R1), f(R2)) Q^T with f(R) from the scalar f(lam)
+    lams = (0.5 + 1.0j, 0.503 + 1.006j)
+    q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((4, 4)))
+    blocks = np.zeros((4, 4))
+    for k, lam in enumerate(lams):
+        blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+    a = q @ blocks @ q.T
+    spec = spectral_decompose(a)
+    assert sorted(idx.tolist() for idx, _, _ in spec.clusters) == [[0, 2], [1, 3]]
+    ts = np.array([0.1, 1.0, 5.0, 30.0, 300.0, 1e3])
+    for beta in (1.0, 0.5):
+        params = MLParams(0.5, beta)
+        stack = ml_matrix(params, ts, a, spec)
+        for t, got in zip(ts, stack):
+            fb = np.zeros((4, 4))
+            for k, f in enumerate(ml_many(params, t ** 0.5 * np.array(lams))):
+                fb[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[f.real, f.imag], [-f.imag, f.real]]
+            assert _max_norm_error(got, q @ fb @ q.T) <= 1e-12, (beta, t)
+
+
+@pytest.mark.parametrize("seed, size", [(1803, 2), (1804, 2), (1805, 3)])
+def test_jordan_block_at_the_origin_forms_a_cluster(seed, size):
+    # eig splits a nilpotent block under a similarity by 2e-8 (size 2) or
+    # 8e-6 (size 3) about 0, far more than 1e-2 of those moduli: the
+    # modulus floor 1e-2 ||A||_F still joins them.  A^size = 0, so
+    # E_{alpha,beta}(t^alpha A) is the sum over l < size of
+    # t^(alpha l) A^l / Gamma(alpha l + beta)
+    v = _random_conditioned(np.random.default_rng(seed), size, 10.0)
+    a = v @ np.eye(size, k=1) @ np.linalg.inv(v)
+    spec = spectral_decompose(a)
+    assert [idx.tolist() for idx, _, _ in spec.clusters] == [list(range(size))]
+    for beta in (1.0, 0.5):
+        params = MLParams(0.5, beta)
+        for t in (0.01, 1.0, 30.0):
+            want = sum(
+                np.linalg.matrix_power(a, l) * t ** (0.5 * l) / math.gamma(0.5 * l + beta)
+                for l in range(size)
+            )
+            assert _max_norm_error(ml_matrix(params, t, a, spec), want) <= 1e-13, (beta, t)
+
+
+def test_ml_matrix_cluster_gate_sees_past_even_powers():
+    # the floor makes [[-1, b], [0, -2]] one cluster once b >= 1e4.  Its N
+    # has N^2 = I/4, so N^6 is small while N^7 carries b: the gate must
+    # estimate the l = 7 term.  b = 1e5 is then exact through the Taylor
+    # sum or the block eigenbasis (condition 2e5); b = 1e12, whose
+    # eigenbasis is past 1e8, signals instead of returning a sum that
+    # misses the l = 7 term by 4e-7 at t = 0.1
+    params = MLParams(0.5, 1.0)
+    ts = np.array([1e-3, 0.1, 1.0, 10.0])
+    f = ml_many(params, np.multiply.outer(ts ** 0.5, [-1.0, -2.0])).real
+    a = np.array([[-1.0, 1e5], [0.0, -2.0]])
+    spec = spectral_decompose(a)
+    assert len(spec.clusters) == 1
+    for k, got in enumerate(ml_matrix(params, ts, a, spec)):
+        want = np.array([[f[k, 0], 1e5 * (f[k, 0] - f[k, 1])], [0.0, f[k, 1]]])
+        assert _max_norm_error(got, want) <= 1e-13
+    a = np.array([[-1.0, 1e12], [0.0, -2.0]])
+    with pytest.raises(UnsupportedOrderError):
+        ml_matrix(params, 0.1, a, spectral_decompose(a))
+
+
 @pytest.mark.parametrize(
     "a, jordan",
     [
@@ -375,10 +455,11 @@ def test_ml_matrix_cluster_needs_more_taylor_terms():
         (np.array([[-1.5]]), None),
         (JORDAN2, [0, 1]),
         (np.diag([-1.0, -2.0, -3.0]), None),
+        (np.diag([-1.0, -1.009, -1.018]), [0, 1, 2]),
     ],
 )
 def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
-    # jordan: the column indices of the Jordan block's cluster, if any
+    # jordan: the column indices of the cluster, if any
     spec = spectral_decompose(a)
     assert [idx.tolist() for idx, _, _ in spec.clusters] == ([] if jordan is None else [jordan])
     ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])

@@ -649,6 +649,24 @@ def test_classify_near_defective_matrix_gets_a_verdict(eps):
     assert report.verdict.endswith("Stable")
 
 
+def test_classify_wide_clusters_get_a_verdict():
+    # a 0.9%-spaced diagonal chain (the Taylor sum of its cluster stops
+    # converging from t = 1.7 at beta = alpha) and a normal matrix with two
+    # conjugate pairs 0.6% apart near the alpha = 1/2 sector edge
+    chain = np.diag([-1.0, -1.009, -1.018])
+    report = classify(chain, 0.5, LinearConstant(0.05 * np.eye(3)))
+    assert report.verdict == "RobustStable"
+    # diagonal A: the kernel integral is 1/min|lambda| = 1
+    assert report.q == pytest.approx(0.05, abs=1e-9)
+    lams = (0.5 + 1.0j, 0.503 + 1.006j)
+    q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((4, 4)))
+    blocks = np.zeros((4, 4))
+    for k, lam in enumerate(lams):
+        blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
+    report = classify(q @ blocks @ q.T, 0.5, LinearConstant(0.05 * np.eye(4)))
+    assert report.verdict.endswith("Stable")
+
+
 def test_classify_report_is_json_safe():
     import json
 
