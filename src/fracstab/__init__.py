@@ -30,10 +30,8 @@ from .solver import (
     solve_rl_scalar_exact,
 )
 from .special_fn import (
-    DecayEstimate,
     FracOrder,
     MLParams,
-    estimate_decay_constant,
     gamma,
     ml,
     ml_dlambda,
@@ -53,7 +51,6 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecayEstimate",
     "FracOrder",
     "LinearConstant",
     "LinearDecaying",
@@ -75,7 +72,6 @@ __all__ = [
     "compute_q_nonlinear",
     "delta_of_epsilon",
     "epsilon_threshold",
-    "estimate_decay_constant",
     "gamma",
     "graded_grid",
     "kernel_integral",

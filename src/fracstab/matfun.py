@@ -28,7 +28,6 @@ from .special_fn import (
     _ml_dlambda_many,
     _order_value,
     _rgamma,
-    estimate_decay_constant,
     ml_many,
 )
 
@@ -202,12 +201,14 @@ def ml_matrix(params, t, a, spec):
     E_{alpha,beta}(t^alpha lam) per eigenvalue, except on a cluster, whose
     block is the Taylor sum of the cluster's N about its mean up to order
     6, or the block's own eigendecomposition at a time where that sum has
-    not converged.  The order-0 values of the clusters come from the same
-    Mittag-Leffler call as the eigenvalues outside them.  The whole stack takes one LU
-    factorization of S^T, solved against the n*d right-hand sides at once.
-    Each right-hand side is solved on its own, so a slice's bits depend on
-    its time alone: slice k of a stack equals the one-time call at t[k]
-    byte for byte.
+    not converged.  A cluster whose mean lies in the sector |arg| <=
+    alpha pi / 2, where E(sigma t^alpha) grows, takes that eigendecomposition
+    at every time when its condition is below 1e8.  The order-0 values of
+    the clusters come from the same Mittag-Leffler call as the eigenvalues
+    outside them.  The whole stack takes one LU factorization of S^T,
+    solved against the n*d right-hand sides at once.  Each right-hand side
+    is solved on its own, so a slice's bits depend on its time alone: slice
+    k of a stack equals the one-time call at t[k] byte for byte.
     """
     if not isinstance(params, MLParams):
         raise DomainError("ml_matrix expects MLParams")
@@ -221,18 +222,27 @@ def ml_matrix(params, t, a, spec):
     if d != len(spec.eigenvalues):
         raise DomainError("spectral data dimension does not match the matrix")
     times = np.atleast_1d(ts)
-    nodes = list(spec.eigenvalues)
-    for idx, sigma, _ in spec.clusters:
-        for i in idx:
-            nodes[i] = sigma
-    fvals = _ml_spectrum(params, times, tuple(nodes))
+    nodes = np.array(spec.eigenvalues, dtype=complex)
+    bases = {}
+    for n, (idx, sigma, block) in enumerate(spec.clusters):
+        nodes[idx] = sigma
+        # E(sigma t^alpha) grows in the sector, so there a usable block
+        # eigenbasis is taken at every time, with its eigenvalues as nodes
+        if abs(np.angle(sigma)) <= 0.5 * math.pi * params.alpha:
+            mu, w = np.linalg.eig(block + sigma * np.eye(idx.size))
+            if np.linalg.cond(w) < _BLOCK_EIG_COND:
+                nodes[idx], bases[n] = mu, w
+    fvals = _ml_spectrum(params, times, tuple(nodes.tolist()))
     # out[k] = S F_k S^-1, i.e. S^T out[k]^T = (S F_k)^T: one LU of S^T
     # against all n*d right-hand sides, column (k, i) of rhs holding column
     # i of S F_k
     v = spec.eigenvectors
     rhs = v.T[:, None, :] * fvals.T[:, :, None]
-    for idx, sigma, block in spec.clusters:
-        f_block = _cluster_block(params, times, fvals[:, idx[0]], sigma, block)
+    for n, (idx, sigma, block) in enumerate(spec.clusters):
+        if n in bases:
+            f_block = (bases[n] * fvals[:, None, idx]) @ np.linalg.inv(bases[n])
+        else:
+            f_block = _cluster_block(params, times, fvals[:, idx[0]], sigma, block)
         rhs[idx] = (v[:, idx] @ f_block).transpose(2, 0, 1)
     out = np.linalg.solve(v.T, rhs.reshape(d, -1)).reshape(d, -1, d).transpose(1, 2, 0)
     out[times == 0.0] = np.eye(d) * _rgamma(params.beta)
@@ -284,21 +294,33 @@ def _require_sector(a, alpha):
     return verdict
 
 
-def _slowest_onset(eigenvalues, alpha, which):
-    t0 = 0.0
-    for lam in eigenvalues:
-        t0 = max(t0, estimate_decay_constant(alpha, lam, 0, which).t0)
-    return t0
+def _time_scales(eigenvalues, alpha):
+    """(fast, slow) time scales of the propagator of a stable spectrum.
+
+    E_{alpha,beta}(t^alpha lam) depends on t only through t^alpha lam, so
+    each eigenvalue sets the scale |lam|^(-1/alpha).  `fast` is the least of
+    these.  `slow` is the largest after each is divided by |cos(arg lam /
+    alpha)| where |arg lam| < alpha pi, the slower rate at which the
+    exponential residue exp(t lam^(1/alpha)) decays there.
+    """
+    lam = np.asarray(eigenvalues, dtype=complex)
+    tau = np.abs(lam) ** (-1.0 / alpha)
+    # clipped at alpha pi, where |cos| reaches 1 and the residue leaves
+    theta = np.minimum(np.abs(np.angle(lam)), alpha * math.pi)
+    return float(tau.min()), float((tau / np.abs(np.cos(theta / alpha))).max())
 
 
 def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     """sup over t >= 0 of ||E_{alpha,beta}(t^alpha A)|| in the induced norm.
 
-    Maximizes over a geometric grid on {0} union [1e-3, T_cut], densifying
-    around the running maximum until it stabilizes to 1e-4; the decay
-    envelope guarantees no larger values beyond T_cut.  Result is at least
-    the t = 0 value (the identity for beta = 1, so >= 1 there).  The onset
-    heuristic for T_cut assumes beta is either 1 or alpha.
+    Maximizes over {0} and a geometric grid of 48 points per decade on
+    [1e-3 fast, 100 slow], with (fast, slow) the spectrum's time scales
+    (`_time_scales`), densifying around the running maximum until it
+    stabilizes to 1e-4.  The window moves with the spectrum, so the result
+    is the same for A and sA.  Past 100 slow the decay envelope is taken to
+    keep the norm below the grid maximum; that is an estimate, not a bound.
+    Result is at least the t = 0 value (the identity for beta = 1, so >= 1
+    there).
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)
@@ -308,8 +330,8 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     if spec is None:
         spec = spectral_decompose(m)
     params = MLParams(al, beta)
-    which = "E_alpha" if beta == 1.0 else "E_alpha_alpha"
-    t_cut = max(100.0, 10.0 * _slowest_onset(spec.eigenvalues, al, which))
+    fast, slow = _time_scales(spec.eigenvalues, al)
+    lo, hi = 1e-3 * fast, 100.0 * slow
 
     def value(t):
         return operator_norm(ml_matrix(params, t, m, spec), norm)
@@ -317,7 +339,7 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     # the t = 0 propagator is rgamma(beta) * I; for beta = 1 that is the
     # identity exactly, so bypass the gamma roundoff there
     floor = 1.0 if beta == 1.0 else value(0.0)
-    ts = np.geomspace(1e-3, t_cut, 240)
+    ts = np.geomspace(lo, hi, round(48 * math.log10(hi / lo)) + 1)
     vals = value(ts)
     best = max(floor, float(vals.max()))
     for _ in range(30):
@@ -344,13 +366,18 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
 def kernel_integral(a, alpha, norm="max", spec=None, right=None):
     """Integral over tau >= 0 of tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 
-    The substitution v = tau^alpha removes the endpoint singularity exactly,
-    leaving (1/alpha) * integral of ||E_{alpha,alpha}(v A)|| dv on the finite
-    part [0, T*^alpha].  That part is an adaptive 21-point Gauss–Kronrod
+    Time is measured in units of the spectrum's slow time scale
+    (`_time_scales`), tau = slow x, and the substitution v = x^alpha removes
+    the endpoint singularity exactly, leaving slow^alpha / alpha times the
+    integral of ||E_{alpha,alpha}(slow^alpha v A)|| dv on the finite part
+    [0, (T*/slow)^alpha].  That part is an adaptive 21-point Gauss–Kronrod
     quadrature, and each of its refinement rounds is one ml_matrix call on
-    every node of the round.  The tail beyond T* is bounded through the decay
-    envelope ||E|| <= M_hat / tau^(2 alpha) with empirically estimated M_hat,
-    and T* grows until tail_bound <= 1e-4 * value.  Returns the dict
+    every node of the round.  The tail beyond T* is estimated through the
+    decay envelope ||E|| <= M_hat / tau^(2 alpha), with M_hat the largest
+    of 49 samples on [T*, 100 T*], so it is an estimate, not a bound.  T*
+    starts at 10 slow and grows until tail_bound <= 1e-4 * value; past
+    (T*/slow)^alpha = 1e8 the tail fails to converge.  In these units
+    s * kernel_integral(s A) equals kernel_integral(A).  Returns the dict
     {value, tail_bound, t_star} with the tail estimate included in value.
 
     With `right` set to a constant matrix the integrand becomes the norm of
@@ -379,16 +406,19 @@ def kernel_integral(a, alpha, norm="max", spec=None, right=None):
         e = ml_matrix(params, t, m, spec)
         return e if right is None else e @ right
 
+    _, slow = _time_scales(spec.eigenvalues, al)
+    unit = slow ** al
+
     def enorm_v(v):
-        # integrand after substitution on an array of v = tau^alpha
-        return operator_norm(propagator(v ** (1.0 / al)), norm)
+        # integrand after substitution on an array of v = (tau/slow)^alpha
+        return operator_norm(propagator(slow * v ** (1.0 / al)), norm)
 
-    def m_hat(tau_star):
-        taus = np.geomspace(tau_star, 100.0 * tau_star, 49)
-        return float(np.max(operator_norm(propagator(taus), norm) * taus ** (2.0 * al)))
+    def m_hat(x_star):
+        xs = np.geomspace(x_star, 100.0 * x_star, 49)
+        return float(np.max(operator_norm(propagator(slow * xs), norm) * xs ** (2.0 * al)))
 
-    onset = _slowest_onset(spec.eigenvalues, al, "E_alpha_alpha")
-    star = max(10.0, 2.0 * onset)
+    # star is T* / slow
+    star = 10.0
     finite = 0.0
     v_done = 0.0
     while True:
@@ -409,6 +439,6 @@ def kernel_integral(a, alpha, norm="max", spec=None, right=None):
         star = max(2.0 * star, 1.25 * target)
         if star ** al > _T_STAR_CAP:
             raise TailConvergenceError(
-                f"tail bound still {tail:.3e} of the value at T* = {star:.3e}"
+                f"tail bound still {unit * tail:.3e} of the value at T* = {slow * star:.3e}"
             )
-    return {"value": value, "tail_bound": tail, "t_star": star}
+    return {"value": unit * value, "tail_bound": unit * tail, "t_star": slow * star}

@@ -15,8 +15,8 @@ pole's clearance from the contour predicts, and each refinement adds only
 the midpoints, until two consecutive levels agree; the nodes and the
 integrand factors that do not depend on z are tabulated once per (alpha,
 beta, mu, level).  Derivatives with
-respect to the eigenvalue argument (up to order 6) reuse the same three
-regimes, which keeps decay-constant estimation stable out to t = 1e6.
+respect to the eigenvalue argument (up to order 6), which the propagator's
+cluster blocks take, reuse the same three regimes.
 """
 
 import functools
@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     OverflowSignal,
     QuadratureConvergenceError,
-    SectorViolationError,
     UnsupportedOrderError,
 )
 
@@ -41,8 +40,6 @@ __all__ = [
     "ml_many",
     "ml_dlambda",
     "ml_log_positive",
-    "estimate_decay_constant",
-    "DecayEstimate",
 ]
 
 
@@ -641,56 +638,3 @@ def _ml_log_positive_many(alpha, x):
     near = (x > 0.0) & ~far
     out[near] = np.log(ml_many(MLParams(alpha, 1.0), x[near]).real)
     return out
-
-
-# ---------------------------------------------------------------------------
-# empirical decay constants for the sector case
-
-
-@dataclass(frozen=True)
-class DecayEstimate:
-    """Stabilized envelope constant and the onset time it was read from."""
-
-    constant: float
-    t0: float
-
-
-_DECAY_T_END = 1.0e6
-_DECAY_PTS_PER_DECADE = 24
-
-
-def _sector_margin(alpha, lam):
-    lam = complex(lam)
-    if lam == 0:
-        return -alpha * _PI / 2.0
-    return abs(np.angle(lam)) - alpha * _PI / 2.0
-
-
-def estimate_decay_constant(alpha, lam, l, which="E_alpha"):
-    """Empirical constant in the algebraic decay law of the sector case.
-
-    For eigenvalue arguments outside the sector, t^alpha (respectively
-    t^(2 alpha) for the beta = alpha kernel) times the l-th eigenvalue
-    derivative of the Mittag-Leffler propagator stays bounded; the constant
-    is the grid sup after it has stabilized to within 1%.
-    """
-    alpha = _order_value(alpha)
-    if which not in ("E_alpha", "E_alpha_alpha"):
-        raise DomainError(f"unknown decay kind {which!r}")
-    l = int(l)
-    if l < 0 or l > _DERIV_CAP:
-        raise UnsupportedOrderError(f"derivative order {l} outside 0..{_DERIV_CAP}")
-    if _sector_margin(alpha, lam) <= 0.0:
-        raise SectorViolationError(
-            f"lambda = {lam} lies inside the sector |arg| <= alpha*pi/2"
-        )
-    beta = 1.0 if which == "E_alpha" else alpha
-    weight_pow = alpha if which == "E_alpha" else 2.0 * alpha
-    decades = math.log10(_DECAY_T_END) - math.log10(0.1)
-    times = np.geomspace(0.1, _DECAY_T_END, int(decades * _DECAY_PTS_PER_DECADE) + 1)
-    vals = _ml_dlambda_many(alpha, beta, times, complex(lam), l)
-    prod = times ** weight_pow * np.abs(vals)
-    suffix = np.maximum.accumulate(prod[::-1])[::-1]
-    target = suffix[np.searchsorted(times, _DECAY_T_END / 10.0)]
-    idx = int(np.argmax(suffix <= 1.01 * target))
-    return DecayEstimate(constant=float(suffix[idx]), t0=float(times[idx]))

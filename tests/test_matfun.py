@@ -406,6 +406,29 @@ def test_ml_matrix_close_complex_pairs_of_a_normal_matrix():
             assert _max_norm_error(got, q @ fb @ q.T) <= 1e-12, (beta, t)
 
 
+# a stable, normal system: the pair at |arg| 32 degrees lies outside the
+# 27-degree sector of alpha = 0.3, but the floor 1e-2 ||A||_F joins it
+# into a cluster about sigma = +0.00357, where E(sigma t^alpha) grows
+CLUSTER_IN_SECTOR = np.array([[0.00357, 0.002225, 0.0], [-0.002225, 0.00357, 0.0], [0.0, 0.0, -242.0]])
+
+
+def test_ml_matrix_cluster_about_a_growing_mean_takes_its_eigenbasis():
+    # a Taylor sum about sigma overflowed at large t; the block eigenbasis
+    # matches the plain eigenvector path at every time
+    spec = spectral_decompose(CLUSTER_IN_SECTOR)
+    assert [idx.tolist() for idx, _, _ in spec.clusters] == [[1, 2]]
+    assert spec.clusters[0][1].real > 0.0
+    w, v = np.linalg.eig(CLUSTER_IN_SECTOR)
+    ts = np.geomspace(1e-3, 1e12, 61)
+    for beta in (1.0, 0.3):
+        params = MLParams(0.3, beta)
+        got = ml_matrix(params, ts, CLUSTER_IN_SECTOR, spec)
+        vals = ml_many(params, np.multiply.outer(ts ** 0.3, w))
+        for k in range(ts.size):
+            want = ((v * vals[k]) @ np.linalg.inv(v)).real
+            assert _max_norm_error(got[k], want) <= 1e-12, (beta, ts[k])
+
+
 @pytest.mark.parametrize("seed, size", [(1803, 2), (1804, 2), (1805, 3)])
 def test_jordan_block_at_the_origin_forms_a_cluster(seed, size):
     # eig splits a nilpotent block under a similarity by 2e-8 (size 2) or
@@ -656,6 +679,38 @@ def test_sup_ml_norm_sector_violation():
         sup_ml_norm([[0.1, 1.0], [-1.0, 0.1]], 0.95)
 
 
+# a non-normal pair whose hump is 10x the identity; s B runs on the
+# time scale |s lam|^(-1/alpha), which a fixed time window misses
+SCALED_B = np.array([[-1.0, 50.0], [0.0, -2.0]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+@pytest.mark.parametrize("beta_is_alpha", [False, True])
+def test_sup_ml_norm_is_scale_invariant(alpha, beta_is_alpha):
+    # E(t^alpha s B) = E((s^(1/alpha) t)^alpha B): the sup does not see s.
+    # A window fixed in absolute time read 1.000, 1.055, 5.27, 10.05, 4.29,
+    # 1.0 and 1.0 for s = 1e-8 ... 1e8 at alpha = 1/2, beta = 1
+    beta = alpha if beta_is_alpha else 1.0
+    want = sup_ml_norm(SCALED_B, alpha, beta=beta)
+    assert want > 6.0
+    for s in 10.0 ** np.arange(-8, 9, 2.0):
+        assert sup_ml_norm(s * SCALED_B, alpha, beta=beta) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.7), (0.3, 0.5), (0.5, 1.8)])
+def test_sup_ml_norm_matches_a_dense_scan_for_a_general_beta(alpha, beta):
+    # the scan window comes from the spectrum alone, so a beta outside
+    # {1, alpha} is covered too; a window from a fitted beta in {1, alpha}
+    # onset read 42-64% low on this slow pair
+    a = 0.01 * SCALED_B
+    spec = spectral_decompose(a)
+    ts = np.geomspace(1e-8, 1e14, 20001)
+    dense = np.abs(ml_matrix(MLParams(alpha, beta), ts, a, spec)).sum(-1).max()
+    got = sup_ml_norm(a, alpha, beta=beta)
+    assert got >= (1.0 - 1e-4) * dense
+    assert got <= (1.0 + 1e-6) * dense
+
+
 def test_kernel_integral_scalar_identity():
     # antiderivative identity: the integral telescopes to 1/lambda
     for alpha in (0.3, 0.5, 0.8):
@@ -689,6 +744,19 @@ def test_kernel_integral_batches_the_propagator(monkeypatch):
     kernel_integral(ROTATION, 0.5)
     # one propagator call per quadrature round, plus the tail constants
     assert len(calls) <= 100
+
+
+def test_kernel_integral_is_scale_invariant():
+    # substituting u = s^(1/alpha) tau gives s * kint(s B) = kint(B); a T*
+    # fixed in absolute time gave 9.46e-5 instead of 26 at s = 1e8 and
+    # raised TailConvergenceError at s <= 1e-6
+    for alpha in (0.5, 0.8):
+        want = kernel_integral(SCALED_B, alpha)
+        assert want["value"] == pytest.approx(26.0, rel=1e-6)
+        for s in 10.0 ** np.arange(-8, 13, 2.0):
+            got = kernel_integral(s * SCALED_B, alpha)
+            assert s * got["value"] == pytest.approx(want["value"], rel=1e-6)
+            assert got["t_star"] == pytest.approx(want["t_star"] * s ** (-1.0 / alpha), rel=1e-6)
 
 
 def test_kernel_integral_sector_violation():

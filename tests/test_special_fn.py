@@ -15,14 +15,12 @@ from fracstab.errors import (
     DomainError,
     OverflowSignal,
     QuadratureConvergenceError,
-    SectorViolationError,
     UnsupportedOrderError,
 )
 from fracstab.special_fn import (
     FracOrder,
     MLParams,
     _ml_log_positive_many,
-    estimate_decay_constant,
     gamma,
     ml,
     ml_dlambda,
@@ -533,27 +531,17 @@ def test_ml_log_positive_domain():
 
 
 # ---------------------------------------------------------------------------
-# empirical decay constants
+# algebraic decay in the sector case
 
 
 def test_decay_constant_matches_asymptotic_coefficient():
-    """For lambda on the negative axis the tail is t^-alpha / Gamma(1-alpha)
-    scaled by 1/|lambda|, so the fitted constant is known in closed form."""
-    est = estimate_decay_constant(0.5, -1.0, 0, "E_alpha")
-    assert est.constant == pytest.approx(0.5641895835477563, rel=0.02)
-    assert est.t0 > 0.0
-
-
-def test_decay_constant_scales_with_lambda():
-    a = estimate_decay_constant(0.5, -1.0, 0, "E_alpha")
-    b = estimate_decay_constant(0.5, -4.0, 0, "E_alpha")
-    assert b.constant == pytest.approx(a.constant / 4.0, rel=0.05)
-
-
-def test_decay_constant_rejects_unstable_lambda():
-    with pytest.raises(SectorViolationError):
-        estimate_decay_constant(0.5, 1.0, 0, "E_alpha")
-    # boundary of the sector is excluded as well
-    lam = complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi))
-    with pytest.raises(SectorViolationError):
-        estimate_decay_constant(0.5, lam, 0, "E_alpha")
+    """On the negative axis E_alpha(-x) ~ x^-1 / Gamma(1 - alpha), so
+    t^alpha E_{1/2}(-t^alpha) tends to 1/Gamma(1/2) = 1/sqrt(pi).  The
+    x^-2 term vanishes at alpha = 1/2 (1/Gamma(0) = 0) and the x^-3 term
+    leaves the relative gap -1/(2 t)."""
+    c = 0.5641895835477563
+    t = np.array([1e4, 1e6, 1e8])
+    x = t ** 0.5
+    got = x * ml_many(MLParams(0.5, 1.0), -x).real
+    assert got == pytest.approx(c, rel=1e-4)
+    assert (got - c) * t == pytest.approx(-0.5 * c, rel=1e-3)

@@ -13,7 +13,8 @@ from fracstab.errors import (
     NoDecayError,
     SectorViolationError,
 )
-from fracstab.quad import uniform_grid
+from fracstab.matfun import kernel_integral, sup_ml_norm
+from fracstab.quad import graded_grid, uniform_grid
 from fracstab.special_fn import MLParams, ml
 from fracstab.solver import (
     LinearConstant,
@@ -665,6 +666,50 @@ def test_classify_wide_clusters_get_a_verdict():
         blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[lam.real, lam.imag], [-lam.imag, lam.real]]
     report = classify(q @ blocks @ q.T, 0.5, LinearConstant(0.05 * np.eye(4)))
     assert report.verdict.endswith("Stable")
+
+
+def test_classify_cluster_about_a_growing_mean_gets_a_verdict():
+    # a stable, normal system whose pair (|arg| 32 degrees, outside the
+    # 27-degree sector) the floor joins into a cluster about +0.00357: the
+    # Taylor sum about that mean overflowed in kernel_integral
+    a = np.array([[0.00357, 0.002225, 0.0], [-0.002225, 0.00357, 0.0], [0.0, 0.0, -242.0]])
+    report = classify(a, 0.3, LinearConstant(1e-6 * np.eye(3)))
+    assert report.verdict == "RobustStable"
+
+
+# a non-normal pair whose propagator peaks near 10; s B runs on the time
+# scale s^(-1/alpha)
+PAIR_B = np.array([[-1.0, 50.0], [0.0, -2.0]])
+
+
+def test_classify_does_not_certify_a_fast_unstable_system():
+    # A + Q has eigenvalues +1e8 and +2e8.  A kernel integral over a window
+    # fixed in absolute time read 9.5e-13 (epsilon 5.3e11) against the true
+    # 26/1e8 (epsilon 1.9e6), and certified UniformSmallStable
+    report = classify(1e8 * PAIR_B, 0.5, LinearConstant(3e8 * np.eye(2)))
+    assert not report.verdict.endswith("Stable")
+    assert report.epsilon == pytest.approx(0.5 / 26.0 * 1e8, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a, grid",
+    [
+        (0.01 * PAIR_B, uniform_grid(12000.0, 1500)),
+        (1000.0 * PAIR_B, graded_grid(1e-4, 4000, 2.0)),
+    ],
+    ids=["slow", "fast"],
+)
+def test_classify_delta_keeps_a_scaled_hump_in_the_unit_ball(a, grid):
+    # the same non-normal pair on two time scales; a sup_ml_norm window
+    # fixed in absolute time missed the hump of 10, and delta 0.171
+    # (slow) or 0.90 (fast) let ABM reach 1.70 or 8.98
+    pert = LinearConstant(0.1 / kernel_integral(a, 0.5)["value"] * np.eye(2))
+    report = classify(a, 0.5, pert)
+    assert report.verdict == "RobustStable"
+    assert report.delta == pytest.approx(0.9 / sup_ml_norm(PAIR_B, 0.5), rel=1e-6)
+    field = lambda t, x: a @ x + pert.field(t, x)
+    states = solve_abm(0.5, field, 0.99 * report.delta * np.array([1.0, 1.0]), grid).states
+    assert np.max(np.abs(states)) < 1.0
 
 
 def test_classify_report_is_json_safe():
