@@ -144,10 +144,13 @@ def _ml_spectrum(params, times, eigenvalues):
     E(conj z) = conj E(z), so an eigenvalue whose exact conjugate is also in
     the spectrum (as LAPACK returns them for a real matrix) is folded onto
     the upper half-plane; each distinct folded value is evaluated once.  The
-    fold is computed once per spectrum.
+    fold is computed once per spectrum.  By the same symmetry E is real on
+    the real axis, so a real eigenvalue keeps only the real part of its
+    values, dropping the contour's roundoff residue.
     """
     flip, distinct, where = _conjugate_fold(eigenvalues)
-    vals = ml_many(params, np.multiply.outer(times ** params.alpha, distinct))[:, where]
+    vals = ml_many(params, np.multiply.outer(times ** params.alpha, distinct))
+    vals = np.where(distinct.imag == 0.0, vals.real, vals)[:, where]
     return np.where(flip, vals.conj(), vals)
 
 

@@ -14,9 +14,10 @@ set of nested levels whose step meets the target error at the rate that the
 pole's clearance from the contour predicts, and each refinement adds only
 the midpoints, until two consecutive levels agree; the nodes and the
 integrand factors that do not depend on z are tabulated once per (alpha,
-beta, mu, level).  Derivatives with
-respect to the eigenvalue argument (up to order 6), which the propagator's
-cluster blocks take, reuse the same three regimes.
+beta, mu, level), and each level is one pass over the call's pending
+points, in slices under a node budget.  Derivatives with respect to the
+eigenvalue argument (up to order 6), which the propagator's cluster blocks
+take, reuse the same three regimes.
 """
 
 import functools
@@ -351,11 +352,9 @@ _MU_CANDIDATES = (3.0, 4.5, 2.0, 5.5, 1.2, 7.0, 0.8)
 # level's sum reuses every node of the level below and adds only midpoints
 _CONTOUR_LEVELS = (11, 21, 41, 81, 161, 321, 641, 1281, 2561)
 _CONTOUR_RTOL = 1e-12
-# points per contour batch: at the top level (64 points x 1280 midpoints) a
-# chunk's complex work arrays are 1.3 MB each and one _contour_sum peaks at
-# 2.6 MB (tracemalloc); most points stop at 81 nodes, where a sum peaks at
-# 125-250 KB
-_CONTOUR_CHUNK = 64
+# the most integrand values (points x nodes) in one slice of a level's pass:
+# a slice's complex work arrays are 128 KB each
+_CONTOUR_NODES = 8192
 
 
 def _principal_poles(alpha, z):
@@ -452,7 +451,10 @@ def _contour_integrand(nodes, z, l):
     """Integrand of the Laplace inversion at a node table, one row per
     point."""
     sa, num, ds = nodes
-    return num / (sa - z[:, None]) ** (l + 1) * ds
+    gap = sa - z[:, None]
+    # gap ** 1 gives the same bits (bar the sign of an exact zero) through
+    # numpy's general complex power, at over ten times the division's cost
+    return num / (gap if l == 0 else gap ** (l + 1)) * ds
 
 
 def _contour_sum(alpha, beta, z, l, mu, n_nodes, odd=False):
@@ -463,19 +465,24 @@ def _contour_sum(alpha, beta, z, l, mu, n_nodes, odd=False):
     scale = 2.0 * u_max / (n_nodes - 1) * (math.factorial(l) / (2.0 * _PI))
     total = np.empty_like(z)
     mass = np.empty(z.shape)
-    # the points share one node table per contour, so group them by mu
+    # the points share one node table per contour, so group them by mu, and
+    # cut each group into slices of at most _CONTOUR_NODES integrand values
     for m in set(mu.tolist()):
-        on = mu == m
-        integrand = _contour_integrand(_contour_nodes(alpha, beta, m, n_nodes, odd), z[on], l)
-        tot = integrand.sum(axis=1)
-        mas = np.abs(integrand).sum(axis=1)
-        if not odd:
-            # trapezoid end weights 1/2: a full-weight end adds an O(h) error
-            # where a pole sits near a contour end
-            ends = integrand[:, [0, -1]]
-            tot -= 0.5 * ends.sum(axis=1)
-            mas -= 0.5 * np.abs(ends).sum(axis=1)
-        total[on], mass[on] = tot, mas
+        nodes = _contour_nodes(alpha, beta, m, n_nodes, odd)
+        group = np.flatnonzero(mu == m)
+        rows = max(1, _CONTOUR_NODES // nodes[0].shape[1])
+        for start in range(0, group.size, rows):
+            on = group[start : start + rows]
+            integrand = _contour_integrand(nodes, z[on], l)
+            tot = integrand.sum(axis=1)
+            mas = np.abs(integrand).sum(axis=1)
+            if not odd:
+                # trapezoid end weights 1/2: a full-weight end adds an O(h)
+                # error where a pole sits near a contour end
+                ends = integrand[:, [0, -1]]
+                tot -= 0.5 * ends.sum(axis=1)
+                mas -= 0.5 * np.abs(ends).sum(axis=1)
+            total[on], mass[on] = tot, mas
     return total * (scale / 1j), mass * scale
 
 
@@ -491,49 +498,47 @@ def _contour_residues(alpha, beta, z, l, mu, poles):
 
 
 def _ml_contour(alpha, beta, z, l=0):
-    """Contour regime.  Each point starts at its own first level and moves
+    """Contour regime on a 1-d array.  The poles, mu, residues and first
+    levels are found once per call; each level is then one pass over every
+    point still pending.  Each point starts at its own first level and moves
     up one level at a time until the level's value and the level below it
     agree; a point's value depends on that point alone."""
     z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for start in range(0, z.size, _CONTOUR_CHUNK):
-        zc = z.reshape(-1)[start : start + _CONTOUR_CHUNK]
-        poles = _principal_poles(alpha, zc)
-        mu = _choose_mu(alpha, zc, poles)
-        res = _contour_residues(alpha, beta, zc, l, mu, poles)
-        first = _first_level(mu, poles)
-        val = np.zeros_like(zc)
-        mass = np.zeros(zc.shape)
-        pending = np.ones(zc.shape, dtype=bool)
-        for k in range(first.min(), len(_CONTOUR_LEVELS)):
-            new = first == k
-            if new.any():
-                val[new], mass[new] = _contour_sum(
-                    alpha, beta, zc[new], l, mu[new], _CONTOUR_LEVELS[k - 1]
-                )
-            run = pending & (first <= k)
-            half = val[run]
-            mid, mid_mass = _contour_sum(
-                alpha, beta, zc[run], l, mu[run], _CONTOUR_LEVELS[k], odd=True
+    poles = _principal_poles(alpha, z)
+    mu = _choose_mu(alpha, z, poles)
+    res = _contour_residues(alpha, beta, z, l, mu, poles)
+    first = _first_level(mu, poles)
+    val = np.zeros_like(z)
+    mass = np.zeros(z.shape)
+    pending = np.ones(z.shape, dtype=bool)
+    for k in range(first.min(initial=len(_CONTOUR_LEVELS)), len(_CONTOUR_LEVELS)):
+        new = first == k
+        if new.any():
+            val[new], mass[new] = _contour_sum(
+                alpha, beta, z[new], l, mu[new], _CONTOUR_LEVELS[k - 1]
             )
-            full = 0.5 * half + mid
-            full_mass = 0.5 * mass[run] + mid_mass
-            err = np.abs(full - half)
-            scale = np.maximum(np.abs(full + res[run]), np.abs(full)) + 1e-290
-            # the refinement estimate cannot drop below summation roundoff,
-            # which scales with the integrand's absolute mass
-            floor = 4e-16 * full_mass
-            pending[run] = ~(err <= _CONTOUR_RTOL * scale + floor + 1e-250)
-            val[run], mass[run] = full, full_mass
-            if not pending.any():
-                break
-        if pending.any():
-            worst = zc[pending][0]
-            raise QuadratureConvergenceError(
-                f"contour quadrature failed its error estimate near z = {worst}"
-            )
-        out.reshape(-1)[start : start + _CONTOUR_CHUNK] = val + res
-    return out
+        run = pending & (first <= k)
+        half = val[run]
+        mid, mid_mass = _contour_sum(
+            alpha, beta, z[run], l, mu[run], _CONTOUR_LEVELS[k], odd=True
+        )
+        full = 0.5 * half + mid
+        full_mass = 0.5 * mass[run] + mid_mass
+        err = np.abs(full - half)
+        scale = np.maximum(np.abs(full + res[run]), np.abs(full)) + 1e-290
+        # the refinement estimate cannot drop below summation roundoff,
+        # which scales with the integrand's absolute mass
+        floor = 4e-16 * full_mass
+        pending[run] = ~(err <= _CONTOUR_RTOL * scale + floor + 1e-250)
+        val[run], mass[run] = full, full_mass
+        if not pending.any():
+            break
+    if pending.any():
+        worst = z[pending][0]
+        raise QuadratureConvergenceError(
+            f"contour quadrature failed its error estimate near z = {worst}"
+        )
+    return val + res
 
 
 # ---------------------------------------------------------------------------

@@ -263,10 +263,14 @@ def test_ml_contour_node_table_is_built_once_and_read_only():
     z = _contour_points(np.random.default_rng(3), 0.45, 60, 20)
     first = ml_many(p, z)
     info = sf._contour_nodes.cache_info()
+    # each level is one pass over the call's points, so a call asks for each
+    # table once: every table of the first call is built exactly once
     assert 0 < info.misses == info.currsize < info.maxsize
-    assert info.hits > 0
     assert np.array_equal(ml_many(p, z), first)
-    assert sf._contour_nodes.cache_info().misses == info.misses
+    again = sf._contour_nodes.cache_info()
+    # and the second call builds none, reading every table from the cache
+    assert again.misses == info.misses
+    assert again.hits - info.hits >= info.misses
     for row in sf._contour_nodes(0.45, 0.45, sf._MU_CANDIDATES[0], 81, True):
         assert row.shape == (1, 40)
         with pytest.raises(ValueError):
@@ -301,6 +305,59 @@ def test_ml_contour_work_and_batch_independence(monkeypatch):
     single = np.array([ml(p, v) for v in z])
     assert np.all(np.isfinite(batch))
     assert np.array_equal(batch, single)
+
+
+def _mixed_contour_batch(rng, alpha, n):
+    """n seeded points with the series radius < |z| <= 50, where every
+    derivative order takes the contour, and no exponential overflow.  Every
+    mu that _choose_mu picks for a random point at this alpha holds up to
+    n/10 of them, so the rarer contours and their coarser first levels
+    come in one batch with the common ones."""
+    r = rng.uniform(sf._series_radius(alpha), 50.0, 40 * n)
+    th = rng.uniform(-math.pi, math.pi, 40 * n)
+    z = r * np.exp(1j * th)
+    z = z[(np.abs(th) >= alpha * math.pi) | ((z ** (1.0 / alpha)).real < 500.0)]
+    mu = sf._choose_mu(alpha, z, sf._principal_poles(alpha, z))
+    rare = np.concatenate([np.flatnonzero(mu == m)[: n // 10] for m in sf._MU_CANDIDATES[1:]])
+    common = np.flatnonzero(mu == sf._MU_CANDIDATES[0])[: n - rare.size]
+    return z[rng.permutation(np.concatenate([rare, common]))]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.5])
+def test_ml_contour_batch_is_one_point_calls_under_the_node_budget(monkeypatch, alpha):
+    """A whole batch in one _ml_contour call gives every point the bits of
+    its own one-point call, by the same arithmetic in fewer integrand
+    calls, none over the node budget.  One pole (alpha < 1) never leaves
+    the first five mu candidates; alpha = 1.5, with up to three poles,
+    reaches the last two."""
+    z = _mixed_contour_batch(np.random.default_rng(2007), alpha, 3000)
+    poles = sf._principal_poles(alpha, z)
+    mu = sf._choose_mu(alpha, z, poles)
+    reach = sf._MU_CANDIDATES if alpha > 1.0 else sf._MU_CANDIDATES[:5]
+    assert z.size == 3000 and set(mu.tolist()) == set(reach)
+    assert len(set(sf._first_level(mu, poles).tolist())) >= 3
+    sizes = []
+    integrand = sf._contour_integrand
+
+    def counted(*args):
+        out = integrand(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(sf, "_contour_integrand", counted)
+    for beta in (alpha, 1.0):
+        for l in (0, 1, 6):
+            sizes.clear()
+            batch = sf._ml_contour(alpha, beta, z, l)
+            batch_sizes = list(sizes)
+            sizes.clear()
+            single = np.concatenate(
+                [sf._ml_contour(alpha, beta, z[i : i + 1], l) for i in range(z.size)]
+            )
+            assert batch.tobytes() == single.tobytes(), (alpha, beta, l)
+            assert max(batch_sizes) <= sf._CONTOUR_NODES
+            assert sum(batch_sizes) == sum(sizes)
+            assert len(batch_sizes) < len(sizes) / 10
 
 
 def test_ml_many_matches_scalar():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracstab import stability
+from fracstab import special_fn, stability
 from fracstab.errors import (
     DomainError,
     FracstabError,
@@ -580,6 +580,24 @@ def test_classify_ml_points_per_rotation_case(monkeypatch):
     report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
     assert report.verdict == "DecayingStable"
     assert sum(points) <= 20000
+
+
+def test_classify_contour_integrand_calls_per_rotation_case(monkeypatch):
+    """Each contour level is one pass over a call's pending points: 162
+    integrand calls over 702,456 nodes per rotation-decaying classify,
+    where 64-point chunks took 499 calls over the same nodes."""
+    calls = []
+    integrand = special_fn._contour_integrand
+
+    def counted(*args):
+        out = integrand(*args)
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(special_fn, "_contour_integrand", counted)
+    report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    assert report.verdict == "DecayingStable"
+    assert len(calls) <= 243
 
 
 @pytest.mark.parametrize(
