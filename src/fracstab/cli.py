@@ -10,6 +10,7 @@ certificate (report still written), 2 input error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, FracstabError, SectorViolationError
-from .matfun import as_square_matrix, check_spectral_condition, ml_matrix, spectral_decompose
+from .errors import ConfigError, DomainError, FracstabError, SectorViolationError
+from .matfun import _DIM_CAP, as_square_matrix, check_spectral_condition, ml_matrix, spectral_decompose
 from .norms import VECTOR_NORMS, operator_norm, vector_norm
 from .quad import TimeGrid, graded_grid, uniform_grid
 from .solver import (
@@ -99,6 +100,8 @@ def parse_config(raw):
     if not 0.0 < alpha <= 1.0:
         _fail(f"system.alpha must lie in (0, 1], got {alpha!r}")
     a = _as_matrix(_get(system, "a", "system.a"), "system.a")
+    if len(a) > _DIM_CAP:
+        _fail(f"system.a has dimension {len(a)}, above the cap {_DIM_CAP}")
     norm = _get(system, "norm", "system.norm", "max")
     if norm not in VECTOR_NORMS:
         _fail(f"system.norm must be one of {VECTOR_NORMS}, got {norm!r}")
@@ -160,10 +163,14 @@ def parse_config(raw):
     if kind in _FRACTIONAL_KINDS and alpha == 1.0:
         _fail(f"system.alpha must lie in (0, 1) for kind {kind!r}, got 1.0")
 
+    if kind == "DecayFit" and n < 4:
+        # fewer nodes can leave one point in the fitted last decade
+        _fail(f"decay fit needs grid.n >= 4, got {n!r}")
+
     if kind == "BoundednessProbe":
         if t_max < 100.0:
             _fail("boundedness probe needs grid.t_max >= 100")
-        if not pert["kind"].startswith(("none", "linear")):
+        if not _PERTURBATIONS[pert["kind"]][0].is_linear:
             _fail("boundedness probe needs a linear perturbation kind")
 
     return {
@@ -178,71 +185,58 @@ def parse_config(raw):
     }
 
 
+def _number(value, what, d):
+    return _as_float(value, what)
+
+
+def _square(value, what, d):
+    m = _as_matrix(value, what)
+    if len(m) != d:
+        _fail(f"{what} dimension does not match system.a")
+    return m
+
+
+def _list_of(shape):
+    def parse(value, what, d):
+        if not isinstance(value, list) or not value:
+            _fail(f"{what} must be a nonempty list")
+        return [shape(v, f"{what} entry", d) for v in value]
+    return parse
+
+
+_NUMBERS = _list_of(_number)
+# config kind -> (its PerturbationSpec class, its config fields in
+# constructor order as (name, JSON shape, default)); the class checks ranges
+_PERTURBATIONS = {
+    "none": (NoPerturbation, ()),
+    "linear_constant": (LinearConstant, (("q0", _square, _fail),)),
+    "linear_decaying": (LinearDecaying, (("q0", _square, _fail), ("gamma", _number, _fail))),
+    "linear_table": (LinearTable, (("times", _NUMBERS, _fail), ("matrices", _list_of(_square), _fail))),
+    "nonlinear_saturating": (NonlinearSaturating, (("c", _number, _fail), ("gamma", _number, 0.0))),
+    "nonlinear_table": (NonlinearTable, (("times", _NUMBERS, _fail), ("values", _NUMBERS, _fail))),
+}
+
+
 def _parse_perturbation(raw, d):
     if not isinstance(raw, dict):
         _fail("perturbation must be an object")
     kind = _get(raw, "kind", "perturbation.kind")
-    if kind == "none":
-        return {"kind": "none"}
-    if kind == "linear_constant":
-        q0 = _as_matrix(_get(raw, "q0", "perturbation.q0"), "perturbation.q0")
-        if len(q0) != d:
-            _fail("perturbation.q0 dimension does not match system.a")
-        return {"kind": kind, "q0": q0}
-    if kind == "linear_decaying":
-        q0 = _as_matrix(_get(raw, "q0", "perturbation.q0"), "perturbation.q0")
-        if len(q0) != d:
-            _fail("perturbation.q0 dimension does not match system.a")
-        gamma = _as_float(_get(raw, "gamma", "perturbation.gamma"), "perturbation.gamma")
-        if gamma <= 0.0:
-            _fail(f"perturbation.gamma must be positive, got {gamma!r}")
-        return {"kind": kind, "q0": q0, "gamma": gamma}
-    if kind == "linear_table":
-        times = _get(raw, "times", "perturbation.times")
-        mats = _get(raw, "matrices", "perturbation.matrices")
-        if not isinstance(times, list) or not isinstance(mats, list) or len(times) != len(mats) or not times:
-            _fail("perturbation.times and matrices must be equal-length nonempty lists")
-        times = [_as_float(t, "perturbation.times entry") for t in times]
-        mats = [_as_matrix(m, "perturbation.matrices entry") for m in mats]
-        if any(len(m) != d for m in mats):
-            _fail("perturbation.matrices dimension does not match system.a")
-        if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 0.0:
-            _fail("perturbation.times must be nonnegative and strictly increasing")
-        return {"kind": kind, "times": times, "matrices": mats}
-    if kind == "nonlinear_saturating":
-        c = _as_float(_get(raw, "c", "perturbation.c"), "perturbation.c")
-        gamma = _as_float(_get(raw, "gamma", "", 0.0), "perturbation.gamma")
-        if gamma < 0.0:
-            _fail(f"perturbation.gamma must be >= 0, got {gamma!r}")
-        return {"kind": kind, "c": c, "gamma": gamma}
-    if kind == "nonlinear_table":
-        times = _get(raw, "times", "perturbation.times")
-        values = _get(raw, "values", "perturbation.values")
-        if not isinstance(times, list) or not isinstance(values, list) or len(times) != len(values) or not times:
-            _fail("perturbation.times and values must be equal-length nonempty lists")
-        times = [_as_float(t, "perturbation.times entry") for t in times]
-        values = [_as_float(v, "perturbation.values entry") for v in values]
-        if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 0.0:
-            _fail("perturbation.times must be nonnegative and strictly increasing")
-        if any(v < 0.0 for v in values):
-            _fail("perturbation.values must be nonnegative")
-        return {"kind": kind, "times": times, "values": values}
-    _fail(f"unknown perturbation kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _PERTURBATIONS:
+        _fail(f"unknown perturbation kind {kind!r}")
+    pert = {"kind": kind}
+    for name, shape, default in _PERTURBATIONS[kind][1]:
+        what = f"perturbation.{name}"
+        pert[name] = shape(_get(raw, name, what, default), what, d)
+    try:
+        _build_perturbation(pert)
+    except DomainError as exc:
+        _fail(f"perturbation {kind}: {exc}")
+    return pert
 
 
 def _build_perturbation(pert):
-    kind = pert["kind"]
-    if kind == "none":
-        return NoPerturbation()
-    if kind == "linear_constant":
-        return LinearConstant(np.array(pert["q0"]))
-    if kind == "linear_decaying":
-        return LinearDecaying(np.array(pert["q0"]), pert["gamma"])
-    if kind == "linear_table":
-        return LinearTable(np.array(pert["times"]), np.array(pert["matrices"]))
-    if kind == "nonlinear_saturating":
-        return NonlinearSaturating(pert["c"], pert["gamma"])
-    return NonlinearTable(np.array(pert["times"]), np.array(pert["values"]))
+    cls, fields = _PERTURBATIONS[pert["kind"]]
+    return cls(*(pert[name] for name, _, _ in fields))
 
 
 def _build_grid(cfg):
@@ -252,12 +246,6 @@ def _build_grid(cfg):
     return graded_grid(g["t_max"], g["n"], g["grading"])
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -265,196 +253,125 @@ def _write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _write_json(out_dir, name, payload):
-    _write_atomic(os.path.join(out_dir, name), json.dumps(payload, indent=2) + "\n")
-
-
-def _write_csv(out_dir, name, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_atomic(os.path.join(out_dir, name), "\n".join(lines) + "\n")
-
-
-def _trajectory_rows(times, states, norm):
-    norms = vector_norm(states, norm)
-    return [
+def _trajectory_table(traj, norms):
+    header = ["t", *(f"x_{i}" for i in range(traj.states.shape[1])), "norm"]
+    rows = (
         [float(t), *(float(v) for v in x), float(n)]
-        for t, x, n in zip(times, states, norms)
+        for t, x, n in zip(traj.times, traj.states, norms)
+    )
+    return "trajectory.csv", header, rows
+
+
+def _rhs(m, pert):
+    def field(t, x):
+        return m @ x + pert.field(t, x)
+
+    return field
+
+
+def _ml_norms(cfg, ts):
+    """||E_alpha(A t^alpha)|| and ||E_alpha,alpha(A t^alpha)|| at the times ts."""
+    system = cfg["system"]
+    al = system["alpha"]
+    m = as_square_matrix(system["a"])
+    spec = spectral_decompose(m)
+    return [
+        operator_norm(ml_matrix(MLParams(al, beta), ts, m, spec), system["norm"])
+        for beta in (1.0, al)
     ]
 
 
-def _base_report(cfg):
-    return {
-        "name": cfg["name"],
-        "kind": cfg["kind"],
-        "alpha": cfg["system"]["alpha"],
-        "norm": cfg["system"]["norm"],
-        "seed": cfg["seed"],
-    }
+# Each runner takes a validated config and returns its exit code, its
+# report fields and its CSV table (file name, header, lazy rows) or None.
 
 
-def _run_ml_eval(cfg, out_dir, csv_on):
-    al = cfg["system"]["alpha"]
-    norm = cfg["system"]["norm"]
-    m = as_square_matrix(cfg["system"]["a"])
-    spec = spectral_decompose(m)
+def _run_ml_eval(cfg):
     grid = uniform_grid(cfg["grid"]["t_max"], cfg["grid"]["n"])
-    n_ea = operator_norm(ml_matrix(MLParams(al, 1.0), grid.nodes, m, spec), norm)
-    n_eaa = operator_norm(ml_matrix(MLParams(al, al), grid.nodes, m, spec), norm)
-    report = _base_report(cfg)
-    report.update(
-        {
-            "t_max": grid.horizon,
-            "sup_norm_ml": float(n_ea.max()),
-            "sup_norm_ml_kernel": float(n_eaa.max()),
-            "horizon_norm_ml": float(n_ea[-1]),
-            "horizon_norm_ml_kernel": float(n_eaa[-1]),
-        }
-    )
-    _write_json(out_dir, "report.json", report)
-    if csv_on:
-        rows = [[float(t), float(a), float(b)] for t, a, b in zip(grid.nodes, n_ea, n_eaa)]
-        _write_csv(out_dir, "decay.csv", ["t", "norm_Ea", "norm_Eaa"], rows)
-    return 0
+    n_ea, n_eaa = _ml_norms(cfg, grid.nodes)
+    fields = {
+        "t_max": grid.horizon,
+        "sup_norm_ml": float(n_ea.max()),
+        "sup_norm_ml_kernel": float(n_eaa.max()),
+        "horizon_norm_ml": float(n_ea[-1]),
+        "horizon_norm_ml_kernel": float(n_eaa[-1]),
+    }
+    rows = ([float(t), float(a), float(b)] for t, a, b in zip(grid.nodes, n_ea, n_eaa))
+    return 0, fields, ("decay.csv", ["t", "norm_Ea", "norm_Eaa"], rows)
 
 
-def _run_solve(cfg, out_dir, csv_on):
+def _run_solve(cfg):
     system = cfg["system"]
     al = system["alpha"]
     m = as_square_matrix(system["a"])
     pert = _build_perturbation(cfg["perturbation"])
     grid = _build_grid(cfg)
-    x0 = np.array(system["x0"])
-
-    def field(t, x):
-        return m @ x + pert.field(t, x)
-
-    traj = solve_abm(al, field, x0, grid)
+    traj = solve_abm(al, _rhs(m, pert), np.array(system["x0"]), grid)
     norms = vector_norm(traj.states, system["norm"])
     residual = residual_check(traj, al, m, pert=pert, norm=system["norm"])
-    report = _base_report(cfg)
-    report.update(
-        {
-            "method": traj.meta["method"],
-            "t_max": grid.horizon,
-            "final_norm": float(norms[-1]),
-            "sup_norm": float(norms.max()),
-            "residual": float(residual),
-        }
-    )
-    _write_json(out_dir, "report.json", report)
-    if csv_on:
-        header = ["t", *(f"x_{i}" for i in range(m.shape[0])), "norm"]
-        _write_csv(
-            out_dir,
-            "trajectory.csv",
-            header,
-            _trajectory_rows(traj.times, traj.states, system["norm"]),
-        )
-    return 0
-
-
-def _report_payload(report):
-    return {
-        "sector": report.sector,
-        "verdict": report.verdict,
-        "q": report.q,
-        "q_error": report.q_error,
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "m_pair": report.m_pair,
-        "t_decay": report.t_decay,
-        "beta_contraction": report.beta_contraction,
-        "sup_envelope": report.sup_envelope,
-        "notes": list(report.notes),
+    fields = {
+        "method": traj.meta["method"],
+        "t_max": grid.horizon,
+        "final_norm": float(norms[-1]),
+        "sup_norm": float(norms.max()),
+        "residual": float(residual),
     }
+    return 0, fields, _trajectory_table(traj, norms)
 
 
-def _run_analyze(cfg, out_dir, csv_on):
+def _classify(cfg):
     system = cfg["system"]
     report = classify(
-        np.array(system["a"]),
-        system["alpha"],
-        _build_perturbation(cfg["perturbation"]),
-        norm=system["norm"],
+        system["a"], system["alpha"], _build_perturbation(cfg["perturbation"]), norm=system["norm"]
     )
-    payload = _base_report(cfg)
-    payload.update(_report_payload(report))
-    _write_json(out_dir, "report.json", payload)
-    return 1 if report.verdict == "Inconclusive" else 0
+    return {**dataclasses.asdict(report), "notes": list(report.notes)}
 
 
-def _run_decay_fit(cfg, out_dir, csv_on):
-    system = cfg["system"]
-    al = system["alpha"]
-    norm = system["norm"]
-    m = as_square_matrix(system["a"])
-    sector = check_spectral_condition(m, al)
-    if not sector["satisfied"]:
-        raise SectorViolationError(
-            "decay fit requires the eigenvalue sector condition"
-        )
-    spec = spectral_decompose(m)
+def _run_analyze(cfg):
+    fields = _classify(cfg)
+    return int(fields["verdict"] == "Inconclusive"), fields, None
+
+
+def _run_decay_fit(cfg):
+    al = cfg["system"]["alpha"]
+    if not check_spectral_condition(as_square_matrix(cfg["system"]["a"]), al)["satisfied"]:
+        raise SectorViolationError("decay fit requires the eigenvalue sector condition")
     t_max = cfg["grid"]["t_max"]
     ts = np.geomspace(t_max / 100.0, t_max, cfg["grid"]["n"])
-    n_ea = operator_norm(ml_matrix(MLParams(al, 1.0), ts, m, spec), norm)
-    n_eaa = operator_norm(ml_matrix(MLParams(al, al), ts, m, spec), norm)
+    norms = _ml_norms(cfg, ts)
     last = ts >= t_max / 10.0
-    slope_ea = float(np.polyfit(np.log(ts[last]), np.log(n_ea[last]), 1)[0])
-    slope_eaa = float(np.polyfit(np.log(ts[last]), np.log(n_eaa[last]), 1)[0])
-    report = _base_report(cfg)
-    report.update(
-        {
-            "t_min": float(ts[0]),
-            "t_max": float(ts[-1]),
-            "fitted_slope_Ea": slope_ea,
-            "fitted_slope_Eaa": slope_eaa,
-        }
-    )
-    _write_json(out_dir, "report.json", report)
-    if csv_on:
-        rows = [
-            [float(t), float(a), float(b), slope_ea, slope_eaa]
-            for t, a, b in zip(ts, n_ea, n_eaa)
-        ]
-        _write_csv(
-            out_dir,
-            "decay.csv",
-            ["t", "norm_Ea", "norm_Eaa", "fitted_slope_Ea", "fitted_slope_Eaa"],
-            rows,
-        )
-    return 0
+    slopes = [float(np.polyfit(np.log(ts[last]), np.log(n[last]), 1)[0]) for n in norms]
+    fields = {
+        "t_min": float(ts[0]),
+        "t_max": float(ts[-1]),
+        "fitted_slope_Ea": slopes[0],
+        "fitted_slope_Eaa": slopes[1],
+    }
+    header = ["t", "norm_Ea", "norm_Eaa", "fitted_slope_Ea", "fitted_slope_Eaa"]
+    rows = ([float(t), float(a), float(b), *slopes] for t, a, b in zip(ts, *norms))
+    return 0, fields, ("decay.csv", header, rows)
 
 
-def _run_robust_demo(cfg, out_dir, csv_on):
+def _run_robust_demo(cfg):
+    fields = _classify(cfg)
+    delta = fields["delta"] if fields["verdict"] in STABLE_VERDICTS else None
+    if delta is not None and delta <= 0.0:
+        fields["notes"].append("delta is 0: there is no initial ball to demonstrate on")
+    if delta is None or delta <= 0.0:
+        fields["demo"] = None
+        return 1, fields, None
+
     system = cfg["system"]
     al = system["alpha"]
     norm = system["norm"]
     m = as_square_matrix(system["a"])
-    pert = _build_perturbation(cfg["perturbation"])
-    report = classify(m, al, pert, norm=norm)
-    payload = _base_report(cfg)
-    payload.update(_report_payload(report))
-    delta = report.delta if report.verdict in STABLE_VERDICTS else None
-    if delta is not None and delta <= 0.0:
-        payload["notes"].append("delta is 0: there is no initial ball to demonstrate on")
-    if delta is None or delta <= 0.0:
-        payload["demo"] = None
-        _write_json(out_dir, "report.json", payload)
-        return 1
-
+    field = _rhs(m, _build_perturbation(cfg["perturbation"]))
     grid = _build_grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
-    d = m.shape[0]
-
-    def field(t, x):
-        return m @ x + pert.field(t, x)
-
     radius = delta / 2.0
     ratios = []
     worst = None
     for _ in range(DEMO_POINTS):
-        direction = rng.standard_normal(d)
+        direction = rng.standard_normal(m.shape[0])
         x0 = radius * direction / vector_norm(direction, norm)
         traj = solve_abm(al, field, x0, grid)
         ratio = float(
@@ -463,7 +380,7 @@ def _run_robust_demo(cfg, out_dir, csv_on):
         ratios.append(ratio)
         if worst is None or ratio > worst[0]:
             worst = (ratio, traj)
-    payload["demo"] = {
+    fields["demo"] = {
         "radius": radius,
         "t_max": grid.horizon,
         "ratios": ratios,
@@ -471,16 +388,7 @@ def _run_robust_demo(cfg, out_dir, csv_on):
         "target": DEMO_TARGET,
         "contracted": max(ratios) <= DEMO_TARGET,
     }
-    _write_json(out_dir, "report.json", payload)
-    if csv_on:
-        header = ["t", *(f"x_{i}" for i in range(d)), "norm"]
-        _write_csv(
-            out_dir,
-            "trajectory.csv",
-            header,
-            _trajectory_rows(worst[1].times, worst[1].states, norm),
-        )
-    return 0
+    return 0, fields, _trajectory_table(worst[1], vector_norm(worst[1].states, norm))
 
 
 def _counterexample_grid():
@@ -503,7 +411,7 @@ def _counterexample_verdict(ts, values, x0):
     return "decays"
 
 
-def _run_counterexample(cfg, out_dir, csv_on):
+def _run_counterexample(cfg):
     al = cfg["system"]["alpha"]
     lam = cfg["params"]["lam"]
     x0 = cfg["params"]["x0"]
@@ -516,35 +424,24 @@ def _run_counterexample(cfg, out_dir, csv_on):
     control_abs = np.abs(control.states[:, 0])
 
     at_one = float(driven_abs[np.where(ts == 1.0)[0][0]])
-    report = _base_report(cfg)
-    report.update(
-        {
-            "lam": lam,
-            "x0": x0,
-            "verdict": _counterexample_verdict(ts, driven_abs, x0),
-            "control_verdict": _counterexample_verdict(ts, control_abs, x0),
-            "abs_x_at_1": at_one,
-            "abs_x_at_horizon": float(driven_abs[-1]),
-            "growth_ratio": float(driven_abs[-1] / at_one) if at_one > 0.0 else 0.0,
-            "control_abs_at_horizon": float(control_abs[-1]),
-        }
+    fields = {
+        "lam": lam,
+        "x0": x0,
+        "verdict": _counterexample_verdict(ts, driven_abs, x0),
+        "control_verdict": _counterexample_verdict(ts, control_abs, x0),
+        "abs_x_at_1": at_one,
+        "abs_x_at_horizon": float(driven_abs[-1]),
+        "growth_ratio": float(driven_abs[-1] / at_one) if at_one > 0.0 else 0.0,
+        "control_abs_at_horizon": float(control_abs[-1]),
+    }
+    rows = (
+        [float(t), float(x), float(abs(x)), float(c)]
+        for t, x, c in zip(ts, driven.states[:, 0], control_abs)
     )
-    _write_json(out_dir, "report.json", report)
-    if csv_on:
-        rows = [
-            [float(t), float(x), float(abs(x)), float(c)]
-            for t, x, c in zip(ts, driven.states[:, 0], control_abs)
-        ]
-        _write_csv(
-            out_dir,
-            "trajectory.csv",
-            ["t", "x_0", "norm", "control_norm"],
-            rows,
-        )
-    return 0
+    return 0, fields, ("trajectory.csv", ["t", "x_0", "norm", "control_norm"], rows)
 
 
-def _run_boundedness(cfg, out_dir, csv_on):
+def _run_boundedness(cfg):
     system = cfg["system"]
     m = as_square_matrix(system["a"])
     pert = _build_perturbation(cfg["perturbation"])
@@ -558,18 +455,15 @@ def _run_boundedness(cfg, out_dir, csv_on):
             return m + pert.q_matrix(t)
 
     out = boundedness_probe(coeff, system["alpha"], grid, norm=system["norm"])
-    report = _base_report(cfg)
-    report.update(
-        {
-            "t_max": grid.horizon,
-            "per_basis_bounded": out["per_basis_bounded"],
-            "sup_norms": out["sup_norms"],
-            "inferred_stable": out["inferred_stable"],
-            "notes": out["notes"],
-        }
-    )
-    _write_json(out_dir, "report.json", report)
-    return 0
+    fields = {
+        "t_max": grid.horizon,
+        "per_basis_bounded": out["per_basis_bounded"],
+        # a failed basis solve has no sup; its note says why (strict JSON has no inf)
+        "sup_norms": [s if math.isfinite(s) else None for s in out["sup_norms"]],
+        "inferred_stable": out["inferred_stable"],
+        "notes": out["notes"],
+    }
+    return 0, fields, None
 
 
 # subcommand -> (config kind, runner); KINDS keeps the table's order
@@ -587,21 +481,39 @@ _RUNNERS = dict(_SUBCOMMANDS.values())
 
 
 def run(cfg, out_dir):
-    """Run one validated config, writing outputs into out_dir."""
+    """Run one validated config; write report.json into out_dir, and the
+    runner's CSV table when "csv" is among the output formats."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_on = "csv" in cfg["output"]["formats"]
-    return _RUNNERS[cfg["kind"]](cfg, out_dir, csv_on)
+    code, fields, table = _RUNNERS[cfg["kind"]](cfg)
+    system = cfg["system"]
+    report = {
+        "name": cfg["name"],
+        "kind": cfg["kind"],
+        "alpha": system["alpha"],
+        "norm": system["norm"],
+        "seed": cfg["seed"],
+        **fields,
+    }
+    _write_atomic(os.path.join(out_dir, "report.json"), json.dumps(report, indent=2) + "\n")
+    if table is not None and "csv" in cfg["output"]["formats"]:
+        name, header, rows = table
+        lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+        _write_atomic(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+    return code
 
 
-def load_config(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+
+
+def load_config(path):
+    return parse_config(_read_json(path))
 
 
 def _parser():
@@ -622,19 +534,19 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        raw = _read_json(args.config)
+        # the overrides go through the same validation as the file's values
+        if isinstance(raw, dict) and args.seed is not None:
+            raw["seed"] = args.seed
+        if isinstance(raw, dict) and isinstance(raw.get("system"), dict) and args.norm is not None:
+            raw["system"]["norm"] = args.norm
+        cfg = parse_config(raw)
         expected = _SUBCOMMANDS[args.command][0]
         if cfg["kind"] != expected:
             raise ConfigError(
                 f"config kind {cfg['kind']!r} does not match subcommand "
                 f"{args.command!r} (expected {expected!r})"
             )
-        if args.seed is not None:
-            if not 0 <= args.seed < 2 ** 64:
-                raise ConfigError("seed override must be an unsigned 64-bit integer")
-            cfg["seed"] = args.seed
-        if args.norm is not None:
-            cfg["system"]["norm"] = args.norm
         out_dir = args.out if args.out is not None else cfg["output"]["directory"]
         if out_dir is None:
             raise ConfigError("no output directory: set output.directory or pass --out")

@@ -191,9 +191,9 @@ class LinearTable(PerturbationSpec):
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
-        ms = np.stack([_as_q_matrix(m) for m in self.matrices])
-        if ts.ndim != 1 or len(ts) != ms.shape[0] or len(ts) < 1:
+        if ts.ndim != 1 or len(ts) != len(self.matrices) or len(ts) < 1:
             raise DomainError("table times and matrices must have equal nonzero length")
+        ms = np.stack([_as_q_matrix(m) for m in self.matrices])
         if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
             raise DomainError("table times must be finite and strictly increasing")
         if ts[0] < 0.0:
@@ -272,7 +272,9 @@ class NonlinearTable(PerturbationSpec):
             raise DomainError("table times and values must have equal nonzero length")
         if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
             raise DomainError("table times must be finite and strictly increasing")
-        if ts[0] < 0.0 or not np.all(np.isfinite(ks)) or np.any(ks < 0.0):
+        if ts[0] < 0.0:
+            raise DomainError("table times must be nonnegative")
+        if not np.all(np.isfinite(ks)) or np.any(ks < 0.0):
             raise DomainError("table values must be finite and nonnegative")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "k_values", ks)

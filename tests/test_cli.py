@@ -74,6 +74,23 @@ def test_parse_rejects_malformed_configs():
         {**good, "perturbation": {"kind": "linear_constant", "q0": [[1.0, 0.0], [0.0, 1.0]]}},
         {**good, "output": {"formats": ["json", "yaml"]}},
         {**good, "params": {"lam": 1.0}},
+        # the perturbation kinds check their own ranges; the CLI reports them
+        {**good, "perturbation": {"kind": "linear_table", "times": [1.0, 0.5],
+                                  "matrices": [[[0.1]], [[0.1]]]}},
+        {**good, "perturbation": {"kind": "linear_table", "times": [-1.0, 0.5],
+                                  "matrices": [[[0.1]], [[0.1]]]}},
+        {**good, "perturbation": {"kind": "linear_decaying", "q0": [[0.1]], "gamma": 0}},
+        {**good, "perturbation": {"kind": "nonlinear_saturating", "c": 0.1, "gamma": -1.0}},
+        {**good, "perturbation": {"kind": "nonlinear_table", "times": [0.0, 1.0],
+                                  "values": [0.1, -0.1]}},
+        {**good, "perturbation": {"kind": "linear_table", "times": [], "matrices": []}},
+        {**good, "perturbation": {"kind": "linear_table", "times": [0.0, 1.0],
+                                  "matrices": [[[0.1]]]}},
+        # above the propagator's dimension cap
+        {**good, "system": {"alpha": 0.5, "a": (-np.eye(65)).tolist()}},
+        # three nodes can leave one point in the fitted last decade
+        {**good, "kind": "DecayFit", "perturbation": {"kind": "none"},
+         "grid": {"t_max": 1e3, "n": 3}},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -323,6 +340,28 @@ def test_boundedness_subcommand(tmp_path):
     assert main(["boundedness", "--config", short, "--out", str(tmp_path / "y")]) == 2
 
 
+def test_boundedness_report_is_strict_json(tmp_path):
+    # the basis solve overflows: its sup norm is written as null, not Infinity
+    cfg = {
+        "name": "huge",
+        "kind": "BoundednessProbe",
+        "system": {"alpha": 0.5, "a": [[1e300]]},
+        "grid": {"t_max": 120.0, "n": 300},
+    }
+    path = _config(tmp_path, "h", cfg)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["boundedness", "--config", path, "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"), parse_constant=reject)
+    assert report["sup_norms"] == [None]
+    assert report["per_basis_bounded"] == [False]
+    assert "solver failed" in report["notes"][0]
+
+
 def test_seed_and_norm_overrides(tmp_path):
     path = _config(tmp_path, "a", _analyze_cfg())
     out = tmp_path / "out"
@@ -333,6 +372,8 @@ def test_seed_and_norm_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["seed"] == 7
     assert report["norm"] == "euclidean"
+    # an override passes the same validation as the config's own value
+    assert main(["analyze", "--config", path, "--out", str(out), "--seed", "-1"]) == 2
 
 
 def test_out_dir_falls_back_to_config(tmp_path):

@@ -63,6 +63,8 @@ def test_perturbation_validation():
     with pytest.raises(DomainError):
         LinearTable([0.0, 0.0], [np.eye(1), np.eye(1)])
     with pytest.raises(DomainError):
+        LinearTable([], [])
+    with pytest.raises(DomainError):
         NonlinearTable([0.0, 1.0], [0.5, -0.1])
     with pytest.raises(DomainError):
         NonlinearSaturating(math.inf)
