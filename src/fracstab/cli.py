@@ -50,13 +50,13 @@ def _fail(msg):
 
 
 def _as_float(value, what):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
+    # JSON numbers only: float() would also take true and "0.5"
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(out):
+    # nan and inf fail this test, and so do ints too large for a float
+    if not abs(value) <= sys.float_info.max:
         _fail(f"{what} must be finite, got {value!r}")
-    return out
+    return float(value)
 
 
 def _as_matrix(value, what):
@@ -482,9 +482,10 @@ _RUNNERS = dict(_SUBCOMMANDS.values())
 
 def run(cfg, out_dir):
     """Run one validated config; write report.json into out_dir, and the
-    runner's CSV table when "csv" is among the output formats."""
-    os.makedirs(out_dir, exist_ok=True)
+    runner's CSV table when "csv" is among the output formats.  out_dir
+    is created once the runner has returned, so a failed run leaves none."""
     code, fields, table = _RUNNERS[cfg["kind"]](cfg)
+    os.makedirs(out_dir, exist_ok=True)
     system = cfg["system"]
     report = {
         "name": cfg["name"],

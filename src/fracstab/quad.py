@@ -294,10 +294,10 @@ _EPS = np.finfo(float).eps
 def _gk21_rule(fx, half):
     """(values, error estimates) of the rule on panels of half-widths
     `half`, from the (n_panels, 21) values fx at their nodes."""
-    resk = fx @ _GK21_WK
-    resg = fx @ _GK21_WG
-    resabs = np.abs(fx) @ _GK21_WK * np.abs(half)
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _GK21_WK * np.abs(half)
+    resk = (fx * _GK21_WK).sum(axis=1)
+    resg = (fx * _GK21_WG).sum(axis=1)
+    resabs = (np.abs(fx) * _GK21_WK).sum(axis=1) * np.abs(half)
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _GK21_WK).sum(axis=1) * np.abs(half)
     err = np.abs((resk - resg) * half)
     # QUADPACK's rescaling: trust the Kronrod-Gauss gap only as far as the
     # integrand's spread allows, and never below roundoff in |f|
@@ -337,53 +337,60 @@ def _gk21_family(f, spans, epsabs, epsrel, limit):
     Each round is one call f(x, owner) on the nodes of every open panel
     of every unfinished span, where owner[i] is the index of the span that
     node x[i] belongs to, the nodes of each span's panels contiguous and
-    in order.  Each span keeps its own partition, tolerance, budget and
-    sums, and the rule runs on that span's rows alone, so each result is
-    bit for bit the one `_gk21_quad` gives for the span alone.
+    in order, and one rule pass over all those panels.  Each span's
+    value, error, split count and retired sums are segment sums
+    (`np.add.reduceat`) over its run of panels, and its tolerance and room
+    follow from them; the rule sums each panel's row on its own, since a
+    matrix-vector product may round a row differently with the number of
+    rows.  So each span keeps its own partition, tolerance, budget and
+    sums, and each result is bit for bit the one `_gk21_quad` gives for
+    the span alone.
     """
-    # per open span: lo, hi, retired value, retired error, retired panels
-    state = {}
-    for j, (a, b, points) in enumerate(spans):
-        inner = sorted({float(p) for p in points if a < p < b})
-        edges = np.array([a, *inner, b], dtype=float)
-        state[j] = [edges[:-1], edges[1:], 0.0, 0.0, 0]
-    budget = [limit * s[0].size for s in state.values()]
-    out = [None] * len(spans)
-    while state:
-        lo = np.concatenate([s[0] for s in state.values()])
-        hi = np.concatenate([s[1] for s in state.values()])
+    cuts = [np.array([a, *sorted({float(p) for p in points if a < p < b}), b], dtype=float)
+            for a, b, points in spans]
+    lo = np.concatenate([c[:-1] for c in cuts] + [np.empty(0)])
+    hi = np.concatenate([c[1:] for c in cuts] + [np.empty(0)])
+    width = np.array([b - a for a, b, _ in spans], dtype=float)
+    # the open spans, and the number of panels of each in its run
+    ids = np.arange(len(spans))
+    sizes = np.array([c.size - 1 for c in cuts], dtype=int)
+    budget = limit * sizes
+    # per span: the retired panels' value, error and count, and the sums
+    # of its last round
+    done_val, done_err, value, error = np.zeros((4, len(spans)))
+    n_done = np.zeros(len(spans), dtype=int)
+    while ids.size:
+        span = np.repeat(ids, sizes)
+        starts = np.cumsum(sizes) - sizes
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK21_X
-        sizes = [s[0].size for s in state.values()]
-        owner = np.repeat(list(state), np.multiply(sizes, _GK21_X.size))
-        fx = np.asarray(f(x.ravel(), owner), dtype=float).reshape(x.shape)
-        for j, stop in zip(list(state), np.cumsum(sizes)):
-            s = state[j]
-            lo, hi, done_val, done_err, n_done = s
-            rows = slice(stop - lo.size, stop)
-            val, err = _gk21_rule(fx[rows], half[rows])
-            value = done_val + float(val.sum())
-            error = done_err + float(err.sum())
-            tol = max(epsabs, epsrel * abs(value))
-            room = budget[j] - n_done - lo.size
-            a, b = spans[j][:2]
-            split = err > tol * (hi - lo) / (b - a)
-            if error <= tol or room <= 0 or not split.any():
-                out[j] = (value, error)
-                del state[j]
-                continue
-            if split.sum() > room:
-                # bisect the failing panels whose error is densest; a panel's
-                # share of the tolerance is proportional to its width
-                worst = np.argsort(err / (hi - lo))[::-1][:room]
-                split = np.zeros_like(split)
-                split[worst] = True
-            mid = 0.5 * (lo[split] + hi[split])
-            s[:] = [
-                np.concatenate([lo[split], mid]),
-                np.concatenate([mid, hi[split]]),
-                done_val + float(val[~split].sum()),
-                done_err + float(err[~split].sum()),
-                n_done + int((~split).sum()),
-            ]
-    return out
+        fx = np.asarray(f(x.ravel(), np.repeat(span, _GK21_X.size)), dtype=float)
+        val, err = _gk21_rule(fx.reshape(x.shape), half)
+        value[ids] = done_val[ids] + np.add.reduceat(val, starts)
+        error[ids] = done_err[ids] + np.add.reduceat(err, starts)
+        tol = np.fmax(epsabs, epsrel * np.abs(value[ids]))
+        room = budget[ids] - n_done[ids] - sizes
+        split = err > np.repeat(tol, sizes) * (hi - lo) / width[span]
+        n_split = np.add.reduceat(split.astype(int), starts)
+        go = ~(error[ids] <= tol) & (room > 0) & (n_split > 0)
+        crowded = go & (n_split > room)
+        for k in np.flatnonzero(crowded):
+            # bisect the failing panels whose error is densest; a panel's
+            # share of the tolerance is proportional to its width
+            rows = slice(starts[k], starts[k] + sizes[k])
+            worst = np.argsort(err[rows] / (hi[rows] - lo[rows]))[::-1][:room[k]]
+            split[rows] = False
+            split[rows.start + worst] = True
+        n_split = np.where(crowded, room, n_split)
+        # the panels kept whole retire; a span's sums skip its split ones
+        done_val[ids] += np.add.reduceat(np.where(split, 0.0, val), starts)
+        done_err[ids] += np.add.reduceat(np.where(split, 0.0, err), starts)
+        n_done[ids] += sizes - n_split
+        # the bisected panels of each span: left halves first, then right
+        cut = split & np.repeat(go, sizes)
+        mid = 0.5 * (lo[cut] + hi[cut])
+        order = np.argsort(np.tile(span[cut], 2), kind="stable")
+        lo = np.concatenate([lo[cut], mid])[order]
+        hi = np.concatenate([mid, hi[cut]])[order]
+        ids, sizes = ids[go], 2 * n_split[go]
+    return [(float(v), float(e)) for v, e in zip(value, error)]

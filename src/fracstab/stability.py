@@ -163,25 +163,34 @@ def _lag_integrals(m, al, norm, pert, product, spec):
     of a nondecreasing weight beta below T = t_freeze, the ratio
     beta(min(t - s, T)) / beta(min(t, T)), exactly 1 once t - s >= T.  The
     propagator does not depend on t, so each node v is evaluated once for
-    every call of integrate and kept in a sorted table.
+    every call of integrate and kept in a table: sorted keys over an
+    append-only store.
     """
     params = MLParams(al, al)
     knots = np.asarray(pert.breakpoints(), dtype=float)
     # the evaluated nodes in increasing order after a sentinel no lookup
-    # returns, and the propagator at each
-    done_v = np.array([np.inf])
-    done_e = np.empty((1,) + m.shape)
+    # returns, each with the row of its propagator in the store, whose
+    # capacity doubles as it fills
+    keys, rows = np.array([np.inf]), np.array([-1])
+    store, used = np.empty((0,) + m.shape), 0
 
     def propagators(v):
-        nonlocal done_v, done_e
+        nonlocal keys, rows, store, used
         s = np.sort(v)
-        at = np.searchsorted(done_v, s)
-        new = (done_v[at] != s) & np.append(True, s[1:] != s[:-1])
+        at = np.searchsorted(keys, s)
+        new = (keys[at] != s) & np.append(True, s[1:] != s[:-1])
         if new.any():
             fresh = ml_matrix(params, s[new] ** (1.0 / al), m, spec)
-            done_e = np.insert(done_e, at[new], fresh, axis=0)
-            done_v = np.insert(done_v, at[new], s[new])
-        return done_e[np.searchsorted(done_v, v)]
+            stop = used + len(fresh)
+            if stop > len(store):
+                grown = np.empty((max(stop, 2 * used),) + m.shape)
+                grown[:used] = store[:used]
+                store = grown
+            store[used:stop] = fresh
+            keys = np.insert(keys, at[new], s[new])
+            rows = np.insert(rows, at[new], np.arange(used, stop))
+            used = stop
+        return store[rows[np.searchsorted(keys, v)]]
 
     def integrate(ts, tol, log_beta=None, t_freeze=None):
         ts = np.asarray(ts, dtype=float)
@@ -594,7 +603,9 @@ def boundedness_probe(b, alpha, grid, norm="max"):
         x0 = np.zeros(d)
         x0[i] = 1.0
         try:
-            traj = solve_abm(al, field, x0, grid)
+            # an overflowing state is reported by the solver as a failure
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = solve_abm(al, field, x0, grid)
         except (NonFiniteStateError, FracstabError) as exc:
             per_basis.append(False)
             sup_norms.append(math.inf)

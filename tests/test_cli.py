@@ -91,6 +91,16 @@ def test_parse_rejects_malformed_configs():
         # three nodes can leave one point in the fitted last decade
         {**good, "kind": "DecayFit", "perturbation": {"kind": "none"},
          "grid": {"t_max": 1e3, "n": 3}},
+        # numbers are JSON numbers: no booleans, no numeric strings, and
+        # no integer too large for a float
+        {**good, "kind": "Solve", "system": {**BASE_SYSTEM, "alpha": True},
+         "grid": {"t_max": 40.0, "n": 320}},
+        {**good, "kind": "Solve", "grid": {"t_max": True, "n": 320}},
+        {**good, "system": {**BASE_SYSTEM, "alpha": "0.5"}},
+        {**good, "system": {**BASE_SYSTEM, "a": [["-1"]]}},
+        {**good, "system": {**BASE_SYSTEM, "x0": [True]}},
+        {**good, "system": {**BASE_SYSTEM, "x0": [10 ** 400]}},
+        {**good, "perturbation": {"kind": "linear_decaying", "q0": [[0.1]], "gamma": True}},
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -210,6 +220,8 @@ def test_decay_fit_slopes_and_sector_failure(tmp_path):
         {**cfg, "system": {"alpha": 0.5, "a": [[1.0]]}},
     )
     assert main(["decay-fit", "--config", bad, "--out", str(tmp_path / "y")]) == 3
+    # a numerical failure leaves no output directory behind
+    assert not (tmp_path / "y").exists()
 
 
 def test_counterexample_verdicts(tmp_path):

@@ -359,24 +359,31 @@ def test_gk21_budget_on_unequal_pieces():
     assert all(np.any(_round_panels(x)[1] <= 1e-3) for x in calls)
 
 
-def test_gk21_family_matches_gk21_quad_bit_for_bit():
-    # spans of different widths, cut points inside and outside (a, b),
-    # finishing after 3, 1, 10, 14 and 2 rounds, and the jump span runs out
-    # of its panel budget
-    fs = [
-        lambda x: np.cos(5.0 * x) * np.exp(-x),
-        lambda x: np.abs(x - 1.0 / 3.0),
-        lambda x: 10.0 * (x > 1e-3 / 3.0) + (x > 0.37),
-        np.sqrt,
-        lambda x: np.exp(-x),
-    ]
-    spans = [
-        (0.0, 5.0, ()),
-        (0.0, 1.0, [1.0 / 3.0]),
-        (0.0, 1.0, [1e-3, 2.0, -1.0]),
-        (0.0, 0.01, [0.005]),
-        (-3.0, 40.0, [0.0, 50.0]),
-    ]
+# spans of different widths, cut points inside and outside (a, b),
+# finishing after 3, 1, 10, 14 and 2 rounds, and the jump span runs out of
+# its panel budget
+_FAMILY_FS = [
+    lambda x: np.cos(5.0 * x) * np.exp(-x),
+    lambda x: np.abs(x - 1.0 / 3.0),
+    lambda x: 10.0 * (x > 1e-3 / 3.0) + (x > 0.37),
+    np.sqrt,
+    lambda x: np.exp(-x),
+]
+_FAMILY_SPANS = [
+    (0.0, 5.0, ()),
+    (0.0, 1.0, [1.0 / 3.0]),
+    (0.0, 1.0, [1e-3, 2.0, -1.0]),
+    (0.0, 0.01, [0.005]),
+    (-3.0, 40.0, [0.0, 50.0]),
+]
+_FAMILY_ROUNDS = [3, 1, 10, 14, 2]
+
+
+def _check_family_against_quad(order):
+    """The family of the spans _FAMILY_SPANS[k], k in order, gives each
+    span bit for bit what `_gk21_quad` gives it alone, in as many rounds."""
+    fs = [_FAMILY_FS[k] for k in order]
+    spans = [_FAMILY_SPANS[k] for k in order]
     limit = 10
     rounds = [0] * len(fs)
 
@@ -400,7 +407,49 @@ def test_gk21_family_matches_gk21_quad_bit_for_bit():
         want = _gk21_quad(alone, a, b, 1e-12, 1e-8, limit, points=points)
         assert np.array([val, err]).tobytes() == np.array(want).tobytes()
         assert n == len(calls)
-    assert rounds == [3, 1, 10, 14, 2]
-    # only the jump span stops on its budget, above its tolerance
-    assert got[2][1] > 1e-8 * abs(got[2][0])
-    assert all(e <= max(1e-12, 1e-8 * abs(v)) for i, (v, e) in enumerate(got) if i != 2)
+    assert rounds == [_FAMILY_ROUNDS[k] for k in order]
+    for k, (v, e) in zip(order, got):
+        if k == 2:
+            # only the jump span stops on its budget, above its tolerance
+            assert e > 1e-8 * abs(v)
+        else:
+            assert e <= max(1e-12, 1e-8 * abs(v))
+
+
+def test_gk21_family_matches_gk21_quad_bit_for_bit():
+    _check_family_against_quad(range(len(_FAMILY_SPANS)))
+
+
+@pytest.mark.parametrize(
+    "order", [[4, 2, 0, 3, 1], [0, 2, 1, 2, 3, 4, 0]], ids=["permuted", "duplicated"]
+)
+def test_gk21_family_bit_for_bit_in_any_span_order(order):
+    # one rule pass and one set of segment sums serve all spans of a round,
+    # yet no span's result depends on its position or its neighbours
+    _check_family_against_quad(order)
+
+
+def test_gk21_family_one_rule_pass_per_round(monkeypatch):
+    # 120 spans that finish after different numbers of rounds: each round
+    # is one call of f and one rule pass over every open panel of them all
+    rule_rows = []
+    f_rows = []
+    rule = quad._gk21_rule
+
+    def counted(fx, half):
+        rule_rows.append(fx.shape[0])
+        return rule(fx, half)
+
+    monkeypatch.setattr(quad, "_gk21_rule", counted)
+    freq = np.linspace(1.0, 60.0, 120)
+
+    def f(x, owner):
+        f_rows.append(x.size // _GK21_X.size)
+        return np.cos(freq[owner] * x)
+
+    got = quad._gk21_family(f, [(0.0, 2.0, ()) for _ in freq], 1e-12, 1e-10, 300)
+    assert rule_rows == f_rows
+    assert len(f_rows) >= 3 and f_rows[0] == freq.size
+    for w, (val, err) in zip(freq, got):
+        assert err <= 1e-10 * abs(val) + 1e-12
+        assert val == pytest.approx(math.sin(2.0 * w) / w, abs=1e-10)

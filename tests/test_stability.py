@@ -1,11 +1,12 @@
 """Tests for the stability certificates and the classification report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracstab import special_fn, stability
+from fracstab import quad, special_fn, stability
 from fracstab.errors import (
     DomainError,
     FracstabError,
@@ -13,7 +14,7 @@ from fracstab.errors import (
     NoDecayError,
     SectorViolationError,
 )
-from fracstab.matfun import kernel_integral, sup_ml_norm
+from fracstab.matfun import kernel_integral, spectral_decompose, sup_ml_norm
 from fracstab.quad import graded_grid, uniform_grid
 from fracstab.special_fn import MLParams, ml
 from fracstab.solver import (
@@ -600,6 +601,48 @@ def test_classify_contour_integrand_calls_per_rotation_case(monkeypatch):
     assert len(calls) <= 243
 
 
+def test_classify_rule_passes_per_rotation_case(monkeypatch):
+    """Each refinement round of the lag integrals is one Gauss-Kronrod rule
+    pass over the open panels of every time: 94 passes per
+    rotation-decaying classify, where one pass per time and round took 667."""
+    calls = []
+    rule = quad._gk21_rule
+
+    def counted(fx, half):
+        calls.append(fx.shape[0])
+        return rule(fx, half)
+
+    monkeypatch.setattr(quad, "_gk21_rule", counted)
+    report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    assert report.verdict == "DecayingStable"
+    assert len(calls) <= 120
+
+
+@pytest.mark.parametrize(
+    "a, pert",
+    [
+        (ROTATION, LinearDecaying(0.2 * np.eye(2), gamma=1.0)),
+        (np.diag([-1.0, -2.0, -3.0]), NonlinearSaturating(0.3, gamma=2.0)),
+        (A_NEG, LinearTable([0, 3.9, 4, 4.1, 10, 10.5, 11], [0.01, 0.01, 1, 0.01, 0.01, 6, 0.01])),
+    ],
+    ids=["rotation-decaying", "diag3-saturating", "table-knots"],
+)
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_lag_integrals_give_each_time_what_it_gets_alone(a, pert, weighted):
+    # the times share one rule pass per round and one propagator table, yet
+    # each integral is bit for bit the one a fresh table gives its time alone
+    args = (a, 0.5, "max", pert, pert.is_linear, spectral_decompose(a))
+    if weighted:
+        extra = (stability._CERT_TOL, lambda taus: 2.0 * np.sqrt(taus), 10.0)
+    else:
+        extra = (stability._Q_TOL,)
+    ts = [0.3, 1.0, 4.05, 10.5, 17.0, 40.0]
+    together = stability._lag_integrals(*args)(ts, *extra)
+    for t, got in zip(ts, together):
+        alone = stability._lag_integrals(*args)([t], *extra)[0]
+        assert np.array(alone).tobytes() == np.array(got).tobytes()
+
+
 @pytest.mark.parametrize(
     "times, values",
     [
@@ -770,6 +813,16 @@ def test_boundedness_reports_numerical_blowup():
     out = boundedness_probe(lambda t: A_DIAG, 0.5, grid)
     assert out["per_basis_bounded"] == [True, False]
     assert not out["inferred_stable"]
+
+
+def test_boundedness_overflow_is_a_note_not_a_warning():
+    # the state overflows within a few steps: the probe marks the basis
+    # unbounded with a note, and numpy prints no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = boundedness_probe(lambda t: np.array([[1e300]]), 0.5, uniform_grid(200.0, 800))
+    assert out["per_basis_bounded"] == [False]
+    assert "solver failed" in out["notes"][0]
 
 
 def test_boundedness_cross_checks_classification():
