@@ -42,8 +42,10 @@ def _as_q_matrix(q0):
     m = np.atleast_2d(np.asarray(q0, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise DomainError("perturbation matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("perturbation matrix entries must be finite")
+    # the absolute entry sum bounds every supported operator norm
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(m).sum()):
+            raise DomainError("perturbation matrix entries must be finite, with a finite sum")
     return m
 
 
@@ -67,10 +69,12 @@ def _growth(t, gamma):
 class PerturbationSpec:
     """Base class for the perturbation f(t, x); subclasses are the kinds.
 
-    Every kind exposes the value f(t, x), the Lipschitz envelope K(t) with
-    K(t) >= ||Q(t)|| for the linear kinds, the envelope limit at large
-    times used by the decay certificates, and the breakpoints of a
-    piecewise-linear envelope, so that the certificates see its sup.
+    Every kind defines the value f(t, x), the Lipschitz envelope K(t) with
+    K(t) >= ||Q(t)|| for the linear kinds, the breakpoints of K and, if
+    linear, the matrix Q(t).  The contract on K: between consecutive
+    breakpoints, and from t = 0 to the first and past the last, K is
+    nonincreasing or affine, and `envelope(np.inf)` is its limit.  The
+    base class derives the limit and the sup of K from that.
     `envelope` and `q_matrix` take a time or an array of n times: a time
     gives a number or a (d, d) matrix, the array an (n,) vector or an
     (n, d, d) stack.  `field` takes a time and a (d,) state, or an array of
@@ -90,7 +94,15 @@ class PerturbationSpec:
         raise NotImplementedError
 
     def limit_envelope(self, norm="max"):
-        raise NotImplementedError
+        """The limit of K(t) as t -> infinity."""
+        return float(self.envelope(np.inf, norm))
+
+    def envelope_sup(self, t0, norm="max"):
+        """The sup of K over [t0, infinity): by the contract, the max of
+        K at t0, at every later breakpoint and at infinity."""
+        knots = np.asarray(self.breakpoints(), dtype=float)
+        ts = np.concatenate([[t0], knots[knots > t0], [np.inf]])
+        return float(np.max(self.envelope(ts, norm)))
 
     def breakpoints(self):
         """Times other than t = 0 where the envelope can peak."""
@@ -112,9 +124,6 @@ class NoPerturbation(PerturbationSpec):
     def envelope(self, t, norm="max"):
         return _per_time(0.0, t)
 
-    def limit_envelope(self, norm="max"):
-        return 0.0
-
     def q_matrix(self, t):
         return None
 
@@ -135,9 +144,6 @@ class LinearConstant(PerturbationSpec):
 
     def envelope(self, t, norm="max"):
         return _per_time(operator_norm(self.q0, norm), t)
-
-    def limit_envelope(self, norm="max"):
-        return operator_norm(self.q0, norm)
 
     def q_matrix(self, t):
         return _per_time(self.q0, t)
@@ -166,9 +172,6 @@ class LinearDecaying(PerturbationSpec):
     def envelope(self, t, norm="max"):
         decay = np.power(1.0 + np.asarray(t, dtype=float), self.gamma)
         return operator_norm(self.q0, norm) / decay
-
-    def limit_envelope(self, norm="max"):
-        return 0.0
 
     def q_matrix(self, t):
         decay = np.power(1.0 + np.asarray(t, dtype=float)[..., None, None], self.gamma)
@@ -218,9 +221,6 @@ class LinearTable(PerturbationSpec):
     def envelope(self, t, norm="max"):
         return np.interp(t, self.times, operator_norm(self.matrices, norm))
 
-    def limit_envelope(self, norm="max"):
-        return float(operator_norm(self.matrices[-1], norm))
-
     def breakpoints(self):
         return self.times
 
@@ -254,9 +254,6 @@ class NonlinearSaturating(PerturbationSpec):
     def envelope(self, t, norm="max"):
         return abs(self.c) * np.power(1.0 + np.asarray(t, dtype=float), -self.gamma)
 
-    def limit_envelope(self, norm="max"):
-        return 0.0 if self.gamma > 0.0 else abs(self.c)
-
 
 @dataclass(frozen=True)
 class NonlinearTable(PerturbationSpec):
@@ -288,9 +285,6 @@ class NonlinearTable(PerturbationSpec):
 
     def envelope(self, t, norm="max"):
         return self._k(t)
-
-    def limit_envelope(self, norm="max"):
-        return float(self.k_values[-1])
 
     def breakpoints(self):
         return self.times

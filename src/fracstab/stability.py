@@ -36,7 +36,6 @@ from .solver import PerturbationSpec, as_perturbation, solve_abm
 from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
-_LIMIT_TIME = 1e18           # stand-in for t -> infinity when probing envelopes
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
 _CONTRACTION_PASS = 0.5      # the theorem's contraction factor; the value is a bound
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -128,9 +127,12 @@ def _golden_max(f, lo, hi, xtol):
 def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     """Bound on the integral values past the largest sampled horizon.
 
-    Splits the integral at lag 2^15: the recent-past part is bounded by
-    the envelope value there times the full kernel integral, the
-    distant-past part through the algebraic decay of the propagator.
+    Splits the integral at lag 2^15: the recent-past part sees the
+    envelope only from time 2^15 on, where env_far is its sup, and the
+    distant-past part sees at most sup_k, over a kernel tail bounded
+    through the algebraic decay of the propagator.  Charging env_far over
+    the whole kernel integral leaves sup_k - env_far for the tail, so a
+    constant envelope's bound is its limit.
     """
     params = MLParams(al, al)
     c_hat = (
@@ -138,7 +140,7 @@ def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
         * _FAR_TIME ** (2.0 * al)
     )
     kernel_tail = c_hat * _FAR_TIME ** (-al) / al
-    return env_far * kint_value + sup_k * kernel_tail
+    return env_far * kint_value + (sup_k - env_far) * kernel_tail
 
 
 def _weighted_norms(e, taus, norm, pert, product):
@@ -232,16 +234,12 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         # K >= ||Q||, so a vanishing envelope limit leaves Q(inf) = 0
         limit_value = lim_k * kint_value
     else:
-        # a matrix that settles to a constant makes the integral monotone
-        # up to this infinite-horizon limit
+        # a matrix that settles to a constant gives the integral this
+        # t -> infinity value, which enters the sup as its limit
         limit_value = kernel_integral(
-            m, al, norm, spec=spec, right=pert.q_matrix(_LIMIT_TIME)
+            m, al, norm, spec=spec, right=pert.q_matrix(np.inf)
         )["value"]
-
-    if float(pert.envelope(0.0, norm)) == lim_k == sup_k:
-        # constant envelope: the integral grows monotonically to its limit
-        return float(limit_value), 0.0
-    env_far = float(pert.envelope(_FAR_TIME, norm))
+    env_far = pert.envelope_sup(_FAR_TIME, norm)
     integrate = _lag_integrals(m, al, norm, pert, product, spec)
 
     best = 0.0
@@ -258,7 +256,7 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         )
         best = max(best, polished)
     value = max(best, limit_value)
-    if env_far == 0.0 and sup_k > 0.0:
+    if env_far == 0.0:
         # vanished envelope: past the last horizon the integral only decays
         tail_excess = 0.0
     else:
@@ -268,18 +266,11 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
 
 
 def _envelope_stats(pert, norm):
-    """(sup, limit) of the envelope K(t) of a perturbation kind, with the
-    sup taken over t = 0, its breakpoints and the limit.
-
-    The sup is exact for the kinds: the analytic envelopes peak at t = 0
-    and the piecewise-linear table envelopes at a knot.
-    """
-    lim_k = float(pert.limit_envelope(norm))
-    ts = np.concatenate([[0.0], pert.breakpoints()])
-    vals = np.append(pert.envelope(ts, norm), lim_k)
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
+    """(sup, limit) of the envelope K(t) of a perturbation kind."""
+    sup_k, lim_k = pert.envelope_sup(0.0, norm), pert.limit_envelope(norm)
+    if not (math.isfinite(sup_k) and lim_k >= 0.0):
         raise DomainError("envelope must be finite and nonnegative")
-    return float(vals.max()), lim_k
+    return sup_k, lim_k
 
 
 def compute_q_linear(a, alpha, pert, norm="max"):
@@ -289,9 +280,9 @@ def compute_q_linear(a, alpha, pert, norm="max"):
     product-integrated kernel-weighted perturbation, with the norm on the
     matrix product inside the integrand; compute_q_nonlinear gives the
     cheaper majorant ||E|| * envelope instead.  A perturbation
-    matrix that settles to a constant makes the integral monotone up to
-    its infinite-horizon limit, which is evaluated analytically through
-    the kernel integral and included in the sup.
+    matrix that settles to a constant gives the integral a t -> infinity
+    value, evaluated analytically through the kernel integral; it enters
+    the sup as the limit, not as a bound on the finite horizons.
     """
     m = as_square_matrix(a)
     al = _order_value(alpha)

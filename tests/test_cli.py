@@ -86,6 +86,9 @@ def test_parse_rejects_malformed_configs():
         {**good, "perturbation": {"kind": "linear_table", "times": [], "matrices": []}},
         {**good, "perturbation": {"kind": "linear_table", "times": [0.0, 1.0],
                                   "matrices": [[[0.1]]]}},
+        # finite entries whose norm overflows
+        {**good, "system": {**BASE_SYSTEM, "a": [[-1.0, 0.0], [0.0, -1.0]], "x0": [1.0, 1.0]},
+         "perturbation": {"kind": "linear_constant", "q0": [[1e308, 1e308], [0.0, 0.0]]}},
         # above the propagator's dimension cap
         {**good, "system": {"alpha": 0.5, "a": (-np.eye(65)).tolist()}},
         # three nodes can leave one point in the fitted last decade

@@ -161,6 +161,49 @@ def test_nonlinear_kinds_vanish_at_zero_and_are_lipschitz():
     assert NonlinearTable([0.0, 1.0], [0.5, 0.2]).limit_envelope() == pytest.approx(0.2)
 
 
+def _seeded_tables(rng, count):
+    """Tables with 1-8 knots: some reach past 2^15, and some have equal
+    node norms in every norm (a unit entry moving along the diagonal)."""
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        start = 2.0 ** 15 - 40.0 if i % 3 == 1 else 0.0
+        times = start + np.cumsum(rng.uniform(0.01, 30.0, n))
+        if i % 2 == 0:
+            times -= times[0] - start
+        if i % 4 == 2:
+            mats = np.stack([np.diag(np.roll([1.5, 0.0], k)) for k in range(n)])
+            values = np.full(n, 1.5)
+        else:
+            mats = rng.normal(size=(n, 2, 2))
+            values = rng.uniform(0.0, 3.0, n)
+        yield LinearTable(times, mats)
+        yield NonlinearTable(times, values)
+
+
+def test_envelope_sup_and_limit_follow_the_kinds_contract():
+    rng = np.random.default_rng(20261019)
+    kinds = [
+        NoPerturbation(),
+        LinearConstant([[0.3, -0.2], [0.1, 0.4]]),
+        LinearDecaying([[0.3, -0.2], [0.1, 0.4]], gamma=1.5),
+        NonlinearSaturating(0.7),
+        NonlinearSaturating(-0.4, gamma=1.5),
+        *_seeded_tables(rng, 24),
+    ]
+    for p in kinds:
+        knots = np.asarray(p.breakpoints())
+        last = knots[-1] if knots.size else 0.0
+        starts = [0.0, 2.0 ** 15, last + 1.0, rng.uniform(0.0, last + 1.0), *knots[:2]]
+        for norm in ("max", "euclidean", "one"):
+            assert p.limit_envelope(norm) == p.envelope(np.inf, norm)
+            for t0 in starts:
+                grid = np.linspace(t0, max(t0, last) + 10.0, 2001)
+                dense = np.concatenate([grid, knots[knots >= t0]])
+                peak = np.max(p.envelope(dense, norm))
+                # linear interpolation can round a few ulps past its ends
+                assert p.envelope_sup(t0, norm) >= peak - 4.0 * np.spacing(peak)
+
+
 # ---------------------------------------------------------------------------
 # exact linear propagator
 

@@ -399,6 +399,19 @@ def test_classify_constant_gain_is_robust():
     assert report.sup_envelope == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "pert", [LinearConstant(np.array([[0.998]])), NonlinearSaturating(0.998)], ids=["linear", "saturating"]
+)
+def test_classify_certifies_a_constant_gain_just_under_the_threshold(pert):
+    # A + Q = -0.002: a constant envelope's far-tail bound is its limit, so
+    # the scan adds no tail excess to q_error (charging all of sup K to the
+    # kernel tail would add 3.1e-3 and read Inconclusive)
+    report = classify(A_NEG, 0.5, pert)
+    assert report.verdict == "RobustStable"
+    assert report.q == pytest.approx(0.998, rel=1e-9)
+    assert report.q_error < 1e-10
+
+
 def test_classify_sector_violation_short_circuits():
     report = classify(A_POS, 0.5, LinearConstant(np.array([[0.5]])))
     assert report.verdict == "SectorViolated"
@@ -750,6 +763,40 @@ def test_classify_does_not_certify_a_fast_unstable_system():
     report = classify(1e8 * PAIR_B, 0.5, LinearConstant(3e8 * np.eye(2)))
     assert not report.verdict.endswith("Stable")
     assert report.epsilon == pytest.approx(0.5 / 26.0 * 1e8, rel=1e-6)
+
+
+def test_classify_does_not_certify_an_equal_norm_table():
+    # both table nodes have norm 1, so the envelope is the constant 1, but Q
+    # moves from the slow direction to the fast one: I(t) reaches 3.18
+    # against a t -> infinity value of 0.1, which was once reported as q
+    # with q_error 0, delta 0.9 and RobustStable
+    a = np.diag([-0.1, -10.0])
+    table = LinearTable([0.0, 100.0], [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    report = classify(a, 0.5, table)
+    assert not report.verdict.endswith("Stable")
+    assert report.q + report.q_error >= 1.0
+    # why: from 0.99 of that delta along e1 the slow direction grows
+    # under Q = diag(1, 0) until t = 100
+    field = lambda t, x: a @ x + table.field(t, x)
+    states = solve_abm(0.5, field, np.array([0.99 * 0.9, 0.0]), uniform_grid(150.0, 1500)).states
+    assert np.max(np.abs(states)) > 1e9
+
+
+@pytest.mark.parametrize(
+    "pert",
+    [
+        LinearTable([0.0, 1e5, 1.0001e5, 1.0002e5], np.array([0.0, 0.0, 6.0, 0.0])[:, None, None]),
+        NonlinearTable([0.0, 1e5, 1.0001e5, 1.0002e5], [0.0, 0.0, 6.0, 0.0]),
+    ],
+    ids=["linear", "nonlinear"],
+)
+def test_classify_does_not_certify_a_bump_past_the_last_horizon(pert):
+    # every horizon up to 2^16 sees K = 0 and so does the single sample
+    # K(2^15) the far tail once read, which gave q 0, q_error 0 and
+    # RobustStable; the envelope's sup past 2^15 is 6
+    report = classify(A_NEG, 0.5, pert)
+    assert not report.verdict.endswith("Stable")
+    assert report.q + report.q_error >= 1.0
 
 
 @pytest.mark.parametrize(
