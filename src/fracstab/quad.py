@@ -4,10 +4,11 @@ The central integral is ∫_0^t (t-tau)^(alpha-1) g(tau) dtau with alpha in
 (0,1): the kernel factor is integrated exactly against the piecewise-linear
 interpolant of g (product trapezoidal rule), so the endpoint singularity
 never enters a function evaluation.  The convolution with a matrix kernel is
-built once per grid into per-interval kernel blocks and then applied to
-values; on a uniform grid the blocks depend only on the lag index, and the
-rule is a discrete convolution summed directly (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985).  The certificates' smooth integrals use
+built once per grid into d x d weights per node, so that each application to
+values is one product: on a uniform grid the weights depend only on the lag
+index and it is a discrete convolution summed directly (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), on any other one a
+lower-triangular matrix product.  The certificates' smooth integrals use
 an adaptive Gauss–Kronrod rule that evaluates its integrand on arrays.
 """
 from __future__ import annotations
@@ -160,72 +161,75 @@ def _row_coeffs(lag_a, lag_b, a_):
     return seg0, seg1, c_psi_u, c_psi_v
 
 
-def _interval_blocks(kernel, lo, hi, lag_a, lag_b, a_):
-    """The (n_intervals, d, 2d) blocks [P | Q] of the intervals running from
-    lag_a down to lag_b: P u + Q v is an interval's share of the integral
-    for the value u at its left node and its slope v.  kernel[lo] and
-    kernel[hi] are the kernel at the smaller lag lag_b and the larger lag
-    lag_a.  The halves are filled in place, which keeps the build's peak
-    memory below that of the kernel evaluation on graded grids."""
-    cpu, cpv, csu, csv = (c[:, None, None] for c in _row_coeffs(lag_a, lag_b, a_))
-    d = kernel.shape[1]
-    blocks = np.empty((lo.size, d, 2 * d))
-    for half, c_lo, c_hi in ((blocks[..., :d], cpu - csu, csu), (blocks[..., d:], cpv - csv, csv)):
-        np.multiply(kernel[lo], c_lo, out=half)
-        half += kernel[hi] * c_hi
-    return blocks
+def _interval_weights(lag_a, lag_b, dt, a_):
+    """Scalar weights (ca_b, ca_a, cb_b, cb_a) of the intervals running from
+    lag_a down to lag_b, of steps dt: an interval adds (ca_b K_b + ca_a K_a)
+    u_a + (cb_b K_b + cb_a K_a) u_b for the kernel K and the values u at its
+    nodes of lag lag_a and lag_b.  That is the _row_coeffs blocks P against
+    the value u_a and Q against the slope (u_b - u_a) / dt, folded."""
+    c_phi_u, c_phi_v, c_psi_u, c_psi_v = _row_coeffs(lag_a, lag_b, a_)
+    cb_b, cb_a = (c_phi_v - c_psi_v) / dt, c_psi_v / dt
+    return c_phi_u - c_psi_u - cb_b, c_psi_u - cb_a, cb_b, cb_a
 
 
 def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
     """Build the discretized convolution of convolve_singular once: returns
     apply(work), which maps the (len(grid), d) values to their integrals.
 
-    The kernel is evaluated and the moment coefficients are folded into
-    per-interval d x d blocks here, so an iteration that applies the
-    operator again and again pays only for the products with the values.
+    The kernel and the moment coefficients are folded into d x d weights
+    per node here, so that each application is one product with the values:
+    d^2 direct convolutions on a uniform grid, one matrix product otherwise.
     """
     a_ = _order_incl_one(alpha)
     t = grid.nodes
     n_int = t.size - 1
-    dt = np.diff(t)[:, None]
+    dt = np.diff(t)
 
     if grid.is_uniform and n_int > 0:
         # interval j of row n runs from lag t_{m+1} down to lag t_m with
-        # m = n - 1 - j, so the N blocks depend on m alone and out[n] is a
-        # causal discrete convolution of them with the values and slopes
+        # m = n - 1 - j; it weighs node j with to_a[m] and node j + 1 with
+        # to_b[m], the first term of toeplitz.  So node k >= 1 of row n
+        # weighs toeplitz[n - k] = to_b[n - k] + to_a[n - k - 1], and node
+        # 0, with no interval before it, to_a[n - 1].  One step stands for all.
         k = _kernel_stack(kernel_matrix_at(t), t.size, d)
-        m = np.arange(n_int)
-        blocks = _interval_blocks(k, m, m + 1, t[1:], t[:-1], a_)
+        ca_b, ca_a, cb_b, cb_a = (c[:, None, None] for c in _interval_weights(t[1:], t[:-1], dt, a_))
+        to_a = k[:-1] * ca_b + k[1:] * ca_a
+        toeplitz = k[:-1] * cb_b + k[1:] * cb_a
+        toeplitz[1:] += to_a[:-1]
 
         def apply(work):
-            uv = np.concatenate([work[:-1], np.diff(work, axis=0) / dt], axis=1)
             out = np.zeros_like(work)
             for a in range(d):
-                for b in range(2 * d):
-                    out[1:, a] += np.convolve(blocks[:, a, b], uv[:, b])[:n_int]
+                for b in range(d):
+                    out[1:, a] += np.convolve(toeplitz[:, a, b], work[1:, b])[:n_int]
+            out[1:] += to_a @ work[0]
             return out
 
         return apply
 
-    # row n needs the lags t_n - t_j, j = 0..n, stored from offset start[n];
-    # interval j of the row runs from lag upper = start[n] + j down to the
-    # next one.  The blocks are packed row after row, row n's from first[n-1].
-    lags = np.concatenate([t[n] - t[: n + 1] for n in range(t.size)])
-    start = np.concatenate([[0], np.cumsum(np.arange(1, t.size + 1))])
+    # the lags t_n - t_j of the rows n, j = 0..n, in the row-major order of
+    # the lower triangle; interval j of row n runs from the lag at a position
+    # p in `upper` down to the one at p + 1.  A node's weight sums its two
+    # intervals' shares: c_prev, c_self and c_next times the kernel at the
+    # lags before, at and after its own.
+    tri = np.tri(t.size, dtype=bool)
+    lags = (t[:, None] - t)[tri]
     kall = _kernel_stack(kernel_matrix_at(lags), lags.size, d)
-    rows = np.repeat(np.arange(1, t.size), np.arange(1, t.size))
-    upper = np.delete(np.arange(lags.size - 1), start[1:-1] - 1)
-    blocks = _interval_blocks(kall, upper + 1, upper, lags[upper], lags[upper + 1], a_)
-    node = upper - start[rows]
-    first = np.cumsum(np.arange(n_int))
-
-    def apply(work):
-        uv = np.concatenate([work[:-1], np.diff(work, axis=0) / dt], axis=1)
-        out = np.zeros_like(work)
-        out[1:] = np.add.reduceat(np.einsum("mab,mb->ma", blocks, uv[node]), first)
-        return out
-
-    return apply
+    rows, cols = np.nonzero(tri)
+    upper = np.flatnonzero(cols < rows)
+    ca_b, ca_a, cb_b, cb_a = _interval_weights(lags[upper], lags[upper + 1], dt[cols[upper]], a_)
+    c_prev, c_self, c_next = np.zeros((3, lags.size, 1, 1))
+    c_next[upper, 0, 0], c_self[upper, 0, 0], c_prev[upper + 1, 0, 0] = ca_b, ca_a, cb_a
+    c_self[upper + 1, 0, 0] += cb_b
+    node_w = kall * c_self
+    node_w[:-1] += kall[1:] * c_next[:-1]
+    node_w[1:] += kall[:-1] * c_prev[1:]
+    del kall  # gone before the matrix comes: the kernel evaluation stays the peak
+    # block (n, j) of the node-weight matrix is weights[n, :, j, :]
+    weights = np.zeros((t.size, d, t.size, d))
+    weights.transpose(1, 3, 0, 2)[:, :, tri] = node_w.transpose(1, 2, 0)
+    weights = weights.reshape(t.size * d, t.size * d)
+    return lambda work: (weights @ work.reshape(-1)).reshape(work.shape)
 
 
 def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
@@ -244,11 +248,11 @@ def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
     (O(N^2) lags).  It returns a scalar, a (d, d) matrix or the
     (n_lags, d, d) stack of kernel values at those lags.
 
-    The rule is built into per-interval kernel blocks and then applied to
-    the values, the same two steps an iteration takes when it builds the
-    operator once per solve and applies it per iteration.  Uniform grids
-    apply it as a discrete convolution of O(N) blocks, graded grids as one
-    product over their O(N^2) blocks.
+    The rule is built into node weights and then applied to the values,
+    the same two steps an iteration takes when it builds the operator once
+    per solve and applies it per iteration.  Uniform grids apply it as a
+    discrete convolution of O(N) weights, graded grids as one product with
+    the O(N^2) weights of a lower-triangular matrix.
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape[0] != len(grid):

@@ -467,29 +467,25 @@ def lyapunov_perron_iterate(
     states = linear
     ratios = []
     prev_diff = None
-    for k in range(1, max_iter + 1):
-        new_states = operator(states)
-        diff = float(np.max(vector_norm(new_states - states, norm)))
-        if prev_diff is not None and prev_diff > 0.0:
-            ratios.append(diff / prev_diff)
-        states = new_states
-        if diff <= tol:
-            return Trajectory(
-                grid=grid,
-                states=states,
-                meta={
-                    "method": "lyapunov_perron",
-                    "iterations": k,
-                    "residual": diff,
-                    "ratios": ratios,
-                },
-            )
-        if not math.isfinite(diff):
-            break
-        prev_diff = diff
+    # a diverging iteration may overflow; its first non-finite difference ends it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iter + 1):
+            new_states = operator(states)
+            diff = float(np.max(vector_norm(new_states - states, norm)))
+            if not math.isfinite(diff):
+                break
+            if prev_diff is not None and prev_diff > 0.0:
+                ratios.append(diff / prev_diff)
+            states = new_states
+            if diff <= tol:
+                meta = {"method": "lyapunov_perron", "iterations": k, "residual": diff, "ratios": ratios}
+                return Trajectory(grid=grid, states=states, meta=meta)
+            prev_diff = diff
     last_ratio = ratios[-1] if ratios else math.inf
     raise IterationDivergenceError(
         f"no convergence after {k} iterations; last ratio {last_ratio:.6g}"
+        if math.isfinite(diff)
+        else f"no convergence: iteration {k} overflowed; last finite ratio {last_ratio:.6g}"
     )
 
 

@@ -235,6 +235,78 @@ def test_row_coeffs_match_mpmath(alpha):
                     assert err <= 6e-13 * sum(abs(w[j]) for w in want), (g.r, n, j)
 
 
+NON_NORMAL = {
+    1: np.array([[-0.7]]),
+    2: np.array([[-1.0, 3.0], [0.0, -0.4]]),
+    3: np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.5], [0.3, 0.0, -2.0]]),
+}
+
+
+def per_interval_reference(grid, alpha, vals, kernel):
+    """The product rule summed interval by interval, row by row: interval j
+    of row n adds P u_j + Q (u_{j+1} - u_j) / dt_j, with the blocks P and Q
+    of the kernel at its two lags and its _row_coeffs moments."""
+    t = grid.nodes
+    out = np.zeros_like(vals)
+    for n in range(1, t.size):
+        lags = t[n] - t[: n + 1]
+        k = kernel(lags)
+        c_phi_u, c_phi_v, c_psi_u, c_psi_v = (
+            c[:, None, None] for c in quad._row_coeffs(lags[:-1], lags[1:], alpha)
+        )
+        p = k[1:] * (c_phi_u - c_psi_u) + k[:-1] * c_psi_u
+        q = k[1:] * (c_phi_v - c_psi_v) + k[:-1] * c_psi_v
+        slopes = np.diff(vals[: n + 1], axis=0) / np.diff(t[: n + 1])[:, None]
+        out[n] = np.einsum("jab,jb->a", p, vals[:n]) + np.einsum("jab,jb->a", q, slopes)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        uniform_grid(4.0, 48),
+        graded_grid(4.0, 48, 2.0),
+        graded_grid(4.0, 48, 4.0),
+        # r = 1 with uneven steps takes the matrix branch
+        TimeGrid(np.concatenate([[0.0], np.cumsum(np.random.default_rng(5).uniform(0.02, 0.15, 48))])),
+    ],
+    ids=["uniform", "graded-r2", "graded-r4", "uneven-r1"],
+)
+def test_convolve_matches_the_per_interval_sum(grid, d):
+    alpha = 0.6
+    a = NON_NORMAL[d]
+    spec = spectral_decompose(a)
+    p = MLParams(alpha, alpha)
+    kernel = lambda lags: ml_matrix(p, lags, a, spec)
+    rng = np.random.default_rng(d)
+    vals = np.column_stack([np.cos(grid.nodes + k) for k in range(d)])
+    vals += 0.1 * rng.normal(size=vals.shape)
+    ref = per_interval_reference(grid, alpha, vals, kernel)
+    out = convolve_singular(grid, alpha, vals, kernel)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_uniform_application_is_d_squared_convolutions(monkeypatch, d):
+    g = uniform_grid(3.0, 64)
+    a = NON_NORMAL[d]
+    spec = spectral_decompose(a)
+    p = MLParams(0.5, 0.5)
+    apply = quad._convolution_operator(g, 0.5, lambda lags: ml_matrix(p, lags, a, spec), d)
+    calls = []
+    original = np.convolve
+
+    def counted(x, y, *args, **kwargs):
+        calls.append(len(x))
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    apply(np.ones((len(g), d)))
+    assert len(calls) == d * d
+
+
 def test_convolve_length_mismatch():
     g = uniform_grid(1.0, 8)
     with pytest.raises(GridError):

@@ -2,6 +2,8 @@
 iteration, and the integral-equation residual."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +425,49 @@ def test_iteration_diverges_at_strong_perturbation():
     g = uniform_grid(50.0, 400)
     with pytest.raises(IterationDivergenceError, match="last ratio"):
         lyapunov_perron_iterate(0.5, A_NEG, LinearConstant([[1.5]]), 1.0, g)
+
+
+@pytest.mark.parametrize(
+    "grid, finite_ratio",
+    [(uniform_grid(20.0, 200), "18.7325"), (graded_grid(20.0, 100, 2.0), "21.2848")],
+    ids=["uniform", "graded"],
+)
+def test_iteration_overflow_ends_without_warnings(grid, finite_ratio):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IterationDivergenceError) as err:
+            lyapunov_perron_iterate(0.5, A_NEG, LinearConstant([[1000.0]]), 1.0, grid)
+    msg = str(err.value)
+    assert re.fullmatch(r"no convergence: iteration \d+ overflowed; last finite ratio \d+\.?\d*", msg), msg
+    # a divergence that stays finite keeps its message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IterationDivergenceError) as err:
+            lyapunov_perron_iterate(0.5, A_NEG, LinearConstant([[50.0]]), 1.0, grid)
+    assert str(err.value) == f"no convergence after 200 iterations; last ratio {finite_ratio}"
+
+
+def test_bench_systems_keep_their_iteration_counts(monkeypatch):
+    graded = lyapunov_perron_iterate(
+        0.5, A_NEG, LinearConstant([[0.5]]), 1.0, graded_grid(5.0, 128, 4.0)
+    )
+    assert graded.meta["iterations"] == 19
+    calls = []
+    original = np.convolve
+
+    def counted(x, y, *args, **kwargs):
+        calls.append(len(x))
+        return original(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    uniform = lyapunov_perron_iterate(
+        0.5, rotation, LinearDecaying(0.2 * np.eye(2), gamma=1.0), np.array([1.0, -0.5]),
+        uniform_grid(5.0, 512),
+    )
+    assert uniform.meta["iterations"] == 10
+    # d^2 = 4 convolutions per application
+    assert len(calls) == 40
 
 
 def test_iteration_and_abm_agree_on_perturbed_system():
