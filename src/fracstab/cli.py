@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError, FracstabError, SectorViolationError
-from .matfun import _DIM_CAP, as_square_matrix, check_spectral_condition, ml_matrix, spectral_decompose
+from .matfun import _DIM_CAP, as_square_matrix, check_spectral_condition, ml_matrix
 from .norms import VECTOR_NORMS, operator_norm, vector_norm
 from .quad import TimeGrid, graded_grid, uniform_grid
 from .solver import (
@@ -43,6 +43,8 @@ STABLE_VERDICTS = ("RobustStable", "UniformSmallStable", "DecayingStable")
 COUNTEREXAMPLE_HORIZON = 50.0
 DEMO_POINTS = 10
 DEMO_TARGET = 0.1
+# a graded Solve's residual check builds a dense ((n + 1) d)^2 operator
+_GRADED_SOLVE_CAP = 2048
 
 
 def _fail(msg):
@@ -167,6 +169,10 @@ def parse_config(raw):
         # fewer nodes can leave one point in the fitted last decade
         _fail(f"decay fit needs grid.n >= 4, got {n!r}")
 
+    size = (n + 1) * d
+    if kind == "Solve" and grading > 1.0 and size > _GRADED_SOLVE_CAP:
+        _fail(f"graded solve has (grid.n + 1) * d = {size}, above the cap {_GRADED_SOLVE_CAP}")
+
     if kind == "BoundednessProbe":
         if t_max < 100.0:
             _fail("boundedness probe needs grid.t_max >= 100")
@@ -274,9 +280,8 @@ def _ml_norms(cfg, ts):
     system = cfg["system"]
     al = system["alpha"]
     m = as_square_matrix(system["a"])
-    spec = spectral_decompose(m)
     return [
-        operator_norm(ml_matrix(MLParams(al, beta), ts, m, spec), system["norm"])
+        operator_norm(ml_matrix(MLParams(al, beta), ts, m), system["norm"])
         for beta in (1.0, al)
     ]
 

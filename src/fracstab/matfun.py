@@ -98,17 +98,13 @@ def _invariant_basis(m, w, idx):
     return np.linalg.svd(p)[0][:, : len(idx)]
 
 
-def spectral_decompose(a):
-    """Eigenvalues, sorted by (real, imag), and the spectral basis of a.
-
-    A spectrum without clusters keeps the eigenvector matrix of
-    `np.linalg.eig` as its basis; each cluster gets its invariant-subspace
-    basis and its block (see SpectralData), computed once here.
-    """
-    m = as_square_matrix(a)
-    d = m.shape[0]
+@functools.lru_cache(maxsize=64)
+def _decompose(d, raw):
+    """Read-only spectral data of the d x d matrix whose float64 bytes are
+    raw, computed once per distinct matrix."""
     if d > _DIM_CAP:
         raise DomainError(f"dimension {d} exceeds the cap {_DIM_CAP}")
+    m = np.frombuffer(raw).reshape(d, d)
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
@@ -122,7 +118,22 @@ def spectral_decompose(a):
         for idx in groups:
             sigma = complex(np.mean(w[idx]))
             clusters += ((idx, sigma, reduced[np.ix_(idx, idx)] - sigma * np.eye(idx.size)),)
+    v.flags.writeable = False
+    for idx, _, block in clusters:
+        idx.flags.writeable = block.flags.writeable = False
     return SpectralData(eigenvalues=tuple(w.tolist()), eigenvectors=v, clusters=clusters)
+
+
+def spectral_decompose(a):
+    """Eigenvalues, sorted by (real, imag), and the spectral basis of a.
+
+    A spectrum without clusters keeps the eigenvector matrix of
+    `np.linalg.eig` as its basis; each cluster gets its invariant-subspace
+    basis and its block (see SpectralData).  The data is computed once per
+    distinct matrix and cached read-only: equal matrices share one object.
+    """
+    m = as_square_matrix(a)
+    return _decompose(m.shape[0], m.tobytes())
 
 
 @functools.lru_cache(maxsize=64)
@@ -192,8 +203,8 @@ def _cluster_block(params, times, f0, sigma, block):
     return out
 
 
-def ml_matrix(params, t, a, spec):
-    """E_{alpha,beta}(t^alpha A) from the spectral data of A.
+def ml_matrix(params, t, a):
+    """E_{alpha,beta}(t^alpha A) from the cached spectral data of A.
 
     `t` is a time or a 1-d array of times; an array gives the (n, d, d)
     stack of the propagators at those times.  Output imaginary parts at or
@@ -222,8 +233,7 @@ def ml_matrix(params, t, a, spec):
         raise DomainError(f"ml_matrix requires finite t >= 0, got {t!r}")
     m = as_square_matrix(a)
     d = m.shape[0]
-    if d != len(spec.eigenvalues):
-        raise DomainError("spectral data dimension does not match the matrix")
+    spec = _decompose(d, m.tobytes())
     times = np.atleast_1d(ts)
     nodes = np.array(spec.eigenvalues, dtype=complex)
     bases = {}
@@ -313,7 +323,7 @@ def _time_scales(eigenvalues, alpha):
     return float(tau.min()), float((tau / np.abs(np.cos(theta / alpha))).max())
 
 
-def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
+def sup_ml_norm(a, alpha, norm="max", beta=1.0):
     """sup over t >= 0 of ||E_{alpha,beta}(t^alpha A)|| in the induced norm.
 
     Maximizes over {0} and a geometric grid of 48 points per decade on
@@ -330,14 +340,12 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     beta = float(beta)
     check_norm(norm)
     _require_sector(m, al)
-    if spec is None:
-        spec = spectral_decompose(m)
     params = MLParams(al, beta)
-    fast, slow = _time_scales(spec.eigenvalues, al)
+    fast, slow = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
     lo, hi = 1e-3 * fast, 100.0 * slow
 
     def value(t):
-        return operator_norm(ml_matrix(params, t, m, spec), norm)
+        return operator_norm(ml_matrix(params, t, m), norm)
 
     # the t = 0 propagator is rgamma(beta) * I; for beta = 1 that is the
     # identity exactly, so bypass the gamma roundoff there
@@ -366,7 +374,7 @@ def sup_ml_norm(a, alpha, norm="max", spec=None, beta=1.0):
     return best
 
 
-def kernel_integral(a, alpha, norm="max", spec=None, right=None):
+def kernel_integral(a, alpha, norm="max", right=None):
     """Integral over tau >= 0 of tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 
     Time is measured in units of the spectrum's slow time scale
@@ -392,8 +400,6 @@ def kernel_integral(a, alpha, norm="max", spec=None, right=None):
     al = _order_value(alpha)
     check_norm(norm)
     _require_sector(m, al)
-    if spec is None:
-        spec = spectral_decompose(m)
     params = MLParams(al, al)
     if right is not None:
         right = as_square_matrix(right)
@@ -406,10 +412,10 @@ def kernel_integral(a, alpha, norm="max", spec=None, right=None):
             return {"value": 0.0, "tail_bound": 0.0, "t_star": 0.0}
 
     def propagator(t):
-        e = ml_matrix(params, t, m, spec)
+        e = ml_matrix(params, t, m)
         return e if right is None else e @ right
 
-    _, slow = _time_scales(spec.eigenvalues, al)
+    _, slow = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
     unit = slow ** al
 
     def enorm_v(v):

@@ -18,7 +18,7 @@ from .errors import (
     IterationDivergenceError,
     NonFiniteStateError,
 )
-from .matfun import as_square_matrix, ml_matrix, spectral_decompose
+from .matfun import as_square_matrix, ml_matrix
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, _convolution_operator, _lag_moments, _trapezoid_weights
 from .special_fn import MLParams, _order_incl_one, ml_many
@@ -47,6 +47,20 @@ def _as_q_matrix(q0):
         if not np.isfinite(np.abs(m).sum()):
             raise DomainError("perturbation matrix entries must be finite, with a finite sum")
     return m
+
+
+def _table_times(times, n_rows, rows):
+    """A table's times as a float array: one per row of the table's n_rows
+    rows (named rows in the message), at least one, finite, strictly
+    increasing and nonnegative."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or len(ts) != n_rows or n_rows < 1:
+        raise DomainError(f"table times and {rows} must have equal nonzero length")
+    if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
+        raise DomainError("table times must be finite and strictly increasing")
+    if ts[0] < 0.0:
+        raise DomainError("table times must be nonnegative")
+    return ts
 
 
 def _per_time(values, t):
@@ -193,14 +207,8 @@ class LinearTable(PerturbationSpec):
     is_linear = True
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        if ts.ndim != 1 or len(ts) != len(self.matrices) or len(ts) < 1:
-            raise DomainError("table times and matrices must have equal nonzero length")
+        ts = _table_times(self.times, len(self.matrices), "matrices")
         ms = np.stack([_as_q_matrix(m) for m in self.matrices])
-        if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
-            raise DomainError("table times must be finite and strictly increasing")
-        if ts[0] < 0.0:
-            raise DomainError("table times must be nonnegative")
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "matrices", ms)
 
@@ -263,14 +271,9 @@ class NonlinearTable(PerturbationSpec):
     k_values: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
         ks = np.asarray(self.k_values, dtype=float)
-        if ts.ndim != 1 or ks.ndim != 1 or len(ts) != len(ks) or len(ts) < 1:
-            raise DomainError("table times and values must have equal nonzero length")
-        if not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
-            raise DomainError("table times must be finite and strictly increasing")
-        if ts[0] < 0.0:
-            raise DomainError("table times must be nonnegative")
+        # values that are not a vector have no rows
+        ts = _table_times(self.times, len(ks) if ks.ndim == 1 else 0, "values")
         if not np.all(np.isfinite(ks)) or np.any(ks < 0.0):
             raise DomainError("table values must be finite and nonnegative")
         object.__setattr__(self, "times", ts)
@@ -324,16 +327,14 @@ class Trajectory:
         return self.grid.nodes[self.start_index :]
 
 
-def solve_linear_exact(alpha, a, x0, grid: TimeGrid, spec=None) -> Trajectory:
+def solve_linear_exact(alpha, a, x0, grid: TimeGrid) -> Trajectory:
     """states[n] = E_alpha(t_n^alpha A) x0, the exact linear solution."""
     al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     x = _as_state(x0, m.shape[0])
-    if spec is None:
-        spec = spectral_decompose(m)
     states = np.empty((len(grid), m.shape[0]))
     states[0] = x
-    states[1:] = ml_matrix(MLParams(al, 1.0), grid.nodes[1:], m, spec) @ x
+    states[1:] = ml_matrix(MLParams(al, 1.0), grid.nodes[1:], m) @ x
     return Trajectory(
         grid=grid,
         states=states,
@@ -413,13 +414,13 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
     )
 
 
-def _lp_operator(grid, al, m, spec, linear_states, pert):
+def _lp_operator(grid, al, m, linear_states, pert):
     """xi -> T(xi), the discretized variation-of-constants operator.  Its
     convolution with the kernel E_{alpha,alpha}(lag^alpha A) is built here,
     once per solve; each application evaluates the field and applies it."""
     params = MLParams(al, al)
     convolve = _convolution_operator(
-        grid, al, lambda lags: ml_matrix(params, lags, m, spec), m.shape[0]
+        grid, al, lambda lags: ml_matrix(params, lags, m), m.shape[0]
     )
     return lambda states: linear_states + convolve(pert.field(grid.nodes, states))
 
@@ -433,7 +434,6 @@ def lyapunov_perron_iterate(
     max_iter: int = _LP_MAX_ITER,
     tol: float = _LP_TOL,
     norm: str = "max",
-    spec=None,
 ) -> Trajectory:
     """Fixed-point iteration on the variation-of-constants operator.
 
@@ -453,17 +453,15 @@ def lyapunov_perron_iterate(
     tol = float(tol)
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    if spec is None:
-        spec = spectral_decompose(m)
     x = _as_state(x0, m.shape[0])
-    linear = solve_linear_exact(al, m, x, grid, spec=spec).states
+    linear = solve_linear_exact(al, m, x, grid).states
     if len(grid) == 1:
         return Trajectory(
             grid=grid,
             states=linear,
             meta={"method": "lyapunov_perron", "iterations": 0, "residual": 0.0, "ratios": []},
         )
-    operator = _lp_operator(grid, al, m, spec, linear, pert)
+    operator = _lp_operator(grid, al, m, linear, pert)
     states = linear
     ratios = []
     prev_diff = None
@@ -515,7 +513,7 @@ def solve_rl_scalar_exact(alpha, lam, b, x0, grid: TimeGrid) -> Trajectory:
     )
 
 
-def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max", spec=None) -> float:
+def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max") -> float:
     """Defect of the variation-of-constants equation along a trajectory.
 
     Returns the max over nodes of ||xi(t_n) - (T xi)(t_n)|| with T the same
@@ -534,9 +532,7 @@ def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max", spe
     grid = traj.grid
     if len(grid) == 1:
         return 0.0
-    if spec is None:
-        spec = spectral_decompose(m)
     x = traj.states[0]
-    linear = solve_linear_exact(al, m, x, grid, spec=spec).states
-    image = _lp_operator(grid, al, m, spec, linear, pert)(traj.states)
+    linear = solve_linear_exact(al, m, x, grid).states
+    image = _lp_operator(grid, al, m, linear, pert)(traj.states)
     return float(np.max(vector_norm(image - traj.states, norm)))

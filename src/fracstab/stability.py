@@ -27,7 +27,6 @@ from .matfun import (
     check_spectral_condition,
     kernel_integral,
     ml_matrix,
-    spectral_decompose,
     sup_ml_norm,
 )
 from .norms import check_norm, operator_norm, vector_norm
@@ -124,7 +123,7 @@ def _golden_max(f, lo, hi, xtol):
     return max(f1, f2)
 
 
-def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
+def _far_tail_term(m, al, norm, sup_k, env_far, kint_value):
     """Bound on the integral values past the largest sampled horizon.
 
     Splits the integral at lag 2^15: the recent-past part sees the
@@ -136,7 +135,7 @@ def _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value):
     """
     params = MLParams(al, al)
     c_hat = (
-        operator_norm(ml_matrix(params, _FAR_TIME, m, spec), norm)
+        operator_norm(ml_matrix(params, _FAR_TIME, m), norm)
         * _FAR_TIME ** (2.0 * al)
     )
     kernel_tail = c_hat * _FAR_TIME ** (-al) / al
@@ -152,7 +151,7 @@ def _weighted_norms(e, taus, norm, pert, product):
     return operator_norm(e, norm) * pert.envelope(taus, norm)
 
 
-def _lag_integrals(m, al, norm, pert, product, spec):
+def _lag_integrals(m, al, norm, pert, product):
     """integrate(ts, tol, log_beta=None, t_freeze=None): one (value, error
     estimate) per time t in ts of the certificates' lag integral
 
@@ -182,7 +181,7 @@ def _lag_integrals(m, al, norm, pert, product, spec):
         at = np.searchsorted(keys, s)
         new = (keys[at] != s) & np.append(True, s[1:] != s[:-1])
         if new.any():
-            fresh = ml_matrix(params, s[new] ** (1.0 / al), m, spec)
+            fresh = ml_matrix(params, s[new] ** (1.0 / al), m)
             stop = used + len(fresh)
             if stop > len(store):
                 grown = np.empty((max(stop, 2 * used),) + m.shape)
@@ -227,20 +226,17 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
     sup_k, lim_k = _envelope_stats(pert, norm)
     if sup_k == 0.0:
         return 0.0, 0.0
-    spec = spectral_decompose(m)
     if kint_value is None:
-        kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
+        kint_value = kernel_integral(m, al, norm)["value"]
     if not product or lim_k == 0.0:
         # K >= ||Q||, so a vanishing envelope limit leaves Q(inf) = 0
         limit_value = lim_k * kint_value
     else:
         # a matrix that settles to a constant gives the integral this
         # t -> infinity value, which enters the sup as its limit
-        limit_value = kernel_integral(
-            m, al, norm, spec=spec, right=pert.q_matrix(np.inf)
-        )["value"]
+        limit_value = kernel_integral(m, al, norm, right=pert.q_matrix(np.inf))["value"]
     env_far = pert.envelope_sup(_FAR_TIME, norm)
-    integrate = _lag_integrals(m, al, norm, pert, product, spec)
+    integrate = _lag_integrals(m, al, norm, pert, product)
 
     best = 0.0
     best_t = _HORIZONS[0]
@@ -260,7 +256,7 @@ def _q_scan(m, al, norm, pert, product, kint_value=None):
         # vanished envelope: past the last horizon the integral only decays
         tail_excess = 0.0
     else:
-        tail = _far_tail_term(m, al, spec, norm, sup_k, env_far, kint_value)
+        tail = _far_tail_term(m, al, norm, sup_k, env_far, kint_value)
         tail_excess = max(0.0, tail - value)
     return float(value), float(err + tail_excess)
 
@@ -368,15 +364,14 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     if not isinstance(grid, TimeGrid):
         raise GridError("grid must be a TimeGrid")
     pert = as_perturbation(pert)
-    spec = spectral_decompose(m)
-    kint_value = kernel_integral(m, al, norm, spec=spec)["value"]
-    sup_e = sup_ml_norm(m, al, norm, spec=spec, beta=al)
-    return _beta_norm_core(m, al, pert, grid, norm, spec, kint_value, sup_e)
+    kint_value = kernel_integral(m, al, norm)["value"]
+    sup_e = sup_ml_norm(m, al, norm, beta=al)
+    return _beta_norm_core(m, al, pert, grid, norm, kint_value, sup_e)
 
 
-def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
-    """beta_norm_certificate on validated inputs, given the spectral data,
-    the kernel integral m_int and sup_e = sup ||E_{alpha,alpha}||."""
+def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e):
+    """beta_norm_certificate on validated inputs, given the kernel integral
+    m_int and sup_e = sup ||E_{alpha,alpha}||."""
     sup_k, lim_k = _envelope_stats(pert, norm)
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
@@ -419,7 +414,7 @@ def _beta_norm_core(m, al, pert, grid, norm, spec, m_int, sup_e):
         lo = max(grid.nodes[1], t_decay / 8.0)
         hi = min(horizon, max(4.0 * t_decay, 2.0 * lo))
         eval_ts.update(np.geomspace(lo, hi, 16))
-    integrate = _lag_integrals(m, al, norm, pert, pert.is_linear, spec)
+    integrate = _lag_integrals(m, al, norm, pert, pert.is_linear)
     results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
 
     return {
@@ -440,8 +435,9 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     built for exactly that shape), then the contraction constant
     q + q_error < 1, then the uniform threshold sup K < epsilon; for
     non-vanishing envelopes q and the threshold come first and the decay
-    certificate is the fallback.  A report of Inconclusive is not an
-    instability claim: all certificates are sufficient conditions only.
+    certificate is the fallback, run only when neither passes.  A report
+    of Inconclusive is not an instability claim: all certificates are
+    sufficient conditions only.
     Failures inside individual certificates are recorded as notes and
     degrade the verdict rather than raising.
 
@@ -466,10 +462,9 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         )
 
     notes = []
-    spec = spectral_decompose(m)
-    kint = kernel_integral(m, al, norm, spec=spec)
+    kint = kernel_integral(m, al, norm)
     epsilon = float(0.5 / kint["value"])
-    sup_e_aa = sup_ml_norm(m, al, norm, spec=spec, beta=al)
+    sup_e_aa = sup_ml_norm(m, al, norm, beta=al)
     sup_k, lim_k = _envelope_stats(pert, norm)
 
     q_value = None
@@ -482,34 +477,26 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         notes.append(f"contraction constant unavailable: {exc}")
 
     decaying = lim_k == 0.0 and sup_k > 0.0
+    q_passes = _q_contracts(q_value, q_error)
     cert = None
-    cert_attempted = False
-
-    def run_certificate():
-        nonlocal cert, cert_attempted
-        cert_attempted = True
+    if decaying or not (q_passes or sup_k < epsilon):
         try:
             cert = _beta_norm_core(
-                m, al, pert, uniform_grid(40.0, 320), norm, spec,
-                kint["value"], sup_e_aa,
+                m, al, pert, uniform_grid(40.0, 320), norm, kint["value"], sup_e_aa
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")
+    cert_passes = cert is not None and cert["contraction"] <= _CONTRACTION_PASS
 
-    verdict = None
-    if decaying:
-        run_certificate()
-        if cert is not None and cert["contraction"] <= _CONTRACTION_PASS:
-            verdict = "DecayingStable"
-    if verdict is None and _q_contracts(q_value, q_error):
+    if decaying and cert_passes:
+        verdict = "DecayingStable"
+    elif q_passes:
         verdict = "RobustStable"
-    if verdict is None and sup_k < epsilon:
+    elif sup_k < epsilon:
         verdict = "UniformSmallStable"
-    if verdict is None and not cert_attempted:
-        run_certificate()
-        if cert is not None and cert["contraction"] <= _CONTRACTION_PASS:
-            verdict = "DecayingStable"
-    if verdict is None:
+    elif cert_passes:
+        verdict = "DecayingStable"
+    else:
         verdict = "Inconclusive"
         notes.append("no certificate passed; this is not an instability claim")
 
@@ -519,7 +506,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
             "no implemented certificate covers that regime"
         )
 
-    sup_e_alpha = sup_ml_norm(m, al, norm, spec=spec)
+    sup_e_alpha = sup_ml_norm(m, al, norm)
     m_pair = {
         "M_gamma": float(gamma(al) * sup_e_aa * sup_k),
         "M_int": float(kint["value"]),
@@ -531,7 +518,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     elif verdict == "UniformSmallStable":
         delta = float((1.0 - sup_k * kint["value"]) / sup_e_alpha)
     elif verdict == "DecayingStable":
-        if _q_contracts(q_value, q_error):
+        if q_passes:
             delta = float((1.0 - q_value) / sup_e_alpha)
         else:
             # the operator's beta-norm is at most c, and beta >= 1 is

@@ -271,6 +271,32 @@ def test_solve_writes_trajectory(tmp_path):
     assert len(rows) == 402
 
 
+def _graded_solve_cfg(n, d):
+    return {
+        "name": "graded",
+        "kind": "Solve",
+        "system": {"alpha": 0.5, "a": (-np.eye(d)).tolist()},
+        "grid": {"t_max": 20.0, "n": n, "grading": 2.0},
+    }
+
+
+def test_graded_solve_size_is_capped(tmp_path, capsys):
+    # the residual check's dense operator has ((n + 1) d)^2 entries on a
+    # graded grid; at the cap that is 2048 x 2048
+    assert parse_config(_graded_solve_cfg(1023, 2))["grid"]["n"] == 1023
+    assert parse_config(_graded_solve_cfg(400, 2))["grid"]["grading"] == 2.0
+    uniform = _graded_solve_cfg(4000, 2)
+    uniform["grid"]["grading"] = 1.0
+    assert parse_config(uniform)["grid"]["n"] == 4000
+    for n, d in ((1024, 2), (2048, 1), (4000, 2)):
+        with pytest.raises(ConfigError, match="above the cap 2048"):
+            parse_config(_graded_solve_cfg(n, d))
+    path = _config(tmp_path, "big", _graded_solve_cfg(4000, 2))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "x")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_ml_eval_norm_table(tmp_path):
     cfg = {
         "name": "ml",

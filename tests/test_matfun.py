@@ -96,6 +96,19 @@ def test_spectral_decompose_sorted_residual_conjugate():
             assert np.min(np.abs(w - lam.conjugate())) <= 1e-9 * max(1.0, abs(lam))
 
 
+def test_spectral_decompose_is_cached_and_read_only():
+    a = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -3.0]])
+    spec = spectral_decompose(a)
+    assert spectral_decompose(a.tolist()) is spec
+    assert spectral_decompose(np.asfortranarray(a)) is spec
+    assert len(spec.clusters) == 1
+    idx, _, block = spec.clusters[0]
+    for arr in (spec.eigenvectors, idx, block):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert spectral_decompose(a + np.eye(3)) is not spec
+
+
 def test_spectral_decompose_dimension_cap():
     rng = np.random.default_rng(7)
     with pytest.raises(DomainError):
@@ -147,32 +160,28 @@ def test_close_eigenvalues_form_one_cluster():
 def test_ml_matrix_at_time_zero():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3))
-    spec = spectral_decompose(a)
     for beta in (1.0, 0.7):
-        out = ml_matrix(MLParams(0.6, beta), 0.0, a, spec)
+        out = ml_matrix(MLParams(0.6, beta), 0.0, a)
         assert np.allclose(out, np.eye(3) / math.gamma(beta), rtol=1e-13)
 
 
 def test_ml_matrix_rotation_is_exponential():
-    spec = spectral_decompose(ROTATION)
-    out = ml_matrix(MLParams(1.0, 1.0), 1.0, ROTATION, spec)
+    out = ml_matrix(MLParams(1.0, 1.0), 1.0, ROTATION)
     want = np.array([[math.cos(1.0), math.sin(1.0)], [-math.sin(1.0), math.cos(1.0)]])
     assert np.allclose(out, want, atol=1e-12)
 
 
 def test_ml_matrix_rotation_half_order():
     # f(ROTATION) = Re f(i) I + Im f(i) ROTATION for entire f
-    spec = spectral_decompose(ROTATION)
-    out = ml_matrix(MLParams(0.5, 1.0), 1.0, ROTATION, spec)
+    out = ml_matrix(MLParams(0.5, 1.0), 1.0, ROTATION)
     want = E_HALF_I.real * np.eye(2) + E_HALF_I.imag * ROTATION
     assert np.allclose(out, want, rtol=1e-10)
 
 
 def test_ml_matrix_diagonal_reduces_to_scalar():
     a = np.diag([-1.0, -2.0])
-    spec = spectral_decompose(a)
     params = MLParams(0.5, 1.0)
-    out = ml_matrix(params, 1.0, a, spec)
+    out = ml_matrix(params, 1.0, a)
     want = np.diag([ml(params, -1.0).real, ml(params, -2.0).real])
     assert np.allclose(out, want, rtol=1e-12, atol=1e-15)
     assert abs(out[0, 1]) + abs(out[1, 0]) < 1e-15
@@ -188,9 +197,8 @@ def test_ml_matrix_series_agreement():
         alpha = float(rng.uniform(0.3, 0.95))
         a = rng.standard_normal((d, d))
         a *= 2.5 / (np.linalg.norm(a, np.inf) * t ** alpha)
-        spec = spectral_decompose(a)
         params = MLParams(alpha, 1.0)
-        out = ml_matrix(params, t, a, spec)
+        out = ml_matrix(params, t, a)
         series = _series_matrix(params, t, a)
         scale = max(1.0, np.max(np.abs(series)))
         assert np.max(np.abs(out - series.real)) < 1e-9 * scale
@@ -205,8 +213,8 @@ def test_ml_matrix_similarity_covariance():
         p = _random_conditioned(rng, d, float(rng.uniform(2.0, 100.0)))
         cond_p = np.linalg.cond(p)
         b = p @ a @ np.linalg.inv(p)
-        fa = ml_matrix(params, 0.8, a, spectral_decompose(a))
-        fb = ml_matrix(params, 0.8, b, spectral_decompose(b))
+        fa = ml_matrix(params, 0.8, a)
+        fb = ml_matrix(params, 0.8, b)
         want = p @ fa @ np.linalg.inv(p)
         bound = 1e-7 * np.linalg.norm(fa, np.inf) * cond_p
         assert np.linalg.norm(fb - want, np.inf) <= bound
@@ -215,8 +223,7 @@ def test_ml_matrix_similarity_covariance():
 def test_ml_matrix_jordan_block_formula():
     params = MLParams(0.5, 1.0)
     t = 1.3
-    spec = spectral_decompose(JORDAN2)
-    out = ml_matrix(params, t, JORDAN2, spec)
+    out = ml_matrix(params, t, JORDAN2)
     n1 = np.array([[0.0, 1.0], [0.0, 0.0]])
     want = ml(params, -2.0 * t ** 0.5).real * np.eye(2) + ml_dlambda(
         params, t, -2.0, 1
@@ -224,8 +231,7 @@ def test_ml_matrix_jordan_block_formula():
     assert np.allclose(out, want, rtol=1e-12, atol=1e-14)
 
     j3 = np.array([[-1.5, 1.0, 0.0], [0.0, -1.5, 1.0], [0.0, 0.0, -1.5]])
-    spec3 = spectral_decompose(j3)
-    out3 = ml_matrix(params, t, j3, spec3)
+    out3 = ml_matrix(params, t, j3)
     n = j3 + 1.5 * np.eye(3)
     want3 = (
         ml(params, -1.5 * t ** 0.5).real * np.eye(3)
@@ -277,7 +283,7 @@ def test_ml_matrix_near_defective_family(beta, tol):
             a = np.array([[-1.0, 10.0], [0.0, -1.0 - eps]])
             spec = spectral_decompose(a)
             assert len(spec.clusters) == (0 if eps == 1e-1 else 1)
-            stack = ml_matrix(params, ts, a, spec)
+            stack = ml_matrix(params, ts, a)
             for t, got in zip(ts, stack):
                 fa = _mp_taylor(mp, 0.5, beta, t, a[0, 0], 2)
                 fd = _mp_taylor(mp, 0.5, beta, t, a[1, 1], 1)[0]
@@ -332,7 +338,7 @@ def test_ml_matrix_jordan_under_similarity():
                             fj[i + r, i + r + l] = coeff[l]
                     i += size
                 want = np.array((p * fj * p_inv).tolist(), dtype=float)
-                got = ml_matrix(params, t, a, spec)
+                got = ml_matrix(params, t, a)
                 assert _max_norm_error(got, want) <= 1e-12, (blocks, t)
 
 
@@ -350,21 +356,20 @@ def test_ml_matrix_conjugate_jordan_pair():
         assert means[1] == pytest.approx(-1.0 + 1.0j, abs=1e-12)
         for t in (0.3, 1.0):
             want = _series_matrix(params, t, m).real
-            got = ml_matrix(params, t, m, spec)
+            got = ml_matrix(params, t, m)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_ml_matrix_cluster_needs_more_taylor_terms():
     # the order-6 term of a 7x7 Jordan block is not negligible
     j7 = _jordan([(-1.0, 7)])
-    spec = spectral_decompose(j7)
     params = MLParams(0.5, 1.0)
     with pytest.raises(UnsupportedOrderError):
-        ml_matrix(params, 1.0, j7, spec)
+        ml_matrix(params, 1.0, j7)
     # the time-zero identity needs no terms, and a 6x6 block has N^6 = 0
-    assert np.array_equal(ml_matrix(params, 0.0, j7, spec), np.eye(7))
+    assert np.array_equal(ml_matrix(params, 0.0, j7), np.eye(7))
     j6 = _jordan([(-1.0, 6)])
-    got = ml_matrix(params, 1.0, j6, spectral_decompose(j6))
+    got = ml_matrix(params, 1.0, j6)
     assert got[0, 5] == pytest.approx(ml_dlambda(params, 1.0, -1.0, 5).real / 120.0, rel=1e-12)
 
 
@@ -377,7 +382,7 @@ def test_ml_matrix_wide_chain_falls_back_to_the_block_eigenbasis():
     ts = np.array([0.1, 1.0, 1.81, 5.0, 10.0, 30.0, 1e3, 1e5])
     for beta in (1.0, 0.5):
         params = MLParams(0.5, beta)
-        stack = ml_matrix(params, ts, a, spec)
+        stack = ml_matrix(params, ts, a)
         for t, got in zip(ts, stack):
             want = np.diag(ml_many(params, t ** 0.5 * np.diag(a)).real)
             assert _max_norm_error(got, want) <= 1e-13, (beta, t)
@@ -398,7 +403,7 @@ def test_ml_matrix_close_complex_pairs_of_a_normal_matrix():
     ts = np.array([0.1, 1.0, 5.0, 30.0, 300.0, 1e3])
     for beta in (1.0, 0.5):
         params = MLParams(0.5, beta)
-        stack = ml_matrix(params, ts, a, spec)
+        stack = ml_matrix(params, ts, a)
         for t, got in zip(ts, stack):
             fb = np.zeros((4, 4))
             for k, f in enumerate(ml_many(params, t ** 0.5 * np.array(lams))):
@@ -422,7 +427,7 @@ def test_ml_matrix_cluster_about_a_growing_mean_takes_its_eigenbasis():
     ts = np.geomspace(1e-3, 1e12, 61)
     for beta in (1.0, 0.3):
         params = MLParams(0.3, beta)
-        got = ml_matrix(params, ts, CLUSTER_IN_SECTOR, spec)
+        got = ml_matrix(params, ts, CLUSTER_IN_SECTOR)
         vals = ml_many(params, np.multiply.outer(ts ** 0.3, w))
         for k in range(ts.size):
             want = ((v * vals[k]) @ np.linalg.inv(v)).real
@@ -447,7 +452,7 @@ def test_jordan_block_at_the_origin_forms_a_cluster(seed, size):
                 np.linalg.matrix_power(a, l) * t ** (0.5 * l) / math.gamma(0.5 * l + beta)
                 for l in range(size)
             )
-            assert _max_norm_error(ml_matrix(params, t, a, spec), want) <= 1e-13, (beta, t)
+            assert _max_norm_error(ml_matrix(params, t, a), want) <= 1e-13, (beta, t)
 
 
 def test_ml_matrix_cluster_gate_sees_past_even_powers():
@@ -463,12 +468,12 @@ def test_ml_matrix_cluster_gate_sees_past_even_powers():
     a = np.array([[-1.0, 1e5], [0.0, -2.0]])
     spec = spectral_decompose(a)
     assert len(spec.clusters) == 1
-    for k, got in enumerate(ml_matrix(params, ts, a, spec)):
+    for k, got in enumerate(ml_matrix(params, ts, a)):
         want = np.array([[f[k, 0], 1e5 * (f[k, 0] - f[k, 1])], [0.0, f[k, 1]]])
         assert _max_norm_error(got, want) <= 1e-13
     a = np.array([[-1.0, 1e12], [0.0, -2.0]])
     with pytest.raises(UnsupportedOrderError):
-        ml_matrix(params, 0.1, a, spectral_decompose(a))
+        ml_matrix(params, 0.1, a)
 
 
 @pytest.mark.parametrize(
@@ -487,10 +492,10 @@ def test_ml_matrix_batched_equals_scalar_calls(a, jordan):
     assert [idx.tolist() for idx, _, _ in spec.clusters] == ([] if jordan is None else [jordan])
     ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 60)])
     for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
-        stack = ml_matrix(params, ts, a, spec)
+        stack = ml_matrix(params, ts, a)
         assert stack.shape == (len(ts),) + a.shape
         for t, got in zip(ts, stack):
-            want = ml_matrix(params, t, a, spec)
+            want = ml_matrix(params, t, a)
             assert want.shape == a.shape
             assert got.tobytes() == want.tobytes()
         # the t = 0 slice is rgamma(beta) I, off-diagonal entries exactly 0
@@ -535,7 +540,7 @@ def test_ml_matrix_evaluates_each_conjugate_pair_once(monkeypatch):
         folded = {complex(x.real, abs(x.imag)) for x in lam}
         for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
             points.clear()
-            got = ml_matrix(params, ts, a, spec)
+            got = ml_matrix(params, ts, a)
             assert points == [len(ts) * len(folded)]
             want = _per_eigenvalue_reference(params, ts, a, spec)
             # the series and asymptotic regimes give conj E(z) exactly at
@@ -572,7 +577,7 @@ def test_ml_matrix_folds_each_spectrum_once():
         for a in cases:
             spec = spectral_decompose(a)
             for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
-                got = ml_matrix(params, ts, a, spec)
+                got = ml_matrix(params, ts, a)
                 assert got.tobytes() == _per_call_fold_stack(params, ts, a, spec).tobytes()
     assert matfun._conjugate_fold.cache_info().misses == len(cases)
     for arr in matfun._conjugate_fold(spectral_decompose(ROTATION).eigenvalues):
@@ -600,30 +605,29 @@ def test_ml_matrix_slices_do_not_depend_on_the_stack():
     assert len(spectral_decompose(cases[-1]).clusters[0][0]) == 3
     ts = np.concatenate([[0.0], np.geomspace(1e-2, 5e3, 17)])
     for a in cases:
-        spec = spectral_decompose(a)
         for params in (MLParams(0.5, 1.0), MLParams(0.7, 0.7)):
-            stack = ml_matrix(params, ts, a, spec)
+            stack = ml_matrix(params, ts, a)
             for t, got in zip(ts, stack):
-                assert got.tobytes() == ml_matrix(params, t, a, spec).tobytes()
+                assert got.tobytes() == ml_matrix(params, t, a).tobytes()
 
 
 def test_ml_matrix_rejects_bad_times():
-    spec = spectral_decompose(ROTATION)
     params = MLParams(0.5, 1.0)
     for bad in (-1.0, math.nan, math.inf, [0.5, -0.1], [1.0, math.nan], [[1.0]]):
         with pytest.raises(DomainError):
-            ml_matrix(params, bad, ROTATION, spec)
+            ml_matrix(params, bad, ROTATION)
 
 
-def test_ml_matrix_imag_truncation_gate():
+def test_ml_matrix_imag_truncation_gate(monkeypatch):
     # spectral data whose eigenvalues are not conjugate-symmetric leaves an
     # O(1) imaginary residue behind
     fake = SpectralData(
         eigenvalues=(-1.0 + 0.3j, -2.0 + 0.0j),
         eigenvectors=np.eye(2, dtype=complex),
     )
+    monkeypatch.setattr(matfun, "_decompose", lambda d, raw: fake)
     with pytest.raises(ImagTruncationError):
-        ml_matrix(MLParams(0.5, 1.0), 1.0, np.diag([-1.0, -2.0]), fake)
+        ml_matrix(MLParams(0.5, 1.0), 1.0, np.diag([-1.0, -2.0]))
 
 
 def test_ml_matrix_is_real_on_a_real_eigenvalue_near_a_zero():
@@ -633,16 +637,10 @@ def test_ml_matrix_is_real_on_a_real_eigenvalue_near_a_zero():
     params = MLParams(0.3, 0.29069195317391205)
     a = [[-0.0026768818634247]]
     t = 1.5541e13
-    got = ml_matrix(params, t, a, spectral_decompose(a))
+    got = ml_matrix(params, t, a)
     want = ml_many(params, [t ** params.alpha * a[0][0]])[0]
     assert abs(want.imag) > 1e-9 * abs(want.real)
     assert got[0, 0] == want.real
-
-
-def test_ml_matrix_dimension_mismatch():
-    spec = spectral_decompose(np.diag([-1.0, -2.0]))
-    with pytest.raises(DomainError):
-        ml_matrix(MLParams(0.5, 1.0), 1.0, np.diag([-1.0, -2.0, -3.0]), spec)
 
 
 def test_check_spectral_condition_examples():
@@ -718,9 +716,8 @@ def test_sup_ml_norm_matches_a_dense_scan_for_a_general_beta(alpha, beta):
     # {1, alpha} is covered too; a window from a fitted beta in {1, alpha}
     # onset read 42-64% low on this slow pair
     a = 0.01 * SCALED_B
-    spec = spectral_decompose(a)
     ts = np.geomspace(1e-8, 1e14, 20001)
-    dense = np.abs(ml_matrix(MLParams(alpha, beta), ts, a, spec)).sum(-1).max()
+    dense = np.abs(ml_matrix(MLParams(alpha, beta), ts, a)).sum(-1).max()
     got = sup_ml_norm(a, alpha, beta=beta)
     assert got >= (1.0 - 1e-4) * dense
     assert got <= (1.0 + 1e-6) * dense
@@ -788,9 +785,8 @@ def test_decay_along_decades():
         a = -np.diag(rng.uniform(0.5, 3.0, d)) + 0.1 * rng.standard_normal((d, d))
         if not check_spectral_condition(a, 0.6)["satisfied"]:
             continue
-        spec = spectral_decompose(a)
         norms = [
-            np.linalg.norm(ml_matrix(params, t, a, spec), np.inf)
+            np.linalg.norm(ml_matrix(params, t, a), np.inf)
             for t in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
         ]
         assert all(n2 < n1 for n1, n2 in zip(norms, norms[1:]))

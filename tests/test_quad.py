@@ -17,7 +17,7 @@ from fracstab.quad import (
     singular_weights,
     uniform_grid,
 )
-from fracstab.matfun import ml_matrix, spectral_decompose
+from fracstab.matfun import ml_matrix
 from fracstab.special_fn import MLParams, ml, ml_many
 
 
@@ -191,12 +191,11 @@ def test_convolve_uniform_and_per_row_branches_agree(alpha):
     # the same nodes with r != 1 take the per-row branch
     rowwise = TimeGrid(g.nodes, r=1.5)
     a = np.array([[-1.0, 3.0], [0.0, -0.4]])  # non-normal
-    spec = spectral_decompose(a)
     p = MLParams(alpha, alpha)
     rng = np.random.default_rng(2026)
     kernels = {
         1: lambda lags: ml_many(p, -(lags ** alpha)).real[:, None, None],
-        2: lambda lags: ml_matrix(p, lags, a, spec),
+        2: lambda lags: ml_matrix(p, lags, a),
     }
     for d, kernel in kernels.items():
         vals = np.column_stack([np.cos(g.nodes + k) for k in range(d)])
@@ -276,9 +275,8 @@ def per_interval_reference(grid, alpha, vals, kernel):
 def test_convolve_matches_the_per_interval_sum(grid, d):
     alpha = 0.6
     a = NON_NORMAL[d]
-    spec = spectral_decompose(a)
     p = MLParams(alpha, alpha)
-    kernel = lambda lags: ml_matrix(p, lags, a, spec)
+    kernel = lambda lags: ml_matrix(p, lags, a)
     rng = np.random.default_rng(d)
     vals = np.column_stack([np.cos(grid.nodes + k) for k in range(d)])
     vals += 0.1 * rng.normal(size=vals.shape)
@@ -292,9 +290,8 @@ def test_convolve_matches_the_per_interval_sum(grid, d):
 def test_uniform_application_is_d_squared_convolutions(monkeypatch, d):
     g = uniform_grid(3.0, 64)
     a = NON_NORMAL[d]
-    spec = spectral_decompose(a)
     p = MLParams(0.5, 0.5)
-    apply = quad._convolution_operator(g, 0.5, lambda lags: ml_matrix(p, lags, a, spec), d)
+    apply = quad._convolution_operator(g, 0.5, lambda lags: ml_matrix(p, lags, a), d)
     calls = []
     original = np.convolve
 

@@ -72,6 +72,23 @@ def test_perturbation_validation():
         NonlinearSaturating(math.inf)
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([[0.0, 1.0]], "equal nonzero length"),
+        ([0.0], "equal nonzero length"),
+        ([0.0, math.nan], "finite and strictly increasing"),
+        ([1.0, 0.5], "finite and strictly increasing"),
+        ([-1.0, 0.5], "times must be nonnegative"),
+    ],
+)
+def test_tables_check_their_times_alike(times, message):
+    with pytest.raises(DomainError, match=message):
+        LinearTable(times, [np.eye(1), np.eye(1)])
+    with pytest.raises(DomainError, match=message):
+        NonlinearTable(times, [0.5, 0.1])
+
+
 def test_linear_envelope_equals_norm_for_constant():
     q = np.array([[0.3, -0.1], [0.2, 0.05]])
     p = LinearConstant(q)
@@ -492,9 +509,9 @@ def test_iteration_evaluates_the_kernel_once(monkeypatch):
     betas = []
     original = solver.ml_matrix
 
-    def counted(params, t, a, spec):
+    def counted(params, t, a):
         betas.append(params.beta)
-        return original(params, t, a, spec)
+        return original(params, t, a)
 
     monkeypatch.setattr(solver, "ml_matrix", counted)
     g = graded_grid(5.0, 32, 4.0)

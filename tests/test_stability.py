@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracstab import quad, special_fn, stability
+from fracstab import matfun, quad, special_fn, stability
 from fracstab.errors import (
     DomainError,
     FracstabError,
@@ -14,7 +14,7 @@ from fracstab.errors import (
     NoDecayError,
     SectorViolationError,
 )
-from fracstab.matfun import kernel_integral, spectral_decompose, sup_ml_norm
+from fracstab.matfun import kernel_integral, sup_ml_norm
 from fracstab.quad import graded_grid, uniform_grid
 from fracstab.special_fn import MLParams, ml
 from fracstab.solver import (
@@ -158,9 +158,9 @@ def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
     calls = []
     real = stability.ml_matrix
 
-    def counted(params, t, a, spec):
+    def counted(params, t, a):
         calls.append(np.asarray(t, dtype=float).tobytes())
-        return real(params, t, a, spec)
+        return real(params, t, a)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
@@ -513,6 +513,37 @@ def test_classify_inconclusive_settling_envelope():
     assert any("uniform threshold" in note for note in report.notes)
 
 
+@pytest.mark.parametrize(
+    "pert, verdict, runs",
+    [
+        (_decay3(), "DecayingStable", 1),
+        (LinearConstant(np.array([[0.5]])), "RobustStable", 0),
+        (LinearTable(np.array([0.0, 5.0]), np.array([[[8.0]], [[0.45]]])), "Inconclusive", 1),
+    ],
+    ids=["decaying", "q-passes-constant", "fallback"],
+)
+def test_classify_runs_the_decay_certificate_only_when_it_can_decide(monkeypatch, pert, verdict, runs):
+    # a vanishing envelope runs it first; otherwise it runs only when
+    # neither q nor the uniform threshold passes
+    calls = []
+    real = stability._beta_norm_core
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(stability, "_beta_norm_core", counted)
+    assert classify(A_NEG, 0.5, pert).verdict == verdict
+    assert len(calls) == runs
+
+
+def test_classify_decomposes_the_matrix_once():
+    matfun._decompose.cache_clear()
+    classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
+    info = matfun._decompose.cache_info()
+    assert info.misses == 1 and info.hits > 0
+
+
 def test_classify_sees_a_table_peak_between_envelope_samples():
     # 0 at two neighbouring envelope sample times and 6 at their geometric
     # midpoint: the sup sits at a table time, not at a sample time
@@ -542,9 +573,9 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
     calls = []
     real = stability.ml_matrix
 
-    def counted(params, t, a, spec):
+    def counted(params, t, a):
         calls.append(1)
-        return real(params, t, a, spec)
+        return real(params, t, a)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     ts = np.linspace(0.0, 100.0, 200)
@@ -561,9 +592,9 @@ def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
     lags = []
     real = stability.ml_matrix
 
-    def counted(params, t, a, spec):
+    def counted(params, t, a):
         lags.append(np.atleast_1d(np.asarray(t, dtype=float)).copy())
-        return real(params, t, a, spec)
+        return real(params, t, a)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
@@ -586,9 +617,9 @@ def test_classify_ml_points_per_rotation_case(monkeypatch):
     points = []
     real = stability.ml_matrix
 
-    def counted(params, t, a, spec):
+    def counted(params, t, a):
         points.append(np.asarray(t).size)
-        return real(params, t, a, spec)
+        return real(params, t, a)
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
@@ -644,7 +675,7 @@ def test_classify_rule_passes_per_rotation_case(monkeypatch):
 def test_lag_integrals_give_each_time_what_it_gets_alone(a, pert, weighted):
     # the times share one rule pass per round and one propagator table, yet
     # each integral is bit for bit the one a fresh table gives its time alone
-    args = (a, 0.5, "max", pert, pert.is_linear, spectral_decompose(a))
+    args = (a, 0.5, "max", pert, pert.is_linear)
     if weighted:
         extra = (stability._CERT_TOL, lambda taus: 2.0 * np.sqrt(taus), 10.0)
     else:
