@@ -34,12 +34,11 @@ from .solver import (
     solve_rl_scalar_exact,
 )
 from .special_fn import MLParams
-from .stability import boundedness_probe, classify
+from .stability import STABLE_VERDICTS, boundedness_probe, classify
 
 # kinds whose certificates need a strictly fractional order
 _FRACTIONAL_KINDS = ("Analyze", "DecayFit", "RobustDemo", "BoundednessProbe")
 FORMATS = ("json", "csv")
-STABLE_VERDICTS = ("RobustStable", "UniformSmallStable", "DecayingStable")
 COUNTEREXAMPLE_HORIZON = 50.0
 DEMO_POINTS = 10
 DEMO_TARGET = 0.1

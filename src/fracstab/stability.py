@@ -1,12 +1,14 @@
 """Stability certificates for perturbed Caputo systems ^C D^alpha x = Ax + f.
 
-Three sufficient conditions are checked, in increasing order of machinery:
-a contraction constant q < 1 for the weighted perturbation integral, a
-uniform-envelope threshold epsilon derived from the kernel integral, and a
-weighted-norm contraction certificate for perturbations whose envelope
-decays.  `classify` combines them with the eigenvalue sector check into a
-single report; `boundedness_probe` infers stability of a time-varying
-linear system from the boundedness of its basis trajectories.
+Two sufficient conditions are checked.  The first is the contraction of
+the Lyapunov-Perron operator, sup_t I(t) < 1 for the kernel-weighted
+perturbation integral I: it is read at the smaller of two bounds, the
+scanned sup q plus its error estimate, and sup K times the kernel
+integral (every kind has K >= ||Q||).  The second is a weighted-norm
+contraction certificate for perturbations whose envelope decays.
+`classify` combines them with the eigenvalue sector check into a single
+report; `boundedness_probe` infers stability of a time-varying linear
+system from the boundedness of its basis trajectories.
 """
 
 import math
@@ -43,19 +45,20 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_TOL = (1e-12, 1e-8, 300)
 _CERT_TOL = (1e-6, 1e-4, 300)
 
-_VERDICTS = (
-    "RobustStable",
-    "UniformSmallStable",
-    "DecayingStable",
-    "Inconclusive",
-    "SectorViolated",
-)
+STABLE_VERDICTS = ("RobustStable", "DecayingStable")
+_VERDICTS = (*STABLE_VERDICTS, "Inconclusive", "SectorViolated")
 
 
-def _q_contracts(q, q_error):
-    """The contraction gate: the computed q plus its error estimate (None
-    reads as 0) must stay below 1."""
-    return q is not None and q + (0.0 if q_error is None else q_error) < 1.0
+def _q_bound(q, q_error, sup_envelope, epsilon):
+    """Bound on sup_t I(t), the contraction gate's value: the smaller of
+    q + q_error (None reads as 0) and sup K * kernel integral, which is
+    sup_envelope / (2 epsilon).  None when neither is available."""
+    bounds = []
+    if q is not None:
+        bounds.append(q + (0.0 if q_error is None else q_error))
+    if sup_envelope is not None and epsilon is not None:
+        bounds.append(sup_envelope / (2.0 * epsilon))
+    return min(bounds, default=None)
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,11 @@ class StabilityReport:
     def __post_init__(self):
         if self.verdict not in _VERDICTS:
             raise DomainError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "RobustStable" and not _q_contracts(self.q, self.q_error):
-            raise DomainError("RobustStable requires q + q_error < 1")
-        if self.verdict == "UniformSmallStable":
-            if (
-                self.sup_envelope is None
-                or self.epsilon is None
-                or not self.sup_envelope < self.epsilon
-            ):
+        if self.verdict == "RobustStable":
+            q_bound = _q_bound(self.q, self.q_error, self.sup_envelope, self.epsilon)
+            if q_bound is None or not q_bound < 1.0:
                 raise DomainError(
-                    "UniformSmallStable requires sup envelope < epsilon"
+                    "RobustStable requires min(q + q_error, sup K * kernel integral) < 1"
                 )
         if self.verdict == "DecayingStable":
             if (
@@ -432,12 +430,14 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
 
     The gate order is: sector check, then for perturbations whose
     envelope vanishes at infinity the decay certificate (the machinery
-    built for exactly that shape), then the contraction constant
-    q + q_error < 1, then the uniform threshold sup K < epsilon; for
-    non-vanishing envelopes q and the threshold come first and the decay
-    certificate is the fallback, run only when neither passes.  A report
-    of Inconclusive is not an instability claim: all certificates are
-    sufficient conditions only.
+    built for exactly that shape), then the contraction bound
+    min(q + q_error, sup K * kernel integral) < 1; for non-vanishing
+    envelopes the contraction bound comes first and the decay certificate
+    is the fallback, run only when the bound fails.  Whenever the bound
+    passes, delta = (1 - bound) / sup ||E_alpha||; a DecayingStable
+    verdict whose bound fails takes delta from the weighted-norm bound.
+    A report of Inconclusive is not an instability claim: all
+    certificates are sufficient conditions only.
     Failures inside individual certificates are recorded as notes and
     degrade the verdict rather than raising.
 
@@ -477,9 +477,10 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         notes.append(f"contraction constant unavailable: {exc}")
 
     decaying = lim_k == 0.0 and sup_k > 0.0
-    q_passes = _q_contracts(q_value, q_error)
+    q_bound = _q_bound(q_value, q_error, sup_k, epsilon)
+    q_passes = q_bound < 1.0
     cert = None
-    if decaying or not (q_passes or sup_k < epsilon):
+    if decaying or not q_passes:
         try:
             cert = _beta_norm_core(
                 m, al, pert, uniform_grid(40.0, 320), norm, kint["value"], sup_e_aa
@@ -492,8 +493,6 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         verdict = "DecayingStable"
     elif q_passes:
         verdict = "RobustStable"
-    elif sup_k < epsilon:
-        verdict = "UniformSmallStable"
     elif cert_passes:
         verdict = "DecayingStable"
     else:
@@ -513,24 +512,20 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     }
 
     delta = None
-    if verdict == "RobustStable":
-        delta = float((1.0 - q_value) / sup_e_alpha)
-    elif verdict == "UniformSmallStable":
-        delta = float((1.0 - sup_k * kint["value"]) / sup_e_alpha)
+    if q_passes:
+        # every verdict reached with a passing bound is stable
+        delta = float((1.0 - q_bound) / sup_e_alpha)
     elif verdict == "DecayingStable":
-        if q_passes:
-            delta = float((1.0 - q_value) / sup_e_alpha)
-        else:
-            # the operator's beta-norm is at most c, and beta >= 1 is
-            # nondecreasing and frozen past T, so |x(t)| <= beta(T) ||x||_beta
-            # <= beta(T) sup||E_alpha|| |x0| / (1 - c)
-            log_delta = (
-                math.log1p(-cert["contraction"]) - math.log(sup_e_alpha) - cert["log_beta_T"]
-            )
-            delta = math.exp(log_delta)
-            notes.append("delta from the weighted-norm bound, weight beta(T) included")
-            if delta == 0.0:
-                notes.append(f"delta underflows: log delta = {log_delta:.6g}")
+        # the operator's beta-norm is at most c, and beta >= 1 is
+        # nondecreasing and frozen past T, so |x(t)| <= beta(T) ||x||_beta
+        # <= beta(T) sup||E_alpha|| |x0| / (1 - c)
+        log_delta = (
+            math.log1p(-cert["contraction"]) - math.log(sup_e_alpha) - cert["log_beta_T"]
+        )
+        delta = math.exp(log_delta)
+        notes.append("delta from the weighted-norm bound, weight beta(T) included")
+        if delta == 0.0:
+            notes.append(f"delta underflows: log delta = {log_delta:.6g}")
 
     return StabilityReport(
         sector=sector,
