@@ -66,16 +66,15 @@ class FracOrder:
 
 @dataclass(frozen=True)
 class MLParams:
-    """Parameter pair (alpha, beta) of the Mittag-Leffler function."""
+    """Parameter pair (alpha, beta) of the Mittag-Leffler function, with
+    alpha in (0, 1], the orders the solvers take (_order_incl_one)."""
 
     alpha: float
     beta: float = 1.0
 
     def __post_init__(self):
-        a = float(self.alpha)
+        a = _order_incl_one(self.alpha)
         b = float(self.beta)
-        if not math.isfinite(a) or a <= 0.0:
-            raise DomainError(f"ml parameter alpha must be positive, got {self.alpha!r}")
         if not math.isfinite(b):
             raise DomainError(f"ml parameter beta must be finite, got {self.beta!r}")
         object.__setattr__(self, "alpha", a)
@@ -229,25 +228,25 @@ def _ml_series(alpha, beta, z, l=0):
 # exponential part shared by the asymptotic and contour regimes
 
 
-def _exp_part_terms(alpha, beta, l, omega):
-    """Coefficient stack for d^l/dz^l [(1/alpha) (omega z^{1/alpha})^{1-beta}
-    exp(omega z^{1/alpha})], as pairs (p, c) meaning c * z^p * exp(omega z^{1/alpha})."""
+def _exp_part_terms(alpha, beta, l):
+    """Coefficient stack for d^l/dz^l [(1/alpha) z^{(1-beta)/alpha}
+    exp(z^{1/alpha})], as pairs (p, c) meaning c * z^p * exp(z^{1/alpha})."""
     p0 = (1.0 - beta) / alpha
-    c0 = (omega ** (1.0 - beta)) / alpha
+    c0 = 1.0 / alpha
     terms = [(p0, c0)]
     for _ in range(l):
         nxt = []
         for p, c in terms:
             if c * p != 0.0:
                 nxt.append((p - 1.0, c * p))
-            nxt.append((p + 1.0 / alpha - 1.0, c * omega / alpha))
+            nxt.append((p + 1.0 / alpha - 1.0, c / alpha))
         terms = nxt
     return terms
 
 
-def _eval_exp_part(alpha, beta, z, l, omega=1.0 + 0.0j):
+def _eval_exp_part(alpha, beta, z, l):
     z = np.asarray(z, dtype=complex)
-    w = omega * z ** (1.0 / alpha)
+    w = z ** (1.0 / alpha)
     out = np.zeros_like(z)
     live = w.real > -700.0  # otherwise exp underflows to an exact 0
     if not live.any():
@@ -257,7 +256,7 @@ def _eval_exp_part(alpha, beta, z, l, omega=1.0 + 0.0j):
     with np.errstate(over="ignore", invalid="ignore"):
         ew = np.exp(wl)
         val = np.zeros_like(zl)
-        for p, c in _exp_part_terms(alpha, beta, l, omega):
+        for p, c in _exp_part_terms(alpha, beta, l):
             val += c * zl ** p
         val = val * ew
     out[live] = val
@@ -270,7 +269,7 @@ def _require_finite(values, z):
     bad = ~np.isfinite(values)
     if bad.any():
         raise OverflowSignal(
-            f"Mittag-Leffler exponential part overflows at z = {z[bad][0]}"
+            f"Mittag-Leffler exponential part overflows at z = {z[bad][0]} (or its conjugate)"
         )
     return values
 
@@ -318,11 +317,9 @@ def _ml_asymptotic(alpha, beta, z, l=0):
     wedge |arg z| <= alpha*pi where it is not transcendentally small."""
     z = np.asarray(z, dtype=complex)
     out = np.zeros_like(z)
-    for j in ((0, -1, 1) if alpha > 1.0 else (0,)):
-        wedge = np.abs(np.angle(z) + 2.0 * _PI * j) <= alpha * _PI + 1e-14
-        if wedge.any():
-            omega = complex(np.exp(2j * _PI * j / alpha))
-            out[wedge] += _eval_exp_part(alpha, beta, z[wedge], l, omega)
+    wedge = np.abs(np.angle(z)) <= alpha * _PI + 1e-14
+    if wedge.any():
+        out[wedge] += _eval_exp_part(alpha, beta, z[wedge], l)
     # algebraic series, truncated where its smooth envelope turns upward
     ln_az = np.log(np.abs(z))
     zin = 1.0 / z
@@ -347,7 +344,7 @@ def _ml_asymptotic(alpha, beta, z, l=0):
 # ---------------------------------------------------------------------------
 # contour regime: Laplace inversion over a leftward parabola
 
-_MU_CANDIDATES = (3.0, 4.5, 2.0, 5.5, 1.2, 7.0, 0.8)
+_MU_CANDIDATES = (3.0, 4.5, 2.0, 5.5, 1.2)
 # trapezoid node counts; each level halves the step of the one before, so a
 # level's sum reuses every node of the level below and adds only midpoints
 _CONTOUR_LEVELS = (11, 21, 41, 81, 161, 321, 641, 1281, 2561)
@@ -358,15 +355,11 @@ _CONTOUR_NODES = 8192
 
 
 def _principal_poles(alpha, z):
-    """Poles of 1/(s^alpha - z) on the principal sheet, per point."""
+    """The pole z^(1/alpha) of 1/(s^alpha - z), per point, and whether it
+    lies on the principal sheet: for alpha <= 1 there is at most one."""
     ang = np.angle(z)
-    rad = np.abs(z) ** (1.0 / alpha)
-    poles = []
-    for j in ((0, -1, 1) if alpha > 1.0 else (0,)):
-        theta = (ang + 2.0 * _PI * j) / alpha
-        ok = np.abs(ang + 2.0 * _PI * j) < alpha * _PI - 1e-13
-        poles.append((rad * np.exp(1j * theta), ok, j))
-    return poles
+    pole = np.abs(z) ** (1.0 / alpha) * np.exp(1j * (ang / alpha))
+    return pole, np.abs(ang) < alpha * _PI - 1e-13
 
 
 def _clearance(mu, pole):
@@ -381,30 +374,26 @@ def _clearance(mu, pole):
 
 
 def _separation(mu, poles):
-    """Smallest |clearance| over the principal-sheet poles; inf if none."""
-    sep = np.full(poles[0][0].shape, np.inf)
-    for pole, ok, _ in poles:
-        sep = np.where(ok, np.minimum(sep, np.abs(_clearance(mu, pole))), sep)
-    return sep
+    """|clearance| of the principal-sheet pole; inf where there is none."""
+    pole, ok = poles
+    return np.where(ok, np.abs(_clearance(mu, pole)), np.inf)
 
 
 _MU_MIN_SEP = 0.35
 
 
 def _choose_mu(alpha, z, poles):
-    mu = np.full(z.shape, _MU_CANDIDATES[0])
-    best_sep = np.full(z.shape, -np.inf)
-    chosen = np.zeros(z.shape, dtype=bool)
+    """The first mu candidate whose separation is at least _MU_MIN_SEP.
+
+    A point fails candidate c only where x = Re sqrt(pole) lies in
+    (0.65 sqrt(c), 1.35 sqrt(c)), and no x lies in all five of these
+    intervals (0.65 sqrt(5.5) > 1.35 sqrt(1.2)), so every point has one."""
+    mu = np.zeros(z.shape)
     for cand in _MU_CANDIDATES:
-        sep = _separation(cand, poles)
-        take = ~chosen & (sep >= _MU_MIN_SEP)
-        mu[take] = cand
-        chosen |= take
-        better = ~chosen & (sep > best_sep)
-        mu[better] = cand
-        best_sep = np.maximum(best_sep, sep)
-        if chosen.all():
+        free = mu == 0.0
+        if not free.any():
             break
+        mu[free & (_separation(cand, poles) >= _MU_MIN_SEP)] = cand
     return mu
 
 
@@ -487,13 +476,12 @@ def _contour_sum(alpha, beta, z, l, mu, n_nodes, odd=False):
 
 
 def _contour_residues(alpha, beta, z, l, mu, poles):
-    """Residue of every pole that lies right of the contour."""
+    """Residue of the pole where it lies right of the contour."""
+    pole, ok = poles
+    right = ok & (_clearance(mu, pole) > 0.0)
     res = np.zeros_like(z)
-    for pole, ok, j in poles:
-        right = ok & (_clearance(mu, pole) > 0.0)
-        if right.any():
-            omega = complex(np.exp(2j * _PI * j / alpha))
-            res[right] += _eval_exp_part(alpha, beta, z[right], l, omega)
+    if right.any():
+        res[right] += _eval_exp_part(alpha, beta, z[right], l)
     return _require_finite(res, z)
 
 
@@ -536,7 +524,7 @@ def _ml_contour(alpha, beta, z, l=0):
     if pending.any():
         worst = z[pending][0]
         raise QuadratureConvergenceError(
-            f"contour quadrature failed its error estimate near z = {worst}"
+            f"contour quadrature failed its error estimate near z = {worst} (or its conjugate)"
         )
     return val + res
 
@@ -546,11 +534,18 @@ def _ml_contour(alpha, beta, z, l=0):
 
 
 def _ml_core(alpha, beta, z, l=0):
-    """Vectorized d^l/dz^l E_{alpha,beta}(z) with regime dispatch."""
+    """Vectorized d^l/dz^l E_{alpha,beta}(z) with regime dispatch.
+
+    The series has real coefficients, so E(conj z) = conj E(z): a point
+    below the real axis is evaluated at its conjugate and reflected back,
+    which makes the symmetry exact to the bit."""
     z = np.asarray(z, dtype=complex)
     if alpha == 1.0 and beta == 1.0:
         with np.errstate(over="ignore"):
             return np.exp(z)  # every z-derivative of exp is exp
+    low = z.imag < 0.0
+    if low.any():
+        z = np.where(low, z.conj(), z)
     out = np.empty_like(z)
     az = np.abs(z)
     ser = az <= _series_disk(alpha, l)
@@ -562,7 +557,7 @@ def _ml_core(alpha, beta, z, l=0):
         out[mid] = _ml_contour(alpha, beta, z[mid], l)
     if asym.any():
         out[asym] = _require_finite(_ml_asymptotic(alpha, beta, z[asym], l), z[asym])
-    return out
+    return np.conjugate(out, out=out, where=low)
 
 
 def ml(params, z):

@@ -895,6 +895,32 @@ def test_classify_does_not_certify_a_peak_between_horizons():
     assert report.verdict != "RobustStable"
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: the q-scan's horizons are absolute times"
+)
+def test_classify_finds_the_peak_of_a_slow_system():
+    # on [[-1e-4]] the lag integral peaks near t = 6.3e7, where I reads
+    # 0.64494; no horizon reaches it, and the scan reports q 0.2483 with
+    # q_error 9.02
+    a = np.array([[-1e-4]])
+    pert = LinearDecaying([[0.01]], 0.25)
+    integrate = stability._lag_integrals(a, 0.5, "max", pert, True)
+    peak = integrate([6.31e7], stability._Q_TOL)[0][0]
+    report = classify(a, 0.5, pert)
+    assert report.q >= peak - 1e-9
+    assert report.q_error <= 0.01
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: the product-mode far tail charges ||E|| K"
+)
+def test_classify_certifies_a_settled_product_gain():
+    # a constant Q makes I(t) rise to its limit, so q 0.96580 is exact; the
+    # far tail bounds ||E Q|| by ||E|| K and adds q_error 0.03944
+    pert = LinearConstant(3.0 * np.array([[0.1, 0.3], [0.05, 0.1]]))
+    assert classify(A_DIAG, 0.5, pert, norm="euclidean").verdict == "RobustStable"
+
+
 @pytest.mark.parametrize(
     "a, grid",
     [
