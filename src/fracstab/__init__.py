@@ -42,10 +42,6 @@ from .stability import (
     beta_norm_certificate,
     boundedness_probe,
     classify,
-    compute_q_linear,
-    compute_q_nonlinear,
-    delta_of_epsilon,
-    epsilon_threshold,
 )
 
 __version__ = "0.1.0"
@@ -68,10 +64,6 @@ __all__ = [
     "boundedness_probe",
     "check_spectral_condition",
     "classify",
-    "compute_q_linear",
-    "compute_q_nonlinear",
-    "delta_of_epsilon",
-    "epsilon_threshold",
     "gamma",
     "graded_grid",
     "kernel_integral",

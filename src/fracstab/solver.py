@@ -25,6 +25,9 @@ from .special_fn import MLParams, _order_incl_one, ml_many
 
 _LP_TOL = 1e-10
 _LP_MAX_ITER = 200
+# lags per ml_matrix call when the Lyapunov-Perron kernel stack is built:
+# bounds the evaluation's temporaries, not the stack itself
+_LP_KERNEL_BLOCK = 1 << 16
 
 
 def _as_state(x0, d=None):
@@ -417,11 +420,20 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
 def _lp_operator(grid, al, m, linear_states, pert):
     """xi -> T(xi), the discretized variation-of-constants operator.  Its
     convolution with the kernel E_{alpha,alpha}(lag^alpha A) is built here,
-    once per solve; each application evaluates the field and applies it."""
+    once per solve; each application evaluates the field and applies it.
+    The kernel stack is filled in blocks of _LP_KERNEL_BLOCK lags, and a
+    slice of ml_matrix depends on its own time alone, so the blocks give
+    the one-call stack bit for bit."""
     params = MLParams(al, al)
-    convolve = _convolution_operator(
-        grid, al, lambda lags: ml_matrix(params, lags, m), m.shape[0]
-    )
+
+    def kernel(lags):
+        stack = np.empty((lags.size,) + m.shape)
+        for start in range(0, lags.size, _LP_KERNEL_BLOCK):
+            block = lags[start : start + _LP_KERNEL_BLOCK]
+            stack[start : start + block.size] = ml_matrix(params, block, m)
+        return stack
+
+    convolve = _convolution_operator(grid, al, kernel, m.shape[0])
     return lambda states: linear_states + convolve(pert.field(grid.nodes, states))
 
 

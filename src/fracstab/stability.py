@@ -6,9 +6,12 @@ perturbation integral I: it is read at the smaller of two bounds, the
 scanned sup q plus its error estimate, and sup K times the kernel
 integral (every kind has K >= ||Q||).  The second is a weighted-norm
 contraction certificate for perturbations whose envelope decays.
-`classify` combines them with the eigenvalue sector check into a single
-report; `boundedness_probe` infers stability of a time-varying linear
-system from the boundedness of its basis trajectories.
+`classify` is the one entry point to them: it runs the eigenvalue sector
+check and both certificates, and its report carries q, q_error, the
+uniform threshold epsilon and the initial-ball radius delta.
+`beta_norm_certificate` exposes the weighted-norm certificate alone;
+`boundedness_probe` infers stability of a time-varying linear system
+from the boundedness of its basis trajectories.
 """
 
 import math
@@ -17,13 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FracstabError,
-    GridError,
-    NoDecayError,
-    NonFiniteStateError,
-)
+from .errors import DomainError, FracstabError, GridError, NoDecayError
 from .matfun import (
     as_square_matrix,
     check_spectral_condition,
@@ -33,7 +30,7 @@ from .matfun import (
 )
 from .norms import check_norm, operator_norm, vector_norm
 from .quad import TimeGrid, _gk21_family, uniform_grid
-from .solver import PerturbationSpec, as_perturbation, solve_abm
+from .solver import as_perturbation, solve_abm
 from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
@@ -140,23 +137,23 @@ def _far_tail_term(m, al, norm, sup_k, env_far, kint_value):
     return env_far * kint_value + (sup_k - env_far) * kernel_tail
 
 
-def _weighted_norms(e, taus, norm, pert, product):
+def _weighted_norms(e, taus, norm, pert):
     """The certificates' integrand, one value per propagator slice e[i]:
-    ||e[i] Q(taus[i])|| with product set, else ||e[i]|| K(taus[i]) for the
-    envelope K of the perturbation kind pert."""
-    if product:
+    ||e[i] Q(taus[i])|| for a linear kind pert, else ||e[i]|| K(taus[i])
+    for its envelope K."""
+    if pert.is_linear:
         return operator_norm(e @ pert.q_matrix(taus), norm)
     return operator_norm(e, norm) * pert.envelope(taus, norm)
 
 
-def _lag_integrals(m, al, norm, pert, product):
+def _lag_integrals(m, al, norm, pert):
     """integrate(ts, tol, log_beta=None, t_freeze=None): one (value, error
     estimate) per time t in ts of the certificates' lag integral
 
         int_0^t s^(alpha-1) ||E_{alpha,alpha}(s^alpha A) Q(t - s)|| w ds
 
-    (||E_{alpha,alpha}(s^alpha A)|| K(t - s) unless product is set, for the
-    envelope K of the kind pert).  In v = s^alpha, free of the kernel
+    (||E_{alpha,alpha}(s^alpha A)|| K(t - s) for the envelope K of a
+    nonlinear kind pert).  In v = s^alpha, free of the kernel
     singularity, all times advance in lockstep through one `_gk21_family`
     with tol = (epsabs, epsrel, limit).  The weight w is 1, or given the log
     of a nondecreasing weight beta below T = t_freeze, the ratio
@@ -199,7 +196,7 @@ def _lag_integrals(m, al, norm, pert, product):
 
         def f(v, owner):
             taus = np.maximum(ts[owner] - v ** (1.0 / al), 0.0)
-            vals = _weighted_norms(propagators(v), taus, norm, pert, product)
+            vals = _weighted_norms(propagators(v), taus, norm, pert)
             if log_beta is not None:
                 low = taus < t_freeze
                 vals[low] *= np.exp(log_beta(taus[low]) - lb_t[owner[low]])
@@ -218,23 +215,29 @@ def _lag_integrals(m, al, norm, pert, product):
     return integrate
 
 
-def _q_scan(m, al, norm, pert, product, kint_value=None):
-    """(q, error estimate): sup over geometric horizons of the contraction
-    integral, the lag integral of `_lag_integrals` with weight 1."""
-    sup_k, lim_k = _envelope_stats(pert, norm)
+def _q_scan(m, al, norm, pert, kint_value, sup_k, lim_k):
+    """(q, error estimate): the contraction constant, the sup over the
+    geometric horizons 2^-6, 2^-5, ..., 2^16 of the lag integral of
+    `_lag_integrals` with weight 1, given the kernel integral kint_value
+    and the envelope's (sup, limit) from `_envelope_stats`.
+
+    A linear kind integrates the norm of the matrix product, a nonlinear
+    kind the majorant ||E|| K.  A linear kind's matrix that settles to a
+    constant gives the integral a t -> infinity value, evaluated
+    analytically through the kernel integral; it enters the sup as the
+    limit, not as a bound on the finite horizons.  An interior peak is
+    polished inside its bracketing octaves, and the error estimate adds
+    the far tail past the last horizon.
+    """
     if sup_k == 0.0:
         return 0.0, 0.0
-    if kint_value is None:
-        kint_value = kernel_integral(m, al, norm)["value"]
-    if not product or lim_k == 0.0:
+    if not pert.is_linear or lim_k == 0.0:
         # K >= ||Q||, so a vanishing envelope limit leaves Q(inf) = 0
         limit_value = lim_k * kint_value
     else:
-        # a matrix that settles to a constant gives the integral this
-        # t -> infinity value, which enters the sup as its limit
         limit_value = kernel_integral(m, al, norm, right=pert.q_matrix(np.inf))["value"]
     env_far = pert.envelope_sup(_FAR_TIME, norm)
-    integrate = _lag_integrals(m, al, norm, pert, product)
+    integrate = _lag_integrals(m, al, norm, pert)
 
     best = 0.0
     best_t = _HORIZONS[0]
@@ -265,70 +268,6 @@ def _envelope_stats(pert, norm):
     if not (math.isfinite(sup_k) and lim_k >= 0.0):
         raise DomainError("envelope must be finite and nonnegative")
     return sup_k, lim_k
-
-
-def compute_q_linear(a, alpha, pert, norm="max"):
-    """Contraction constant of the perturbation integral, linear kinds.
-
-    Takes the sup over geometric horizons 2^-6, 2^-5, ..., 2^16 of the
-    product-integrated kernel-weighted perturbation, with the norm on the
-    matrix product inside the integrand; compute_q_nonlinear gives the
-    cheaper majorant ||E|| * envelope instead.  A perturbation
-    matrix that settles to a constant gives the integral a t -> infinity
-    value, evaluated analytically through the kernel integral; it enters
-    the sup as the limit, not as a bound on the finite horizons.
-    """
-    m = as_square_matrix(a)
-    al = _order_value(alpha)
-    check_norm(norm)
-    pert = as_perturbation(pert)
-    if not pert.is_linear:
-        raise DomainError("compute_q_linear requires a linear perturbation kind")
-    return _q_scan(m, al, norm, pert, True)[0]
-
-
-def compute_q_nonlinear(a, alpha, pert, norm="max"):
-    """Contraction constant with the Lipschitz envelope outside the norm.
-
-    Same horizon construction as the linear variant but with integrand
-    ||E|| * K(tau) for the envelope K of the perturbation kind pert,
-    matching the certificate available when only a Lipschitz envelope of
-    the perturbation is known.  A tabulated envelope is a NonlinearTable.
-    """
-    m = as_square_matrix(a)
-    al = _order_value(alpha)
-    check_norm(norm)
-    if not isinstance(pert, PerturbationSpec):
-        raise DomainError(f"expected a PerturbationSpec, got {type(pert).__name__}")
-    return _q_scan(m, al, norm, pert, False)[0]
-
-
-def epsilon_threshold(a, alpha, norm="max"):
-    """Uniform-envelope threshold 1 / (2 * kernel integral).
-
-    Any perturbation whose envelope stays below this value keeps the
-    contraction constant under 1/2; the sector condition is required and
-    its violation raises.
-    """
-    return 0.5 / kernel_integral(a, alpha, norm)["value"]
-
-
-def delta_of_epsilon(q, eps_ball, a, alpha, norm="max"):
-    """Initial-ball radius guaranteeing trajectories stay in eps_ball.
-
-    Implements (1 - q) * eps_ball / sup_t ||E_alpha(t^alpha A)||; the
-    guarantee is analytic, i.e. at the level of the exact solution
-    operator, not of any particular discretization.
-    """
-    q = float(q)
-    eps_ball = float(eps_ball)
-    if not math.isfinite(q) or q < 0.0:
-        raise DomainError("q must be finite and nonnegative")
-    if q >= 1.0:
-        raise DomainError("q >= 1 certifies no contraction ball")
-    if not eps_ball > 0.0:
-        raise DomainError("eps_ball must be positive")
-    return (1.0 - q) * eps_ball / sup_ml_norm(a, alpha, norm)
 
 
 def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
@@ -364,13 +303,14 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     pert = as_perturbation(pert)
     kint_value = kernel_integral(m, al, norm)["value"]
     sup_e = sup_ml_norm(m, al, norm, beta=al)
-    return _beta_norm_core(m, al, pert, grid, norm, kint_value, sup_e)
+    return _beta_norm_core(
+        m, al, pert, grid, norm, kint_value, sup_e, *_envelope_stats(pert, norm)
+    )
 
 
-def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e):
+def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e, sup_k, lim_k):
     """beta_norm_certificate on validated inputs, given the kernel integral
-    m_int and sup_e = sup ||E_{alpha,alpha}||."""
-    sup_k, lim_k = _envelope_stats(pert, norm)
+    m_int, sup_e = sup ||E_{alpha,alpha}|| and the envelope's (sup, limit)."""
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
     threshold = 1.0 / (5.0 * big_m)
@@ -412,7 +352,7 @@ def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e):
         lo = max(grid.nodes[1], t_decay / 8.0)
         hi = min(horizon, max(4.0 * t_decay, 2.0 * lo))
         eval_ts.update(np.geomspace(lo, hi, 16))
-    integrate = _lag_integrals(m, al, norm, pert, pert.is_linear)
+    integrate = _lag_integrals(m, al, norm, pert)
     results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
 
     return {
@@ -427,6 +367,15 @@ def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e):
 
 def classify(a, alpha, pert=None, norm="max", seed=42):
     """Run every certificate and report the first that passes.
+
+    This is the one public source of the certificate quantities: the
+    report carries the contraction constant q (the scan of `_q_scan`,
+    which integrates ||E Q|| for a linear kind and ||E|| K for a
+    nonlinear one) with its error estimate q_error, the uniform
+    threshold epsilon = 1 / (2 * kernel integral), below which a
+    constant envelope keeps the contraction under 1/2, and delta, the
+    initial-ball radius for a unit target ball (a ball of radius r takes
+    r * delta).
 
     The gate order is: sector check, then for perturbations whose
     envelope vanishes at infinity the decay certificate (the machinery
@@ -470,9 +419,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     q_value = None
     q_error = None
     try:
-        q_value, q_error = _q_scan(
-            m, al, norm, pert, pert.is_linear, kint_value=kint["value"]
-        )
+        q_value, q_error = _q_scan(m, al, norm, pert, kint["value"], sup_k, lim_k)
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")
 
@@ -483,7 +430,8 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     if decaying or not q_passes:
         try:
             cert = _beta_norm_core(
-                m, al, pert, uniform_grid(40.0, 320), norm, kint["value"], sup_e_aa
+                m, al, pert, uniform_grid(40.0, 320), norm,
+                kint["value"], sup_e_aa, sup_k, lim_k,
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")
@@ -579,7 +527,7 @@ def boundedness_probe(b, alpha, grid, norm="max"):
             # an overflowing state is reported by the solver as a failure
             with np.errstate(over="ignore", invalid="ignore"):
                 traj = solve_abm(al, field, x0, grid)
-        except (NonFiniteStateError, FracstabError) as exc:
+        except FracstabError as exc:
             per_basis.append(False)
             sup_norms.append(math.inf)
             notes.append(f"basis {i}: solver failed ({exc})")

@@ -29,8 +29,6 @@ from fracstab.special_fn import MLParams, gamma, ml
 from fracstab.stability import (
     boundedness_probe,
     classify,
-    compute_q_linear,
-    epsilon_threshold,
 )
 from fracstab.errors import SectorViolationError
 
@@ -135,7 +133,7 @@ def test_criterion_05_fixed_point_contraction():
         pert = LinearConstant(np.array([[c]]))
         lp = lyapunov_perron_iterate(0.5, A_NEG, pert, 1.0, g)
         assert max(lp.meta["ratios"]) <= c + 0.05, c
-        assert compute_q_linear(A_NEG, 0.5, pert) == pytest.approx(c, abs=1e-3), c
+        assert classify(A_NEG, 0.5, pert).q == pytest.approx(c, abs=1e-3), c
         assert residual_check(lp, 0.5, A_NEG, pert=pert) <= 1e-6, c
     budget.done()
 
@@ -157,10 +155,11 @@ def test_criterion_06_classification_matrix():
     assert reports["unstable"].verdict == "SectorViolated"
     assert reports["decaying"].verdict == "DecayingStable"
 
-    assert epsilon_threshold(A_NEG, 0.5) == pytest.approx(0.5, abs=1e-3)
-    assert epsilon_threshold(np.array([[-4.0]]), 0.5) == pytest.approx(2.0, abs=1e-2)
+    assert reports["constant_half"].epsilon == pytest.approx(0.5, abs=1e-3)
+    assert classify(np.array([[-4.0]]), 0.5).epsilon == pytest.approx(2.0, abs=1e-2)
+    assert reports["unstable"].epsilon is None
     with pytest.raises(SectorViolationError):
-        epsilon_threshold(np.array([[1.0]]), 0.5)
+        kernel_integral(np.array([[1.0]]), 0.5)
     budget.done()
 
 

@@ -521,6 +521,31 @@ def test_iteration_evaluates_the_kernel_once(monkeypatch):
     assert betas == [1.0, 0.5]
 
 
+@pytest.mark.parametrize(
+    "grid", [uniform_grid(5.0, 64), graded_grid(5.0, 32, 2.0)], ids=["uniform", "graded"]
+)
+def test_iteration_kernel_stack_is_built_in_blocks(monkeypatch, grid):
+    # the graded grid's 561 lags take 81 blocks of at most 7; each slice of
+    # ml_matrix depends on its own time alone, so the states keep their bits
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
+    x0 = np.array([1.0, -0.5])
+    one_block = lyapunov_perron_iterate(0.5, rotation, pert, x0, grid)
+    sizes = []
+    original = solver.ml_matrix
+
+    def counted(params, t, a):
+        if params.beta == params.alpha:
+            sizes.append(np.asarray(t).size)
+        return original(params, t, a)
+
+    monkeypatch.setattr(solver, "ml_matrix", counted)
+    monkeypatch.setattr(solver, "_LP_KERNEL_BLOCK", 7)
+    blocked = lyapunov_perron_iterate(0.5, rotation, pert, x0, grid)
+    assert len(sizes) > 1 and max(sizes) <= 7
+    assert blocked.states.tobytes() == one_block.states.tobytes()
+
+
 def test_iteration_builds_the_convolution_once(monkeypatch):
     calls = []
     original = quad._lag_moments

@@ -461,6 +461,31 @@ def test_ml_series_matches_high_precision_sum():
                         assert err <= 4e-15 * mass, (alpha, beta, l, zi)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_ml_dlambda_contour_point_meets_its_level_test():
+    """A contour-band point (|z| = 1.78) at beta < 0 whose two-level
+    agreement test fails up to 2,561 nodes: ml_dlambda raises
+    QuadratureConvergenceError at it and at its conjugate.  The series
+    reference is 1129.1672787564723 - 1220.6754622726048j at the upper
+    point; its terms peak near 9e34, so it is summed with 60 digits until
+    a term falls under 1e-30."""
+    mp = pytest.importorskip("mpmath")
+    params, l = MLParams(0.15, -0.5), 6
+    z = complex(1.6517125020877075, 0.6558349306215645)
+    with mp.workdps(60):
+        a, b, zz = mp.mpf(params.alpha), mp.mpf(params.beta), mp.mpc(z.real, z.imag)
+        total, k = mp.mpc(0), l
+        while True:
+            term = mp.factorial(k) / mp.factorial(k - l) * zz ** (k - l) * mp.rgamma(a * k + b)
+            total += term
+            if k > 100 and abs(term) < mp.mpf(10) ** -30:
+                break
+            k += 1
+        want = complex(total)
+    for point, ref in ((z, want), (z.conjugate(), want.conjugate())):
+        assert ml_dlambda(params, 1.0, point, l) == pytest.approx(ref, rel=1e-10)
+
+
 def test_ml_series_table_is_built_once_and_bounds_its_tail(monkeypatch):
     sf._series_table.cache_clear()
     calls = []

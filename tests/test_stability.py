@@ -31,10 +31,6 @@ from fracstab.stability import (
     beta_norm_certificate,
     boundedness_probe,
     classify,
-    compute_q_linear,
-    compute_q_nonlinear,
-    delta_of_epsilon,
-    epsilon_threshold,
 )
 
 A_NEG = np.array([[-1.0]])
@@ -63,9 +59,15 @@ def _decay3():
     return LinearDecaying(np.array([[3.0]]), 2.0)
 
 
+def _scan(a, pert):
+    """(q, q_error) of the contraction scan on the inputs classify gives it."""
+    kint = kernel_integral(a, 0.5)["value"]
+    return stability._q_scan(a, 0.5, "max", pert, kint, *stability._envelope_stats(pert, "max"))
+
+
 def test_q_zero_perturbations():
-    assert compute_q_linear(A_NEG, 0.5, NoPerturbation()) == 0.0
-    assert compute_q_linear(A_NEG, 0.5, LinearConstant(np.zeros((1, 1)))) == 0.0
+    assert classify(A_NEG, 0.5, NoPerturbation()).q == 0.0
+    assert classify(A_NEG, 0.5, LinearConstant(np.zeros((1, 1)))).q == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
@@ -73,15 +75,15 @@ def test_q_zero_perturbations():
 def test_q_constant_scaling_law(lam, alpha):
     # for a scalar system the contraction constant is gain / |eigenvalue|,
     # independent of the order
-    q = compute_q_linear(
+    q = classify(
         np.array([[-lam]]), alpha, LinearConstant(np.array([[0.3]]))
-    )
+    ).q
     assert q == pytest.approx(0.3 / lam, abs=1e-3)
 
 
 def test_q_constant_monotone_in_gain():
     qs = [
-        compute_q_linear(A_NEG, 0.5, LinearConstant(np.array([[c]])))
+        classify(A_NEG, 0.5, LinearConstant(np.array([[c]]))).q
         for c in (0.2, 0.5, 0.8)
     ]
     assert qs[0] < qs[1] < qs[2]
@@ -89,55 +91,55 @@ def test_q_constant_monotone_in_gain():
 
 
 def test_q_decaying_envelope():
-    q = compute_q_linear(A_NEG, 0.5, _decay3())
+    q = classify(A_NEG, 0.5, _decay3()).q
     assert q == pytest.approx(Q_DECAY3, abs=5e-4)
-    q_slow = compute_q_linear(A_NEG, 0.5, LinearDecaying(np.array([[0.4]]), 1.0))
+    q_slow = classify(A_NEG, 0.5, LinearDecaying(np.array([[0.4]]), 1.0)).q
     assert 0.05 < q_slow < 0.4
 
 
 def test_q_modes_agree_for_scalar_systems():
-    qp = compute_q_linear(A_NEG, 0.5, _decay3())
-    qb = compute_q_nonlinear(A_NEG, 0.5, _decay3())
+    # the product ||E Q|| of a linear kind and the majorant ||E|| K of a
+    # nonlinear kind with the same envelope 3 / (1 + t)^2
+    qp = classify(A_NEG, 0.5, _decay3()).q
+    qb = classify(A_NEG, 0.5, NonlinearSaturating(3.0, gamma=2.0)).q
     assert qp == pytest.approx(qb, rel=1e-9)
 
 
 def test_q_bound_mode_majorizes_product():
+    # the saturating kind has the mixed matrix's envelope, its max-norm 0.5
     mixed = LinearConstant(np.array([[0.1, 0.05], [0.2, 0.3]]))
-    qp = compute_q_linear(A_DIAG, 0.5, mixed)
-    qb = compute_q_nonlinear(A_DIAG, 0.5, mixed)
+    product = classify(A_DIAG, 0.5, mixed)
+    majorant = classify(A_DIAG, 0.5, NonlinearSaturating(0.5))
+    assert product.sup_envelope == majorant.sup_envelope == pytest.approx(0.5, rel=1e-12)
+    qp, qb = product.q, majorant.q
     assert qp == pytest.approx(Q_MIXED_PRODUCT, abs=2e-3)
     assert qb == pytest.approx(0.5, abs=1e-3)
     assert qp < qb
 
 
-def test_q_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        compute_q_linear(A_NEG, 0.5, NonlinearSaturating(0.3))
-
-
 def test_q_nonlinear_constant_envelope():
-    assert compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(0.7)) == pytest.approx(
+    assert classify(A_NEG, 0.5, NonlinearSaturating(0.7)).q == pytest.approx(
         0.7, abs=1e-3
     )
-    assert compute_q_nonlinear(A_DIAG, 0.5, NonlinearSaturating(0.5)) == pytest.approx(
+    assert classify(A_DIAG, 0.5, NonlinearSaturating(0.5)).q == pytest.approx(
         0.5, abs=1e-3
     )
 
 
 def test_q_nonlinear_decaying_envelope():
-    q = compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(0.5, gamma=1.0))
+    q = classify(A_NEG, 0.5, NonlinearSaturating(0.5, gamma=1.0)).q
     assert 0.0 < q < 0.5
 
 
 def test_q_nonlinear_rejects_bad_envelopes():
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, 0.3)
+        classify(A_NEG, 0.5, 0.3)
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, lambda t: 0.3)
+        classify(A_NEG, 0.5, lambda t: 0.3)
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, NonlinearTable([0.0], [-1.0]))
+        classify(A_NEG, 0.5, NonlinearTable([0.0], [-1.0]))
     with pytest.raises(DomainError):
-        compute_q_nonlinear(A_NEG, 0.5, NonlinearSaturating(math.nan))
+        classify(A_NEG, 0.5, NonlinearSaturating(math.nan))
 
 
 def test_q_below_one_for_gains_under_threshold():
@@ -149,9 +151,10 @@ def test_q_below_one_for_gains_under_threshold():
         b = rng.standard_normal((d, d))
         shift = max(np.real(np.linalg.eigvals(b))) + 0.5
         a = b - shift * np.eye(d)
-        eps = epsilon_threshold(a, 0.5)
-        q = compute_q_linear(a, 0.5, LinearConstant(0.9 * eps * np.eye(d)))
-        assert q < 1.0
+        eps = 0.5 / kernel_integral(a, 0.5)["value"]
+        report = classify(a, 0.5, LinearConstant(0.9 * eps * np.eye(d)))
+        assert report.epsilon == eps
+        assert report.q < 1.0
 
 
 def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
@@ -164,7 +167,7 @@ def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
-    q = compute_q_linear(ROTATION, 0.5, pert)
+    q, _ = _scan(ROTATION, pert)
     assert q == pytest.approx(Q_ROTATION_DECAYING, rel=1e-10)
     # one propagator call per quadrature round, not one per point
     assert len(calls) <= 1000
@@ -175,7 +178,7 @@ def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
 
 def test_q_diag3_saturating_anchor():
     sat = NonlinearSaturating(0.3, gamma=2.0)
-    q = compute_q_nonlinear(np.diag([-1.0, -2.0, -3.0]), 0.5, sat)
+    q = classify(np.diag([-1.0, -2.0, -3.0]), 0.5, sat).q
     assert q == pytest.approx(Q_DIAG3_SATURATING, rel=1e-10)
 
 
@@ -205,41 +208,37 @@ def test_golden_max_finds_a_peak_at_either_end():
 def test_classify_rejects_unknown_norm_as_domain_error():
     with pytest.raises(DomainError):
         classify(A_NEG, 0.5, LinearConstant(np.array([[0.5]])), norm="l2")
-    with pytest.raises(FracstabError):
-        compute_q_linear(A_NEG, 0.5, _decay3(), norm="l2")
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_epsilon_scalar_scaling(lam, alpha):
-    assert epsilon_threshold(np.array([[-lam]]), alpha) == pytest.approx(
+    assert classify(np.array([[-lam]]), alpha).epsilon == pytest.approx(
         lam / 2.0, rel=1e-3
     )
 
 
 def test_epsilon_rotation_value():
-    assert epsilon_threshold(ROTATION, 0.5) == pytest.approx(0.22512, abs=5e-4)
+    assert classify(ROTATION, 0.5).epsilon == pytest.approx(0.22512, abs=5e-4)
 
 
 def test_epsilon_rejects_sector_violation():
+    assert classify(A_POS, 0.5).epsilon is None
     with pytest.raises(SectorViolationError):
-        epsilon_threshold(A_POS, 0.5)
+        kernel_integral(A_POS, 0.5)
 
 
 def test_delta_values():
-    assert delta_of_epsilon(0.0, 1.0, A_NEG, 0.5) == pytest.approx(1.0, rel=1e-9)
-    assert delta_of_epsilon(0.5, 0.2, A_NEG, 0.5) == pytest.approx(0.1, rel=1e-9)
-    assert delta_of_epsilon(0.0, 1.0, ROTATION, 0.5) == pytest.approx(
+    # delta is for a unit target ball; a ball of radius r takes r * delta
+    assert classify(A_NEG, 0.5).delta == pytest.approx(1.0, rel=1e-9)
+    report = classify(A_NEG, 0.5, LinearConstant(np.array([[0.5]])))
+    bound = stability._q_bound(report.q, report.q_error, report.sup_envelope, report.epsilon)
+    want = 0.2 * (1.0 - bound) / sup_ml_norm(A_NEG, 0.5)
+    assert 0.2 * report.delta == pytest.approx(want, rel=1e-9)
+    assert 0.2 * report.delta == pytest.approx(0.1, abs=1e-3)
+    assert classify(ROTATION, 0.5).delta == pytest.approx(
         1.0 / SUP_ROTATION_HALF, abs=1e-4
     )
-
-
-def test_delta_rejects_bad_inputs():
-    for bad_q in (1.0, 1.5, -0.1, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            delta_of_epsilon(bad_q, 1.0, A_NEG, 0.5)
-    with pytest.raises(DomainError):
-        delta_of_epsilon(0.5, 0.0, A_NEG, 0.5)
 
 
 def test_certificate_zero_perturbation():
@@ -627,7 +626,7 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     ts = np.linspace(0.0, 100.0, 200)
-    q = compute_q_linear(A_NEG, 0.5, LinearTable(ts, 0.3 + 0.2 * np.sin(ts)))
+    q, _ = _scan(A_NEG, LinearTable(ts, 0.3 + 0.2 * np.sin(ts)))
     assert len(calls) <= 200
     assert q == pytest.approx(0.38750817378868796, rel=1e-10)
 
@@ -646,7 +645,7 @@ def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
 
     monkeypatch.setattr(stability, "ml_matrix", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
-    compute_q_linear(ROTATION, 0.5, pert)
+    _scan(ROTATION, pert)
     every = np.concatenate(lags)
     assert len(lags) <= 45
     assert np.unique(every).size == every.size
@@ -723,7 +722,7 @@ def test_classify_rule_passes_per_rotation_case(monkeypatch):
 def test_lag_integrals_give_each_time_what_it_gets_alone(a, pert, weighted):
     # the times share one rule pass per round and one propagator table, yet
     # each integral is bit for bit the one a fresh table gives its time alone
-    args = (a, 0.5, "max", pert, pert.is_linear)
+    args = (a, 0.5, "max", pert)
     if weighted:
         extra = (stability._CERT_TOL, lambda taus: 2.0 * np.sqrt(taus), 10.0)
     else:
@@ -888,7 +887,7 @@ def test_classify_does_not_certify_a_peak_between_horizons():
     table = LinearTable(
         [0, 3.9, 4, 4.1, 10, 10.5, 11], [0.01, 0.01, 1, 0.01, 0.01, 6, 0.01]
     )
-    integrate = stability._lag_integrals(A_NEG, 0.5, "max", table, True)
+    integrate = stability._lag_integrals(A_NEG, 0.5, "max", table)
     peak = integrate([10.577], stability._Q_TOL)[0][0]
     report = classify(A_NEG, 0.5, table)
     assert report.q + report.q_error >= peak
@@ -904,7 +903,7 @@ def test_classify_finds_the_peak_of_a_slow_system():
     # q_error 9.02
     a = np.array([[-1e-4]])
     pert = LinearDecaying([[0.01]], 0.25)
-    integrate = stability._lag_integrals(a, 0.5, "max", pert, True)
+    integrate = stability._lag_integrals(a, 0.5, "max", pert)
     peak = integrate([6.31e7], stability._Q_TOL)[0][0]
     report = classify(a, 0.5, pert)
     assert report.q >= peak - 1e-9
