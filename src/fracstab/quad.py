@@ -96,35 +96,58 @@ def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
     if n < 1 or n >= len(grid):
         raise GridError("target_index must name an interior or final node")
     t = grid.nodes[: n + 1]
-    seg0, seg1 = _lag_moments(t[-1] - t[:-1], t[-1] - t[1:], a)
-    return _trapezoid_weights(seg0, seg1, t[1:] - t[:-1], np.empty(n + 1))
+    dt = np.diff(t)
+    return _product_rows(t[-1] - t, dt, 1.0 / dt, a, np.empty((3, n + 1)))[1]
 
 
-def _lag_moments(left, right, alpha):
-    """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over [right, left].
+def _lag_moments(left, right, gap, alpha, seg0, seg1):
+    """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over the
+    intervals [right, left] of widths gap, written into seg0 and seg1.
 
-    One log ratio and one power serve both: left^a - right^a is
+    right holds the right lags of the leading intervals, all positive; the
+    intervals past them start at lag 0.  One division, one log ratio and
+    one power per lag serve both moments: left^a - right^a is
     right^a expm1(a log1p(gap / right)), free of cancellation when left and
     right are close, and left^(a+1) - right^(a+1) = left (left^a - right^a)
-    + (left - right) right^a gives the second."""
-    gap = left - right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right_pow = right ** alpha
-        diff = right_pow * np.expm1(alpha * np.log1p(gap / right))
-    zero = np.flatnonzero(right <= 0.0)
-    diff[zero] = left[zero] ** alpha
-    seg0 = diff / alpha
-    return seg0, (left * seg0 - gap * right_pow) / (alpha + 1.0)
+    + gap right^a gives the second.  An interval from lag 0 has left^a."""
+    k = right.size
+    inner = gap[:k]
+    # the leading part of seg1 holds expm1(a log1p(gap / right)) until seg1
+    # is written
+    lead = np.divide(inner, right, out=seg1[:k])
+    np.log1p(lead, out=lead)
+    lead *= alpha
+    np.expm1(lead, out=lead)
+    right_pow = right ** alpha
+    np.multiply(right_pow, lead, out=seg0[:k])
+    seg0[k:] = left[k:] ** alpha
+    seg0 *= 1.0 / alpha
+    np.multiply(left, seg0, out=seg1)
+    right_pow *= inner
+    lead -= right_pow
+    seg1 *= 1.0 / (alpha + 1.0)
 
 
-def _trapezoid_weights(seg0, seg1, dt, w):
-    """Node weights of the product trapezoid from its intervals' moments,
-    written into w, which has one entry more than there are intervals."""
-    right_share = seg1 / dt
-    np.subtract(seg0, right_share, out=w[:-1])
-    w[-1] = 0.0
-    w[1:] += right_share
-    return w
+def _product_rows(lags, dt, inv_dt, alpha, out):
+    """The product-integration weights of one row, written into the
+    (3, n + 1) array out and returned; lags[j] = t_n - t_j, lags[n] = 0, and
+    interval j runs from lag lags[j] down to lags[j + 1], of width dt[j].
+
+    out[0, :n] is the rectangle rule (the first moments), out[1] the
+    trapezoid rule, and out[2, j] interval j's share of the trapezoid weight
+    of its left node, which is node 0's whole weight when interval j is the
+    first; out[0, n] and out[2, n] are left as they were.  The trapezoid
+    gives each interval's second moment over its width to its right node
+    and the rest of its first moment to its left one."""
+    n = dt.size
+    rect, trap, first = out[0, :n], out[1], out[2, :n]
+    share = trap[1:]
+    _lag_moments(lags[:-1], lags[1:-1], dt, alpha, rect, share)
+    share *= inv_dt
+    np.subtract(rect, share, out=first)
+    trap[0] = 0.0
+    trap[:n] += first
+    return out
 
 
 def _kernel_stack(raw, n_lags, d):
@@ -155,7 +178,14 @@ def _row_coeffs(lag_a, lag_b, a_):
     (lag_a seg0 / 2 - yb seg1 / seg0) / (2 alpha + 1), so yb is the only
     new power.
     """
-    seg0, seg1 = _lag_moments(lag_a, lag_b, a_)
+    # _lag_moments takes the intervals from lag 0 after all the others
+    zero = lag_b <= 0.0
+    order = np.argsort(zero, kind="stable")
+    inner = order[: zero.size - np.count_nonzero(zero)]
+    ordered = np.empty((2, lag_a.size))
+    _lag_moments(lag_a[order], lag_b[inner], (lag_a - lag_b)[order], a_, *ordered)
+    seg0, seg1 = np.empty_like(ordered)
+    seg0[order], seg1[order] = ordered
     c_psi_u = 0.5 * seg0
     c_psi_v = (lag_a * c_psi_u - lag_b ** a_ * seg1 / seg0) / (2.0 * a_ + 1.0)
     return seg0, seg1, c_psi_u, c_psi_v

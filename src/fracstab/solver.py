@@ -20,7 +20,7 @@ from .errors import (
 )
 from .matfun import as_square_matrix, ml_matrix
 from .norms import check_norm, operator_norm, vector_norm
-from .quad import TimeGrid, _convolution_operator, _lag_moments, _trapezoid_weights
+from .quad import TimeGrid, _convolution_operator, _product_rows
 from .special_fn import MLParams, _order_incl_one, ml_many
 
 _LP_TOL = 1e-10
@@ -73,6 +73,12 @@ def _per_time(values, t):
     return np.broadcast_to(values, np.shape(t) + values.shape)[()]
 
 
+def _one_state(x):
+    """True for a 1-d float64 array: a field takes it as it is, with no
+    conversion and no transposes, which would do nothing to it."""
+    return type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64
+
+
 def _growth(t, gamma):
     """(1 + t)^gamma for a time or an array of times.  One time keeps
     Python's float power, which ABM's per-step calls have always used;
@@ -98,8 +104,9 @@ class PerturbationSpec:
     n times and the (n, d) states at them, and gives a (d,) vector or an
     (n, d) stack.  The constant-matrix and scalar-gain kinds work on the
     transposed states, whose columns line up with the times; for one state
-    the transposes do nothing, so a single call does exactly the arithmetic
-    it always did.
+    the transposes do nothing, so LinearConstant, LinearDecaying and
+    NonlinearSaturating let a 1-d float64 state skip them and its conversion
+    (_one_state), with the same bits.
     """
 
     is_linear = False
@@ -157,6 +164,8 @@ class LinearConstant(PerturbationSpec):
         object.__setattr__(self, "q0", _as_q_matrix(self.q0))
 
     def field(self, t, x):
+        if _one_state(x):
+            return self.q0 @ x
         return (self.q0 @ np.atleast_1d(np.asarray(x, dtype=float)).T).T
 
     def envelope(self, t, norm="max"):
@@ -183,6 +192,8 @@ class LinearDecaying(PerturbationSpec):
         object.__setattr__(self, "gamma", g)
 
     def field(self, t, x):
+        if _one_state(x):
+            return self.q0 @ x / _growth(t, self.gamma)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return (self.q0 @ x.T / _growth(t, self.gamma)).T
 
@@ -259,6 +270,8 @@ class NonlinearSaturating(PerturbationSpec):
         object.__setattr__(self, "gamma", g)
 
     def field(self, t, x):
+        if _one_state(x):
+            return self.c * _growth(t, -self.gamma) * np.tanh(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return (self.c * _growth(t, -self.gamma) * np.tanh(x).T).T
 
@@ -345,27 +358,43 @@ def solve_linear_exact(alpha, a, x0, grid: TimeGrid) -> Trajectory:
     )
 
 
-def _abm_weights(grid: TimeGrid, al):
-    """Predictor (product-rectangle) and corrector (product-trapezoid)
-    weights of steps n = 1, 2, ...; the rectangle weights are the first
-    moments, and w lives in one buffer until the next step.  On a uniform
-    grid interval j of step n has lags t_{n-j} down to t_{n-j-1}, so the
-    moments tabulate once, and so do the weights: step n shares nodes 1..n
-    with the last n of the final step's weights; only node 0 differs."""
+def _abm_sums(grid: TimeGrid, al, x, scale, fhist):
+    """step(n) -> (x + scale [predictor sum; corrector base], scale w_n) for
+    steps n = 1, 2, ...: the two rows are the product-rectangle and
+    product-trapezoid sums over the field history fhist[:n], read as it
+    fills, and w_n is the trapezoid's weight of node n.
+
+    On a uniform grid interval j of step n has lags t_{n-j} down to
+    t_{n-j-1}, so the weights of the nodes 1..n-1 depend on the lag alone:
+    the final step's rows, tabulated once, give them, and node 0's
+    (rectangle, first-interval) pair per step adds its term.  A graded grid
+    writes each step's rows in place into one buffer."""
     t = grid.nodes
+    size = t.size
     dt = np.diff(t)
-    w = np.empty(t.size)
+    rows = np.empty((3, size))
     if grid.is_uniform:
-        seg0, seg1 = _lag_moments(t[1:], t[:-1], al)
-        last = _trapezoid_weights(seg0[::-1], seg1[::-1], dt[::-1], np.empty(t.size))
-        first, rect_tab = seg0 - seg1 / dt, seg0[::-1].copy()
-        for n in range(1, t.size):
-            w[0], w[1 : n + 1] = first[n - 1], last[t.size - n :]
-            yield rect_tab[t.size - 1 - n :], w[: n + 1]
-        return
-    for n in range(1, t.size):
-        seg0, seg1 = _lag_moments(t[n] - t[:n], t[n] - t[1 : n + 1], al)
-        yield seg0, _trapezoid_weights(seg0, seg1, dt[:n], w[: n + 1])
+        # column i holds the weights of the node of lag t_{size-1-i}
+        _product_rows(t[::-1], dt[::-1], 1.0 / dt[::-1], al, rows)
+        # node 0's (rectangle, first-interval) pair of step n sits at
+        # column size-1-n
+        pairs = scale * rows[::2, -2::-1].T
+        last = scale * rows[1, -1]
+        table = scale * rows[:2, :-1]
+
+        def step(n):
+            return x + pairs[n - 1][:, None] * fhist[0] + table[:, size - n :] @ fhist[1:n], last
+
+        return step
+
+    lags, inv_dt = np.empty(size), 1.0 / dt
+
+    def step(n):
+        np.subtract(t[n], t[: n + 1], out=lags[: n + 1])
+        _product_rows(lags[: n + 1], dt[:n], inv_dt[:n], al, rows[:, : n + 1])
+        return x + scale * (rows[:2, :n] @ fhist[:n]), scale * rows[1, n]
+
+    return step
 
 
 def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int = 1) -> Trajectory:
@@ -373,9 +402,10 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
 
     Predictor: product-rectangle rule over the field history.  Corrector:
     product-trapezoid rule, swept corrector_sweeps times.  Global order is
-    min(2, 1 + alpha) for smooth fields.  On a uniform grid the weights are
-    tabulated once per solve; a graded grid computes them step by step.
-    The field's value must broadcast to the state shape (d,).
+    min(2, 1 + alpha) for smooth fields.  Each step takes both history sums
+    from one product of its weight rows with the history (_abm_sums) and
+    calls the field at t_n, once per sweep and once for the history.  The
+    field's value must broadcast to the state shape (d,).
     """
     al = _order_incl_one(alpha)
     sweeps = int(corrector_sweeps)
@@ -393,20 +423,20 @@ def solve_abm(alpha, field: Callable, x0, grid: TimeGrid, corrector_sweeps: int 
             meta={"method": "abm", "iterations": sweeps, "residual": 0.0},
         )
     t = grid.nodes
-    inv_gamma = 1.0 / math.gamma(al)
     fhist = np.empty((n_nodes, d))
     f0 = np.asarray(field(t[0], x), dtype=float)
     try:
         fhist[0] = np.broadcast_to(f0, (d,))
     except ValueError:
         raise DomainError(f"field value of shape {f0.shape} does not broadcast to ({d},)") from None
-    for n, (rect, w) in enumerate(_abm_weights(grid, al), start=1):
-        predictor = x + inv_gamma * (rect @ fhist[:n])
-        base = x + inv_gamma * (w[:n] @ fhist[:n])
-        state = predictor
+    step = _abm_sums(grid, al, x, 1.0 / math.gamma(al), fhist)
+    for n in range(1, n_nodes):
+        sums, last = step(n)
+        state, base = sums[0], sums[1]
         for _ in range(sweeps):
-            state = base + inv_gamma * w[n] * np.asarray(field(t[n], state), dtype=float)
-        if not np.isfinite(state).all():
+            state = base + last * np.asarray(field(t[n], state), dtype=float)
+        # math.isfinite on the Python floats: exact, and it never warns
+        if not all(map(math.isfinite, state.tolist())):
             raise NonFiniteStateError(f"state left the representable range at t = {t[n]}")
         states[n] = state
         fhist[n] = field(t[n], state)

@@ -159,6 +159,29 @@ def test_kinds_evaluate_arrays_of_times_like_single_times():
         assert np.max(np.abs(f - per_node)) <= 1e-15 * max(np.max(np.abs(per_node)), 1e-300)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_state_fields_give_the_batched_bits(d):
+    """A time with a 1-d float state takes the short path of the kinds that
+    have one; its value is, bit for bit, the batched code's for the same
+    time and the state as one row."""
+    rng = np.random.default_rng([20261020, d])
+    mats = rng.normal(size=(2, d, d))
+    kinds = [
+        LinearConstant(mats[0]),
+        LinearDecaying(mats[1], gamma=1.5),
+        NonlinearSaturating(-0.4, gamma=1.5),
+    ]
+    ts = np.array([0.0, 0.2, 1.25, 3.99, 1e3])
+    xs = rng.normal(size=ts.shape + (d,)) * 3.0
+    assert solver._one_state(xs[0]) and not solver._one_state(list(xs[0]))
+    for p in kinds:
+        for t, x in zip(ts, xs):
+            for one_t in (t, float(t)):
+                single = p.field(one_t, x)
+                assert single.shape == (d,)
+                assert single.tobytes() == p.field(one_t, x[None, :])[0].tobytes(), (p, t)
+
+
 def test_nonlinear_kinds_vanish_at_zero_and_are_lipschitz():
     rng = np.random.default_rng(20240814)
     kinds = [
@@ -302,6 +325,39 @@ def test_abm_blowup_raises_nonfinite():
             solve_abm(0.8, lambda t, x: x ** 3, 3.0, uniform_grid(5.0, 128))
 
 
+@pytest.mark.parametrize(
+    "alpha, grid, x0, t_stop",
+    [
+        (0.6, graded_grid(5.0, 256, 2.0), 1.0, 0.37384033203125),
+        (0.5, graded_grid(4.0, 300, 3.0), np.array([0.5, 1.0]), 0.2137625185185185),
+    ],
+)
+def test_abm_graded_blowup_names_its_step(alpha, grid, x0, t_stop):
+    # the step whose state first overflows, as the solver has always named it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError, match=re.escape(f"at t = {t_stop}")):
+                solve_abm(alpha, lambda t, x: x ** 2, x0, grid)
+
+
+@pytest.mark.parametrize("grid", [uniform_grid(5.0, 128), graded_grid(5.0, 128, 2.0)], ids=["uniform", "graded"])
+def test_abm_nan_component_raises_at_its_step(grid):
+    t_nan = grid.nodes[40]
+
+    def field(t, x):
+        return -x if t < t_nan else np.array([-x[0], np.nan, -x[2]])
+
+    # NaN arithmetic raises no floating-point flag, so nothing may warn here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError, match=re.escape(f"at t = {t_nan}")):
+            solve_abm(0.6, field, np.array([1.0, 2.0, 3.0]), grid)
+        # one step short of the NaN, the solve finishes
+        short = TimeGrid(grid.nodes[:40], r=grid.r)
+        assert np.all(np.isfinite(solve_abm(0.6, field, np.array([1.0, 2.0, 3.0]), short).states))
+
+
 def test_abm_rejects_zero_sweeps():
     with pytest.raises(DomainError):
         solve_abm(0.5, lambda t, x: -x, 1.0, uniform_grid(1.0, 4), corrector_sweeps=0)
@@ -329,12 +385,16 @@ def test_abm_tabulated_weights_match_the_per_step_path(alpha):
         solve_abm(alpha, field, 1.0, TimeGrid(uneven.nodes)).states,
         solve_abm(alpha, field, 1.0, uneven).states,
     )
-    # a step's corrector weights live in a buffer the next step overwrites
-    steps = [(rect.copy(), w.copy()) for rect, w in solver._abm_weights(g, alpha)]
+    # the solver's rows of step n, read through its own history product: with
+    # the identity as the history, zero start and unit scale the product
+    # returns the rows themselves
+    step = solver._abm_sums(g, alpha, np.zeros(len(g)), 1.0, np.eye(len(g)))
     for n in (1, 2, 17, 150):
-        rect, w = steps[n - 1]
+        sums, last = step(n)
+        rect, w = sums[0, :n], np.append(sums[1, :n], last)
         ref = singular_weights(g, alpha, n)
-        assert rect.shape == (n,) and w.shape == (n + 1,)
+        # step n weighs only the nodes before it
+        assert not sums[:, n:].any()
         assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
         # both rules integrate the kernel itself exactly
         total = g.nodes[n] ** alpha / alpha
@@ -343,28 +403,81 @@ def test_abm_tabulated_weights_match_the_per_step_path(alpha):
 
 
 def test_abm_weight_work_per_grid_kind(monkeypatch):
-    calls = []
-    original = quad._lag_moments
+    moments, rows = [], []
 
-    def counted(left, right, alpha):
-        calls.append(alpha)
-        return original(left, right, alpha)
+    def counting(calls, original):
+        def counted(*args):
+            calls.append(args[3])
+            return original(*args)
 
-    # count every binding of the moment kernel the solver can reach
-    monkeypatch.setattr(quad, "_lag_moments", counted)
-    monkeypatch.setattr(solver, "_lag_moments", counted)
+        return counted
+
+    # every product rule takes its moments from quad._lag_moments, and the
+    # solver its weight rows from quad._product_rows
+    monkeypatch.setattr(quad, "_lag_moments", counting(moments, quad._lag_moments))
+    monkeypatch.setattr(solver, "_product_rows", counting(rows, quad._product_rows))
 
     def count(grid):
-        calls.clear()
+        moments.clear()
+        rows.clear()
         solve_abm(0.5, lambda t, x: -x, 1.0, grid)
-        return len(calls)
+        return len(moments), len(rows)
 
-    # uniform: one table of both moments, whatever the step count
-    assert count(uniform_grid(5.0, 64)) == count(uniform_grid(5.0, 256)) == 1
-    # graded: both moments of each step in one call, the rectangle rule
-    # sharing the first
+    # uniform: one moment evaluation and one row pair, whatever the step count
+    assert count(uniform_grid(5.0, 64)) == count(uniform_grid(5.0, 256)) == (1, 1)
+    # graded: one row pair per step, from one moment evaluation
     for n in (64, 256):
-        assert count(graded_grid(5.0, n, 2.0)) == n
+        assert count(graded_grid(5.0, n, 2.0)) == (n, n)
+
+
+def _exact_rows(lags, alpha, mp):
+    """Rectangle and trapezoid rows of the product rules for the lags
+    lags[0] > ... > lags[n] = 0 (mpmath numbers), and the kernel's
+    integral lags[0]^alpha / alpha, which both rows sum to."""
+    n = len(lags) - 1
+    rect, trap = [], [mp.mpf(0)] * (n + 1)
+    for j in range(n):
+        left, right = lags[j], lags[j + 1]
+        m0 = (left ** alpha - right ** alpha) / alpha
+        m1 = left * m0 - (left ** (alpha + 1) - right ** (alpha + 1)) / (alpha + 1)
+        rect.append(m0)
+        trap[j] += m0 - m1 / (left - right)
+        trap[j + 1] += m1 / (left - right)
+    return rect, trap, lags[0] ** alpha / alpha
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_abm_weights_match_mpmath(alpha):
+    """The solver's rectangle and trapezoid rows, and singular_weights,
+    against the rules' moments at 40 digits, as a share of the weight sum.
+
+    A graded row takes the lags t_n - t_j of its nodes.  The uniform table
+    takes the lag of node j at step n to be the node t_{n-j}, which is
+    where its rows are exact; the evenly spaced nodes differ from that by
+    their rounding, which the row near lag 0 feels most (the last step's
+    rows at alpha = 0.3 read 2.8e-15 of the sum against t_n - t_j)."""
+    mp = pytest.importorskip("mpmath")
+    n_max = 400
+    for g in (uniform_grid(5.0, n_max), graded_grid(5.0, n_max, 2.0), graded_grid(5.0, n_max, 4.0)):
+        t = g.nodes
+        step = solver._abm_sums(g, alpha, np.zeros(len(g)), 1.0, np.eye(len(g)))
+        for n in (1, 2, 17, n_max):
+            sums, last = step(n)
+            rows = [sums[0, :n], np.append(sums[1, :n], last)]
+            with mp.workdps(40):
+                a = mp.mpf(alpha)
+                node = _exact_rows([mp.mpf(t[n]) - mp.mpf(x) for x in t[: n + 1]], a, mp)
+                # (computed row, exact row, weight sum, bound)
+                checks = [(singular_weights(g, alpha, n), node[1], node[2], 1e-15)]
+                if g.is_uniform:
+                    table = _exact_rows([mp.mpf(x) for x in t[n::-1]], a, mp)
+                    checks += [(r, e, table[2], 1e-15) for r, e in zip(rows, table)]
+                    checks += [(r, e, node[2], 4e-15) for r, e in zip(rows, node)]
+                else:
+                    checks += [(r, e, node[2], 1e-15) for r, e in zip(rows, node)]
+                for got, want, total, bound in checks:
+                    err = max(abs(mp.mpf(x) - y) for x, y in zip(got, want))
+                    assert err <= bound * total, (g.r, n, bound)
 
 
 def _reference_abm(alpha, field, x0, grid, sweeps):
@@ -550,9 +663,9 @@ def test_iteration_builds_the_convolution_once(monkeypatch):
     calls = []
     original = quad._lag_moments
 
-    def counted(left, right, alpha):
-        calls.append(alpha)
-        return original(left, right, alpha)
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
 
     monkeypatch.setattr(quad, "_lag_moments", counted)
     pert = LinearConstant([[0.5]])
