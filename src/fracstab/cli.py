@@ -517,10 +517,6 @@ def _read_json(path):
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
-def load_config(path):
-    return parse_config(_read_json(path))
-
-
 def _parser():
     parser = argparse.ArgumentParser(
         prog="fracstab",

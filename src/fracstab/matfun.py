@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .norms import check_norm, operator_norm
-from .quad import _gk21_quad
+from .quad import _gk21_family
 from .special_fn import (
     _DERIV_CAP,
     MLParams,
@@ -418,8 +418,9 @@ def kernel_integral(a, alpha, norm="max", right=None):
     _, slow = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
     unit = slow ** al
 
-    def enorm_v(v):
-        # integrand after substitution on an array of v = (tau/slow)^alpha
+    def enorm_v(v, owner):
+        # integrand after substitution on an array of v = (tau/slow)^alpha,
+        # over one span (owner is all zeros)
         return operator_norm(propagator(slow * v ** (1.0 / al)), norm)
 
     def m_hat(x_star):
@@ -432,9 +433,7 @@ def kernel_integral(a, alpha, norm="max", right=None):
     v_done = 0.0
     while True:
         v_star = star ** al
-        part, _ = _gk21_quad(
-            enorm_v, v_done, v_star, epsabs=1e-12, epsrel=1e-9, limit=400
-        )
+        part, _ = _gk21_family(enorm_v, [(v_done, v_star, ())], 1e-12, 1e-9, 400)[0]
         finite += part / al
         v_done = v_star
         mh = m_hat(star)

@@ -1,15 +1,17 @@
-"""Quadrature for weakly singular convolution kernels.
+"""Time grids, and quadrature for weakly singular convolution kernels.
 
 The central integral is ∫_0^t (t-tau)^(alpha-1) g(tau) dtau with alpha in
-(0,1): the kernel factor is integrated exactly against the piecewise-linear
-interpolant of g (product trapezoidal rule), so the endpoint singularity
-never enters a function evaluation.  The convolution with a matrix kernel is
-built once per grid into d x d weights per node, so that each application to
-values is one product: on a uniform grid the weights depend only on the lag
-index and it is a discrete convolution summed directly (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), on any other one a
-lower-triangular matrix product.  The certificates' smooth integrals use
-an adaptive Gauss–Kronrod rule that evaluates its integrand on arrays.
+(0, 1]: the kernel factor is integrated exactly against the piecewise-linear
+interpolant of g (product integration), so the endpoint singularity never
+enters a function evaluation.  `_product_rows` gives a row of the rectangle
+and trapezoid rules, ABM's weights.  `_convolution_operator` builds the
+Lyapunov–Perron convolution with a matrix kernel once per grid into d x d
+weights per node, so that each application to values is one product: on a
+uniform grid the weights depend only on the lag index and it is a discrete
+convolution summed directly (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985), on any other one a lower-triangular matrix product.  The
+certificates' smooth integrals use `_gk21_family`, an adaptive Gauss–Kronrod
+rule that integrates many spans at once and evaluates on arrays.
 """
 from __future__ import annotations
 
@@ -18,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError
-from .special_fn import _order_incl_one
+from .errors import GridError
 
-__all__ = [
-    "TimeGrid",
-    "uniform_grid",
-    "graded_grid",
-    "singular_weights",
-    "convolve_singular",
-]
+__all__ = ["TimeGrid", "uniform_grid", "graded_grid"]
 
 
 @dataclass(frozen=True)
@@ -87,19 +82,6 @@ def graded_grid(horizon: float, n_steps: int, r: float) -> TimeGrid:
     return TimeGrid(horizon * (k / n_steps) ** r, r=r)
 
 
-def singular_weights(grid: TimeGrid, alpha, target_index: int) -> np.ndarray:
-    """Product-trapezoidal weights w_j with
-    sum_j w_j g(t_j) = ∫_0^{t_n} (t_n - tau)^(alpha-1) ghat(tau) dtau
-    exact for the piecewise-linear interpolant ghat; n = target_index."""
-    a = _order_incl_one(alpha)
-    n = int(target_index)
-    if n < 1 or n >= len(grid):
-        raise GridError("target_index must name an interior or final node")
-    t = grid.nodes[: n + 1]
-    dt = np.diff(t)
-    return _product_rows(t[-1] - t, dt, 1.0 / dt, a, np.empty((3, n + 1)))[1]
-
-
 def _lag_moments(left, right, gap, alpha, seg0, seg1):
     """∫ lag^(alpha-1) and ∫ (left - lag) lag^(alpha-1) d(lag) over the
     intervals [right, left] of widths gap, written into seg0 and seg1.
@@ -150,22 +132,6 @@ def _product_rows(lags, dt, inv_dt, alpha, out):
     return out
 
 
-def _kernel_stack(raw, n_lags, d):
-    """Kernel values as an (n_lags, d, d) stack; a scalar or a (d, d)
-    matrix stands for the same value at every lag."""
-    k = np.asarray(raw, dtype=float)
-    if k.ndim == 0:
-        k = float(k) * np.eye(d)
-    if k.shape == (d, d):
-        return np.broadcast_to(k, (n_lags, d, d))
-    if k.shape != (n_lags, d, d):
-        raise DomainError(
-            f"kernel shape {k.shape} does not match {n_lags} lags "
-            f"of state dimension {d}"
-        )
-    return k
-
-
 def _row_coeffs(lag_a, lag_b, a_):
     """Per-interval moment coefficients (c_phi_u, c_phi_v, c_psi_u, c_psi_v)
     of the intervals running from lag_a down to lag_b.
@@ -202,15 +168,25 @@ def _interval_weights(lag_a, lag_b, dt, a_):
     return c_phi_u - c_psi_u - cb_b, c_psi_u - cb_a, cb_b, cb_a
 
 
-def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
-    """Build the discretized convolution of convolve_singular once: returns
-    apply(work), which maps the (len(grid), d) values to their integrals.
+def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at):
+    """Build the product-integration rule for the singular convolution
 
-    The kernel and the moment coefficients are folded into d x d weights
-    per node here, so that each application is one product with the values:
-    d^2 direct convolutions on a uniform grid, one matrix product otherwise.
+        out[n] = ∫_0^{t_n} (t_n - tau)^(alpha-1) K(t_n - tau) g(tau) dtau
+
+    once: returns apply(work), which maps the (len(grid), d) values g to
+    their integrals.  The values interpolate linearly in tau, the kernel
+    linearly in y = lag^alpha, the variable in which the intended kernels
+    E_{alpha,alpha}(lag^alpha A) are entire; a kernel that is constant
+    between nodes reduces the rule to the plain product trapezoid.
+
+    kernel_matrix_at is called once, with the 1-d array of every lag the
+    grid needs: the nodes themselves on a uniform grid, the row lags
+    t_n - t_0, ..., t_n - t_n of every row n on any other one.  It must
+    return the (n_lags, d, d) stack of kernel values at those lags.  They
+    are folded into d x d weights per node here, so that each application
+    is one product with the values: d^2 direct convolutions of O(N) weights
+    on a uniform grid, one matrix product with O(N^2) weights otherwise.
     """
-    a_ = _order_incl_one(alpha)
     t = grid.nodes
     n_int = t.size - 1
     dt = np.diff(t)
@@ -221,8 +197,9 @@ def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
         # to_b[m], the first term of toeplitz.  So node k >= 1 of row n
         # weighs toeplitz[n - k] = to_b[n - k] + to_a[n - k - 1], and node
         # 0, with no interval before it, to_a[n - 1].  One step stands for all.
-        k = _kernel_stack(kernel_matrix_at(t), t.size, d)
-        ca_b, ca_a, cb_b, cb_a = (c[:, None, None] for c in _interval_weights(t[1:], t[:-1], dt, a_))
+        k = kernel_matrix_at(t)
+        d = k.shape[-1]
+        ca_b, ca_a, cb_b, cb_a = (c[:, None, None] for c in _interval_weights(t[1:], t[:-1], dt, alpha))
         to_a = k[:-1] * ca_b + k[1:] * ca_a
         toeplitz = k[:-1] * cb_b + k[1:] * cb_a
         toeplitz[1:] += to_a[:-1]
@@ -244,10 +221,11 @@ def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
     # lags before, at and after its own.
     tri = np.tri(t.size, dtype=bool)
     lags = (t[:, None] - t)[tri]
-    kall = _kernel_stack(kernel_matrix_at(lags), lags.size, d)
+    kall = kernel_matrix_at(lags)
+    d = kall.shape[-1]
     rows, cols = np.nonzero(tri)
     upper = np.flatnonzero(cols < rows)
-    ca_b, ca_a, cb_b, cb_a = _interval_weights(lags[upper], lags[upper + 1], dt[cols[upper]], a_)
+    ca_b, ca_a, cb_b, cb_a = _interval_weights(lags[upper], lags[upper + 1], dt[cols[upper]], alpha)
     c_prev, c_self, c_next = np.zeros((3, lags.size, 1, 1))
     c_next[upper, 0, 0], c_self[upper, 0, 0], c_prev[upper + 1, 0, 0] = ca_b, ca_a, cb_a
     c_self[upper + 1, 0, 0] += cb_b
@@ -260,39 +238,6 @@ def _convolution_operator(grid: TimeGrid, alpha, kernel_matrix_at, d):
     weights.transpose(1, 3, 0, 2)[:, :, tri] = node_w.transpose(1, 2, 0)
     weights = weights.reshape(t.size * d, t.size * d)
     return lambda work: (weights @ work.reshape(-1)).reshape(work.shape)
-
-
-def convolve_singular(grid: TimeGrid, alpha, values, kernel_matrix_at):
-    """Product-integration approximation of the singular convolution
-
-        out[n] = ∫_0^{t_n} (t_n - tau)^(alpha-1) K(t_n - tau) g(tau) dtau.
-
-    The values g interpolate linearly in tau.  The kernel interpolates
-    linearly in y = lag^alpha, the variable in which the intended kernels
-    E_{alpha,alpha}(lag^alpha A) are entire; a kernel that is constant
-    between nodes reduces the rule to the plain product trapezoid.
-
-    kernel_matrix_at is called once, with the 1-d array of every lag the
-    grid needs: the nodes themselves on a uniform grid (O(N) lags), the
-    row lags t_n - t_0, ..., t_n - t_n of every row n on a graded one
-    (O(N^2) lags).  It returns a scalar, a (d, d) matrix or the
-    (n_lags, d, d) stack of kernel values at those lags.
-
-    The rule is built into node weights and then applied to the values,
-    the same two steps an iteration takes when it builds the operator once
-    per solve and applies it per iteration.  Uniform grids apply it as a
-    discrete convolution of O(N) weights, graded grids as one product with
-    the O(N^2) weights of a lower-triangular matrix.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.shape[0] != len(grid):
-        raise GridError("values length must equal the grid length")
-    scalar_input = vals.ndim == 1
-    work = vals[:, None] if scalar_input else vals
-    if work.ndim != 2:
-        raise DomainError("values must be a list of scalars or of vectors")
-    out = _convolution_operator(grid, alpha, kernel_matrix_at, work.shape[1])(work)
-    return out[:, 0] if scalar_input else out
 
 
 # 21-point Gauss–Kronrod rule on [-1, 1] (QUADPACK qk21): the positive
@@ -342,43 +287,28 @@ def _gk21_rule(fx, half):
     return resk * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
-def _gk21_quad(f, a, b, epsabs, epsrel, limit, points=()):
-    """Adaptive 21-point Gauss–Kronrod integral of f over [a, b]; returns
-    (value, error estimate).
-
-    The rule and its error estimate are QUADPACK's qk21.  As in QUADPACK's
-    qagp, the `points` inside (a, b) (kinks or other trouble spots of f)
-    cut [a, b] into the starting panels, and the integral stays one
-    adaptive integral over all of them.  Each round applies the rule to
-    every open panel through one call f(x) on the 1-d array of all their
-    nodes; f returns the values as an array of the same length.  A panel
-    is retired once its error fits its share of the one tolerance
-    max(epsabs, epsrel * |value|), in proportion to its width, and the
-    others are bisected.  The partition holds at most `limit` panels per
-    starting panel: when bisecting every failing panel would exceed that,
-    only those with the largest error per unit width are bisected, and
-    with no room left (or nothing left to bisect) the current value and
-    error are returned without raising.  This is `_gk21_family` with one
-    span.
-    """
-    return _gk21_family(lambda x, owner: f(x), [(a, b, points)], epsabs, epsrel, limit)[0]
-
-
 def _gk21_family(f, spans, epsabs, epsrel, limit):
-    """`_gk21_quad` on every span (a, b, points) at once; returns one
-    (value, error estimate) per span.
+    """Adaptive 21-point Gauss–Kronrod integrals of f over every span
+    (a, b, points) at once; returns one (value, error estimate) per span.
 
-    Each round is one call f(x, owner) on the nodes of every open panel
-    of every unfinished span, where owner[i] is the index of the span that
-    node x[i] belongs to, the nodes of each span's panels contiguous and
-    in order, and one rule pass over all those panels.  Each span's
-    value, error, split count and retired sums are segment sums
-    (`np.add.reduceat`) over its run of panels, and its tolerance and room
-    follow from them; the rule sums each panel's row on its own, since a
-    matrix-vector product may round a row differently with the number of
-    rows.  So each span keeps its own partition, tolerance, budget and
-    sums, and each result is bit for bit the one `_gk21_quad` gives for
-    the span alone.
+    The rule and its error estimate are QUADPACK's qk21.  As in qagp, the
+    `points` inside (a, b) cut the span into its starting panels, and its
+    integral stays one adaptive integral over all of them.  A panel retires
+    once its error fits its width's share of the span's tolerance
+    max(epsabs, epsrel * |value|); the others are bisected.  A span holds at
+    most `limit` panels per starting panel: when bisecting every failing
+    panel would exceed that, those with the largest error per unit width
+    go first, and with no room left (or nothing left to bisect) the span's
+    current value and error are returned without raising.
+
+    Each round is one call f(x, owner), which returns the values at x, on
+    the 1-d array of the nodes of every open panel of every unfinished
+    span, owner[i] being the index of the span of node x[i] (each span's
+    nodes contiguous and in order), and one rule pass over those panels.  Each span's sums are segment sums
+    (`np.add.reduceat`) over its run of panels, and the rule sums each
+    panel's row on its own, since a matrix-vector product may round a row
+    differently with the number of rows.  So each result is bit for bit
+    the one the family of that span alone gives.
     """
     cuts = [np.array([a, *sorted({float(p) for p in points if a < p < b}), b], dtype=float)
             for a, b, points in spans]

@@ -309,12 +309,16 @@ class NonlinearTable(PerturbationSpec):
         return self.times
 
 
-def as_perturbation(pert) -> PerturbationSpec:
-    """None means no perturbation; anything else must already be a kind."""
+def as_perturbation(pert, d) -> PerturbationSpec:
+    """None means no perturbation; anything else must already be a kind,
+    and a linear kind's matrix must be d x d."""
     if pert is None:
         return NoPerturbation()
     if not isinstance(pert, PerturbationSpec):
         raise DomainError(f"expected a PerturbationSpec, got {type(pert).__name__}")
+    q = pert.q_matrix(0.0) if pert.is_linear else None
+    if q is not None and q.shape != (d, d):
+        raise DomainError(f"perturbation matrix has shape {q.shape}, expected ({d}, {d})")
     return pert
 
 
@@ -463,7 +467,7 @@ def _lp_operator(grid, al, m, linear_states, pert):
             stack[start : start + block.size] = ml_matrix(params, block, m)
         return stack
 
-    convolve = _convolution_operator(grid, al, kernel, m.shape[0])
+    convolve = _convolution_operator(grid, al, kernel)
     return lambda states: linear_states + convolve(pert.field(grid.nodes, states))
 
 
@@ -487,7 +491,7 @@ def lyapunov_perron_iterate(
     """
     al = _order_incl_one(alpha)
     m = as_square_matrix(a)
-    pert = as_perturbation(pert)
+    pert = as_perturbation(pert, m.shape[0])
     check_norm(norm)
     max_iter = int(max_iter)
     if max_iter < 1:
@@ -563,7 +567,7 @@ def residual_check(traj: Trajectory, alpha, a, pert=None, norm: str = "max") -> 
     """
     al = _order_incl_one(alpha)
     m = as_square_matrix(a)
-    pert = as_perturbation(pert)
+    pert = as_perturbation(pert, m.shape[0])
     check_norm(norm)
     if traj.start_index != 0:
         raise GridError("residual check requires a trajectory defined from t = 0")

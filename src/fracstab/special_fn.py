@@ -40,7 +40,6 @@ __all__ = [
     "ml",
     "ml_many",
     "ml_dlambda",
-    "ml_log_positive",
 ]
 
 
@@ -618,17 +617,9 @@ def _ml_dlambda_many(alpha, beta, times, lam, l):
 _LOG_SWITCH_W = 45.0
 
 
-def ml_log_positive(alpha, x):
-    """log E_alpha(x) for real x >= 0, stable far beyond double overflow."""
-    alpha = float(alpha)
-    x = float(x)
-    if x < 0.0:
-        raise DomainError("ml_log_positive requires x >= 0")
-    return float(_ml_log_positive_many(alpha, np.array([x]))[0])
-
-
 def _ml_log_positive_many(alpha, x):
-    """ml_log_positive on a float array of x >= 0, with one ml_many call."""
+    """log E_alpha(x) on a float array of x >= 0, stable far beyond double
+    overflow, with one ml_many call."""
     out = np.zeros_like(x)
     w = x ** (1.0 / alpha)
     # E_alpha(x) = exp(w)/alpha + O(1/x); past the switch the algebraic

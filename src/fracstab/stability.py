@@ -300,7 +300,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     check_norm(norm)
     if not isinstance(grid, TimeGrid):
         raise GridError("grid must be a TimeGrid")
-    pert = as_perturbation(pert)
+    pert = as_perturbation(pert, m.shape[0])
     kint_value = kernel_integral(m, al, norm)["value"]
     sup_e = sup_ml_norm(m, al, norm, beta=al)
     return _beta_norm_core(
@@ -396,7 +396,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     m = as_square_matrix(a)
     al = _order_value(alpha)
     check_norm(norm)
-    pert = as_perturbation(pert)
+    pert = as_perturbation(pert, m.shape[0])
 
     full_sector = check_spectral_condition(m, al)
     sector = {

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracstab
-from fracstab.cli import load_config, main, parse_config
+from fracstab.cli import main, parse_config
 from fracstab.errors import ConfigError
 
 BASE_SYSTEM = {"alpha": 0.5, "a": [[-1.0]], "norm": "max"}
@@ -110,13 +110,14 @@ def test_parse_rejects_malformed_configs():
             parse_config(raw)
 
 
-def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "absent.json"))
+def test_load_config_missing_file(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["analyze", "--config", str(tmp_path / "absent.json"), "--out", out]) == 2
+    assert "input error: cannot read config" in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(str(broken))
+    assert main(["analyze", "--config", str(broken), "--out", out]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_analyze_robust_case(tmp_path):

@@ -7,18 +7,31 @@ import pytest
 from scipy import integrate
 
 from fracstab import quad
-from fracstab.errors import DomainError, GridError
-from fracstab.quad import (
-    TimeGrid,
-    _GK21_X,
-    _gk21_quad,
-    convolve_singular,
-    graded_grid,
-    singular_weights,
-    uniform_grid,
-)
+from fracstab.errors import GridError
+from fracstab.quad import TimeGrid, _GK21_X, graded_grid, uniform_grid
 from fracstab.matfun import ml_matrix
 from fracstab.special_fn import MLParams, ml, ml_many
+
+
+def trapezoid_row(grid, alpha, n):
+    """The product-trapezoid row of node n, from the nodes' own lags."""
+    t = grid.nodes[: n + 1]
+    dt = np.diff(t)
+    return quad._product_rows(t[-1] - t, dt, 1.0 / dt, alpha, np.empty((3, n + 1)))[1]
+
+
+def convolve(grid, alpha, vals, kernel):
+    """The convolution operator of the grid, built and applied once."""
+    return quad._convolution_operator(grid, alpha, kernel)(vals)
+
+
+def unit_kernel(lags):
+    return np.ones((lags.size, 1, 1))
+
+
+def gk21(f, a, b, epsabs, epsrel, limit, points=()):
+    """The one-span family of f over (a, b) cut at the points."""
+    return quad._gk21_family(lambda x, owner: f(x), [(a, b, points)], epsabs, epsrel, limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +78,7 @@ def test_degenerate_single_node_grid_is_allowed():
 
 def test_weights_alpha_one_is_trapezoid():
     g = uniform_grid(1.0, 4)
-    w = singular_weights(g, 1.0, 4)
+    w = trapezoid_row(g, 1.0, 4)
     assert np.allclose(w, [0.125, 0.25, 0.25, 0.25, 0.125], atol=1e-14)
 
 
@@ -76,7 +89,7 @@ def test_weights_constant_exactness():
         alpha = rng.uniform(0.05, 1.0)
         n = rng.randrange(1, 40)
         g = uniform_grid(rng.uniform(0.1, 20.0), 40)
-        w = singular_weights(g, alpha, n)
+        w = trapezoid_row(g, alpha, n)
         tn = g.nodes[n]
         assert w.sum() == pytest.approx(tn ** alpha / alpha, rel=1e-12)
 
@@ -84,7 +97,7 @@ def test_weights_constant_exactness():
 def test_weights_beta_identity():
     """g(tau) = tau is integrated exactly: B(2, 1/2) = 4/3."""
     g = uniform_grid(1.0, 64)
-    w = singular_weights(g, 0.5, 64)
+    w = trapezoid_row(g, 0.5, 64)
     assert float(w @ g.nodes) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
@@ -96,7 +109,7 @@ def test_weights_piecewise_linear_exactness():
         n = 12
         g = graded_grid(3.0, n, 1.7)
         vals = rng.uniform(-1.0, 1.0, size=n + 1)
-        w = singular_weights(g, alpha, n)
+        w = trapezoid_row(g, alpha, n)
         got = float(w @ vals)
         ghat = lambda x: np.interp(x, g.nodes, vals)
         tn = g.horizon
@@ -114,15 +127,7 @@ def test_weights_nonnegative_on_uniform_grids():
         alpha = rng.uniform(0.05, 1.0)
         g = uniform_grid(rng.uniform(0.5, 10.0), 64)
         n = rng.randrange(1, 65)
-        assert np.all(singular_weights(g, alpha, n) >= 0.0)
-
-
-def test_weights_bad_index():
-    g = uniform_grid(1.0, 4)
-    with pytest.raises(GridError):
-        singular_weights(g, 0.5, 0)
-    with pytest.raises(GridError):
-        singular_weights(g, 0.5, 5)
+        assert np.all(trapezoid_row(g, alpha, n) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +136,14 @@ def test_weights_bad_index():
 
 def test_convolve_zero_values():
     g = uniform_grid(2.0, 16)
-    out = convolve_singular(g, 0.5, np.zeros(17), lambda lag: 1.0)
+    out = convolve(g, 0.5, np.zeros((17, 1)), unit_kernel)
     assert np.all(out == 0.0)
 
 
 def test_convolve_identity_kernel_constant_values():
     g = uniform_grid(3.0, 48)
     c = 0.7
-    out = convolve_singular(g, 0.4, np.full(49, c), lambda lag: 1.0)
+    out = convolve(g, 0.4, np.full((49, 1), c), unit_kernel)[:, 0]
     want = c * g.nodes ** 0.4 / 0.4
     assert np.allclose(out, want, rtol=1e-12, atol=1e-13)
 
@@ -147,8 +152,8 @@ def test_convolve_vector_values_matrix_kernel():
     g = uniform_grid(1.0, 24)
     vals = np.column_stack([np.ones(25), g.nodes])
     K = np.array([[0.0, 1.0], [1.0, 0.0]])  # swaps the two components
-    out = convolve_singular(g, 0.5, vals, lambda lag: K)
-    w = singular_weights(g, 0.5, 24)
+    out = convolve(g, 0.5, vals, lambda lags: np.broadcast_to(K, (lags.size, 2, 2)))
+    w = trapezoid_row(g, 0.5, 24)
     assert out[-1][0] == pytest.approx(float(w @ g.nodes), rel=1e-12)
     assert out[-1][1] == pytest.approx(float(w.sum()), rel=1e-12)
 
@@ -166,9 +171,9 @@ def test_convolve_ml_kernel_antiderivative_identity():
         errs = []
         for n in (64, 128):
             g = uniform_grid(4.0, n)
-            out = convolve_singular(g, alpha, np.ones(n + 1), kernel)
+            out = convolve(g, alpha, np.ones((n + 1, 1)), kernel)
             want = 1.0 - ml(p_a1, -(4.0 ** alpha)).real
-            errs.append(abs(out[-1] - want))
+            errs.append(abs(out[-1, 0] - want))
         assert errs[0] < tol64
         assert errs[1] < errs[0] / rate
 
@@ -179,8 +184,8 @@ def test_convolve_smooth_order_two():
     errs = {}
     for n in (128, 256):
         g = uniform_grid(2.0, n)
-        out = convolve_singular(g, 0.5, np.cos(g.nodes), lambda lag: 1.0)
-        errs[n] = abs(out[-1] - want)
+        out = convolve(g, 0.5, np.cos(g.nodes)[:, None], unit_kernel)
+        errs[n] = abs(out[-1, 0] - want)
     order = math.log2(errs[128] / errs[256])
     assert order >= 1.8
 
@@ -200,8 +205,8 @@ def test_convolve_uniform_and_per_row_branches_agree(alpha):
     for d, kernel in kernels.items():
         vals = np.column_stack([np.cos(g.nodes + k) for k in range(d)])
         vals += 0.1 * rng.normal(size=vals.shape)
-        fast = convolve_singular(g, alpha, vals, kernel)
-        ref = convolve_singular(rowwise, alpha, vals, kernel)
+        fast = convolve(g, alpha, vals, kernel)
+        ref = convolve(rowwise, alpha, vals, kernel)
         assert fast.shape == ref.shape == (len(g), d)
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -281,7 +286,7 @@ def test_convolve_matches_the_per_interval_sum(grid, d):
     vals = np.column_stack([np.cos(grid.nodes + k) for k in range(d)])
     vals += 0.1 * rng.normal(size=vals.shape)
     ref = per_interval_reference(grid, alpha, vals, kernel)
-    out = convolve_singular(grid, alpha, vals, kernel)
+    out = convolve(grid, alpha, vals, kernel)
     assert out.shape == ref.shape
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -291,7 +296,7 @@ def test_uniform_application_is_d_squared_convolutions(monkeypatch, d):
     g = uniform_grid(3.0, 64)
     a = NON_NORMAL[d]
     p = MLParams(0.5, 0.5)
-    apply = quad._convolution_operator(g, 0.5, lambda lags: ml_matrix(p, lags, a), d)
+    apply = quad._convolution_operator(g, 0.5, lambda lags: ml_matrix(p, lags, a))
     calls = []
     original = np.convolve
 
@@ -304,38 +309,25 @@ def test_uniform_application_is_d_squared_convolutions(monkeypatch, d):
     assert len(calls) == d * d
 
 
-def test_convolve_length_mismatch():
-    g = uniform_grid(1.0, 8)
-    with pytest.raises(GridError):
-        convolve_singular(g, 0.5, np.ones(4), lambda lag: 1.0)
-
-
-def test_convolve_kernel_shape_mismatch():
-    g = uniform_grid(1.0, 4)
-    vals = np.ones((5, 2))
-    with pytest.raises(DomainError):
-        convolve_singular(g, 0.5, vals, lambda lag: np.eye(3))
-
-
 # ---------------------------------------------------------------------------
 # batched adaptive Gauss-Kronrod integrator
 
 
 def test_gk21_exact_to_degree_31():
-    val, err = _gk21_quad(lambda x: x ** 30, 0.0, 1.0, 1e-12, 1e-8, 50)
+    val, err = gk21(lambda x: x ** 30, 0.0, 1.0, 1e-12, 1e-8, 50)
     assert val == pytest.approx(1.0 / 31.0, abs=1e-15)
     assert err <= 1e-12
 
 
 def test_gk21_kink_meets_absolute_tolerance():
     # the kink at 1/3 is never a panel edge, so it is refined by bisection
-    val, err = _gk21_quad(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, 1e-12, 0.0, 300)
+    val, err = gk21(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0, 1e-12, 0.0, 300)
     assert err <= 1e-12
     assert abs(val - 5.0 / 18.0) <= 1e-12
 
 
 def test_gk21_matches_scipy_quad_on_oscillation():
-    val, _ = _gk21_quad(lambda x: np.cos(20.0 * x) * np.exp(-x), 0.0, 5.0, 1e-12, 1e-8, 300)
+    val, _ = gk21(lambda x: np.cos(20.0 * x) * np.exp(-x), 0.0, 5.0, 1e-12, 1e-8, 300)
     want, _ = integrate.quad(
         lambda x: math.cos(20.0 * x) * math.exp(-x), 0.0, 5.0,
         epsabs=1e-12, epsrel=1e-8, limit=300,
@@ -352,7 +344,7 @@ def test_gk21_one_array_call_per_round():
         calls.append(x.copy())
         return np.cos(20.0 * x) * np.exp(-x)
 
-    _gk21_quad(f, lo, hi, 1e-12, 1e-8, 300)
+    gk21(f, lo, hi, 1e-12, 1e-8, 300)
     assert 1 <= len(calls) <= 20
     # round k evaluates every open panel, all of them bisected k times
     for k, x in enumerate(calls):
@@ -363,7 +355,7 @@ def test_gk21_one_array_call_per_round():
 
 def test_gk21_panel_budget_returns_best_estimate():
     # a jump the rule cannot resolve in 8 panels: no exception, a large error
-    val, err = _gk21_quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 1e-14, 0.0, 8)
+    val, err = gk21(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, 1e-14, 0.0, 8)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-2)
     assert err > 1e-14
 
@@ -383,7 +375,7 @@ def test_gk21_points_one_call_per_round_over_every_piece():
         calls.append(x.copy())
         return np.cos(40.0 * x)
 
-    val, _ = _gk21_quad(f, 0.0, 4.0, 1e-12, 1e-8, 300, points=[3.0, 1.0, 2.0, 9.0])
+    val, _ = gk21(f, 0.0, 4.0, 1e-12, 1e-8, 300, points=[3.0, 1.0, 2.0, 9.0])
     assert val == pytest.approx(math.sin(160.0) / 40.0, abs=1e-10)
     # the points inside (0, 4) are the starting panels, and every round is
     # one call over open panels of all four pieces
@@ -402,7 +394,7 @@ def test_gk21_points_at_the_kink_are_exact_in_one_round():
         calls.append(x.size)
         return np.abs(x - 1.0 / 3.0)
 
-    val, err = _gk21_quad(f, 0.0, 1.0, 1e-12, 0.0, 300, points=[1.0 / 3.0])
+    val, err = gk21(f, 0.0, 1.0, 1e-12, 0.0, 300, points=[1.0 / 3.0])
     assert len(calls) == 1
     assert err <= 1e-12
     assert abs(val - 5.0 / 18.0) <= 1e-12
@@ -420,7 +412,7 @@ def test_gk21_budget_on_unequal_pieces():
         return 10.0 * (x > 1e-3 / 3.0) + (x > 0.37) + (x > 0.81)
 
     limit = 3
-    _gk21_quad(f, 0.0, 1.0, 1e-12, 0.0, limit, points=[1e-3])
+    gk21(f, 0.0, 1.0, 1e-12, 0.0, limit, points=[1e-3])
     evaluated = sum(x.size for x in calls) // _GK21_X.size
     # each bisection turns one panel into two, from the 2 starting panels
     assert 2 + (evaluated - 2) // 2 <= 2 * limit
@@ -448,9 +440,9 @@ _FAMILY_SPANS = [
 _FAMILY_ROUNDS = [3, 1, 10, 14, 2]
 
 
-def _check_family_against_quad(order):
+def _check_family_against_one_span(order):
     """The family of the spans _FAMILY_SPANS[k], k in order, gives each
-    span bit for bit what `_gk21_quad` gives it alone, in as many rounds."""
+    span bit for bit what its one-span family gives it, in as many rounds."""
     fs = [_FAMILY_FS[k] for k in order]
     spans = [_FAMILY_SPANS[k] for k in order]
     limit = 10
@@ -473,7 +465,7 @@ def _check_family_against_quad(order):
             calls.append(1)
             return f(x)
 
-        want = _gk21_quad(alone, a, b, 1e-12, 1e-8, limit, points=points)
+        want = gk21(alone, a, b, 1e-12, 1e-8, limit, points=points)
         assert np.array([val, err]).tobytes() == np.array(want).tobytes()
         assert n == len(calls)
     assert rounds == [_FAMILY_ROUNDS[k] for k in order]
@@ -486,7 +478,7 @@ def _check_family_against_quad(order):
 
 
 def test_gk21_family_matches_gk21_quad_bit_for_bit():
-    _check_family_against_quad(range(len(_FAMILY_SPANS)))
+    _check_family_against_one_span(range(len(_FAMILY_SPANS)))
 
 
 @pytest.mark.parametrize(
@@ -495,7 +487,7 @@ def test_gk21_family_matches_gk21_quad_bit_for_bit():
 def test_gk21_family_bit_for_bit_in_any_span_order(order):
     # one rule pass and one set of segment sums serve all spans of a round,
     # yet no span's result depends on its position or its neighbours
-    _check_family_against_quad(order)
+    _check_family_against_one_span(order)
 
 
 def test_gk21_family_one_rule_pass_per_round(monkeypatch):

@@ -18,7 +18,7 @@ from fracstab.errors import (
     NonFiniteStateError,
 )
 from fracstab.norms import operator_norm, vector_norm
-from fracstab.quad import TimeGrid, graded_grid, singular_weights, uniform_grid
+from fracstab.quad import TimeGrid, graded_grid, uniform_grid
 from fracstab.solver import (
     LinearConstant,
     LinearDecaying,
@@ -44,17 +44,24 @@ def kink_grid(horizon, n, alpha):
     return graded_grid(horizon, n, 2.0 / alpha)
 
 
+def trapezoid_row(grid, alpha, n):
+    """The product-trapezoid row of node n, from the nodes' own lags."""
+    t = grid.nodes[: n + 1]
+    dt = np.diff(t)
+    return quad._product_rows(t[-1] - t, dt, 1.0 / dt, alpha, np.empty((3, n + 1)))[1]
+
+
 # ---------------------------------------------------------------------------
 # perturbation kinds
 
 
 def test_no_perturbation_and_coercion():
-    p = as_perturbation(None)
+    p = as_perturbation(None, 2)
     assert isinstance(p, NoPerturbation)
     assert p.envelope(3.0) == 0.0
     assert np.all(p.field(1.0, np.array([2.0, -1.0])) == 0.0)
     with pytest.raises(DomainError):
-        as_perturbation(0.5)
+        as_perturbation(0.5, 1)
 
 
 def test_perturbation_validation():
@@ -392,7 +399,7 @@ def test_abm_tabulated_weights_match_the_per_step_path(alpha):
     for n in (1, 2, 17, 150):
         sums, last = step(n)
         rect, w = sums[0, :n], np.append(sums[1, :n], last)
-        ref = singular_weights(g, alpha, n)
+        ref = trapezoid_row(g, alpha, n)
         # step n weighs only the nodes before it
         assert not sums[:, n:].any()
         assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -448,8 +455,9 @@ def _exact_rows(lags, alpha, mp):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_abm_weights_match_mpmath(alpha):
-    """The solver's rectangle and trapezoid rows, and singular_weights,
-    against the rules' moments at 40 digits, as a share of the weight sum.
+    """The solver's rectangle and trapezoid rows, and the trapezoid row of
+    the nodes' own lags, against the rules' moments at 40 digits, as a
+    share of the weight sum.
 
     A graded row takes the lags t_n - t_j of its nodes.  The uniform table
     takes the lag of node j at step n to be the node t_{n-j}, which is
@@ -468,7 +476,7 @@ def test_abm_weights_match_mpmath(alpha):
                 a = mp.mpf(alpha)
                 node = _exact_rows([mp.mpf(t[n]) - mp.mpf(x) for x in t[: n + 1]], a, mp)
                 # (computed row, exact row, weight sum, bound)
-                checks = [(singular_weights(g, alpha, n), node[1], node[2], 1e-15)]
+                checks = [(trapezoid_row(g, alpha, n), node[1], node[2], 1e-15)]
                 if g.is_uniform:
                     table = _exact_rows([mp.mpf(x) for x in t[n::-1]], a, mp)
                     checks += [(r, e, table[2], 1e-15) for r, e in zip(rows, table)]
@@ -482,13 +490,14 @@ def test_abm_weights_match_mpmath(alpha):
 
 def _reference_abm(alpha, field, x0, grid, sweeps):
     """The predictor-corrector step by step: corrector weights from the
-    public singular_weights, rectangle weights from the lag powers."""
+    trapezoid row of the nodes' own lags, rectangle weights from the lag
+    powers."""
     t = grid.nodes
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     c = 1.0 / math.gamma(alpha)
     states, fs = [x], [np.broadcast_to(field(t[0], x), x.shape)]
     for n in range(1, t.size):
-        w = singular_weights(grid, alpha, n)
+        w = trapezoid_row(grid, alpha, n)
         lags = t[n] - t[: n + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             rect = lags[1:] ** alpha * np.expm1(alpha * np.log1p(-np.diff(lags) / lags[1:]))
@@ -671,7 +680,7 @@ def test_iteration_builds_the_convolution_once(monkeypatch):
     pert = LinearConstant([[0.5]])
     for g in (uniform_grid(5.0, 64), graded_grid(5.0, 64, 2.0)):
         calls.clear()
-        quad.convolve_singular(g, 0.5, np.ones(len(g)), lambda lags: 1.0)
+        quad._convolution_operator(g, 0.5, lambda lags: np.ones((lags.size, 1, 1)))
         one_build = len(calls)
         calls.clear()
         lp = lyapunov_perron_iterate(0.5, A_NEG, pert, 1.0, g)

@@ -24,7 +24,6 @@ from fracstab.special_fn import (
     gamma,
     ml,
     ml_dlambda,
-    ml_log_positive,
     ml_many,
 )
 
@@ -594,9 +593,10 @@ def test_ml_dlambda_high_order_smoke():
 
 def test_ml_log_positive_small():
     for alpha in (0.4, 0.8):
-        for x in (0.0, 0.3, 2.0, 9.0):
+        xs = np.array([0.0, 0.3, 2.0, 9.0])
+        for x, got in zip(xs, _ml_log_positive_many(alpha, xs)):
             want = math.log(ml(MLParams(alpha, 1.0), x).real) if x > 0 else 0.0
-            assert ml_log_positive(alpha, x) == pytest.approx(want, abs=1e-12)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_ml_log_positive_huge():
@@ -604,34 +604,30 @@ def test_ml_log_positive_huge():
     alpha = 0.5
     x = 1e8
     want = x ** 2 - math.log(alpha)  # w = x^(1/alpha)
-    assert ml_log_positive(alpha, x) == pytest.approx(want, rel=1e-14)
+    assert _ml_log_positive_many(alpha, np.array([x]))[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_ml_log_positive_switch_is_seamless():
     for alpha in (0.3, 0.5, 0.8):
         w = 44.9
         x = w ** alpha
-        direct = ml_log_positive(alpha, x)
+        direct = _ml_log_positive_many(alpha, np.array([x]))[0]
         closed = x ** (1.0 / alpha) - math.log(alpha)
         assert direct == pytest.approx(closed, abs=1e-11)
 
 
 def test_ml_log_positive_table_equals_point_values():
-    # the decay certificate's weight table takes every point in one call
+    # the decay certificate's weight table takes every point in one call,
+    # and gives each the value of a call on that point alone
     for alpha in (0.3, 0.5, 0.8):
         w = np.concatenate(
             [[0.0], np.geomspace(1e-4, 44.99, 200), [45.0, 45.01], np.geomspace(46.0, 1e6, 40)]
         )
         x = w ** alpha
         table = _ml_log_positive_many(alpha, x)
-        points = [ml_log_positive(alpha, xi) for xi in x]
+        points = [_ml_log_positive_many(alpha, x[i : i + 1])[0] for i in range(x.size)]
         assert table[0] == 0.0
         assert table == pytest.approx(points, rel=1e-15)
-
-
-def test_ml_log_positive_domain():
-    with pytest.raises(DomainError):
-        ml_log_positive(0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ from fracstab.solver import (
     NonlinearSaturating,
     NonlinearTable,
     NoPerturbation,
+    lyapunov_perron_iterate,
+    residual_check,
     solve_abm,
+    solve_linear_exact,
 )
 from fracstab.stability import (
     StabilityReport,
@@ -208,6 +211,36 @@ def test_golden_max_finds_a_peak_at_either_end():
 def test_classify_rejects_unknown_norm_as_domain_error():
     with pytest.raises(DomainError):
         classify(A_NEG, 0.5, LinearConstant(np.array([[0.5]])), norm="l2")
+
+
+@pytest.mark.parametrize(
+    "kind, verdict",
+    [
+        (LinearConstant, "RobustStable"),
+        (lambda q: LinearDecaying(q, 1.0), "DecayingStable"),
+        (lambda q: LinearTable([0.0, 1.0], [q, 0.5 * q]), "RobustStable"),
+    ],
+    ids=["constant", "decaying", "table"],
+)
+def test_linear_kind_of_another_size_is_a_domain_error(kind, verdict):
+    # a 3x3 kind on a 2x2 system is rejected by every entry point that
+    # takes a kind; the 2x2 kind keeps its verdict and runs through them
+    grid = uniform_grid(5.0, 16)
+    x0 = np.array([1.0, -0.5])
+    linear = solve_linear_exact(0.5, A_DIAG, x0, grid)
+    calls = [
+        lambda p: classify(A_DIAG, 0.5, p),
+        lambda p: beta_norm_certificate(A_DIAG, 0.5, p, CERT_GRID),
+        lambda p: lyapunov_perron_iterate(0.5, A_DIAG, p, x0, grid),
+        lambda p: residual_check(linear, 0.5, A_DIAG, p),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"shape \(3, 3\), expected \(2, 2\)"):
+            call(kind(0.1 * np.eye(3)))
+    matching = kind(0.1 * np.eye(2))
+    assert classify(A_DIAG, 0.5, matching).verdict == verdict
+    lp = lyapunov_perron_iterate(0.5, A_DIAG, matching, x0, grid)
+    assert residual_check(lp, 0.5, A_DIAG, matching) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0])
