@@ -20,7 +20,6 @@ from .solver import (
     LinearTable,
     NonlinearSaturating,
     NonlinearTable,
-    NoPerturbation,
     PerturbationSpec,
     Trajectory,
     lyapunov_perron_iterate,
@@ -30,7 +29,6 @@ from .solver import (
     solve_rl_scalar_exact,
 )
 from .special_fn import (
-    FracOrder,
     MLParams,
     gamma,
     ml,
@@ -47,12 +45,10 @@ from .stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FracOrder",
     "LinearConstant",
     "LinearDecaying",
     "LinearTable",
     "MLParams",
-    "NoPerturbation",
     "NonlinearSaturating",
     "NonlinearTable",
     "PerturbationSpec",

@@ -28,7 +28,7 @@ from .solver import (
     LinearTable,
     NonlinearSaturating,
     NonlinearTable,
-    NoPerturbation,
+    as_perturbation,
     residual_check,
     solve_abm,
     solve_rl_scalar_exact,
@@ -103,6 +103,10 @@ def parse_config(raw):
     a = _as_matrix(_get(system, "a", "system.a"), "system.a")
     if len(a) > _DIM_CAP:
         _fail(f"system.a has dimension {len(a)}, above the cap {_DIM_CAP}")
+    try:
+        as_square_matrix(a)
+    except DomainError as exc:
+        _fail(f"system.a: {exc}")
     norm = _get(system, "norm", "system.norm", "max")
     if norm not in VECTOR_NORMS:
         _fail(f"system.norm must be one of {VECTOR_NORMS}, got {norm!r}")
@@ -211,9 +215,10 @@ def _list_of(shape):
 
 _NUMBERS = _list_of(_number)
 # config kind -> (its PerturbationSpec class, its config fields in
-# constructor order as (name, JSON shape, default)); the class checks ranges
+# constructor order as (name, JSON shape, default)); the class checks ranges.
+# The kind none has no fields: it is the zero gain of system.a's size.
 _PERTURBATIONS = {
-    "none": (NoPerturbation, ()),
+    "none": (LinearConstant, ()),
     "linear_constant": (LinearConstant, (("q0", _square, _fail),)),
     "linear_decaying": (LinearDecaying, (("q0", _square, _fail), ("gamma", _number, _fail))),
     "linear_table": (LinearTable, (("times", _NUMBERS, _fail), ("matrices", _list_of(_square), _fail))),
@@ -233,14 +238,16 @@ def _parse_perturbation(raw, d):
         what = f"perturbation.{name}"
         pert[name] = shape(_get(raw, name, what, default), what, d)
     try:
-        _build_perturbation(pert)
+        _build_perturbation(pert, d)
     except DomainError as exc:
         _fail(f"perturbation {kind}: {exc}")
     return pert
 
 
-def _build_perturbation(pert):
+def _build_perturbation(pert, d):
     cls, fields = _PERTURBATIONS[pert["kind"]]
+    if not fields:
+        return as_perturbation(None, d)
     return cls(*(pert[name] for name, _, _ in fields))
 
 
@@ -307,7 +314,7 @@ def _run_solve(cfg):
     system = cfg["system"]
     al = system["alpha"]
     m = as_square_matrix(system["a"])
-    pert = _build_perturbation(cfg["perturbation"])
+    pert = _build_perturbation(cfg["perturbation"], m.shape[0])
     grid = _build_grid(cfg)
     traj = solve_abm(al, _rhs(m, pert), np.array(system["x0"]), grid)
     norms = vector_norm(traj.states, system["norm"])
@@ -324,9 +331,8 @@ def _run_solve(cfg):
 
 def _classify(cfg):
     system = cfg["system"]
-    report = classify(
-        system["a"], system["alpha"], _build_perturbation(cfg["perturbation"]), norm=system["norm"]
-    )
+    pert = _build_perturbation(cfg["perturbation"], len(system["a"]))
+    report = classify(system["a"], system["alpha"], pert, norm=system["norm"])
     return {**dataclasses.asdict(report), "notes": list(report.notes)}
 
 
@@ -368,7 +374,7 @@ def _run_robust_demo(cfg):
     al = system["alpha"]
     norm = system["norm"]
     m = as_square_matrix(system["a"])
-    field = _rhs(m, _build_perturbation(cfg["perturbation"]))
+    field = _rhs(m, _build_perturbation(cfg["perturbation"], m.shape[0]))
     grid = _build_grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
     radius = delta / 2.0
@@ -448,15 +454,11 @@ def _run_counterexample(cfg):
 def _run_boundedness(cfg):
     system = cfg["system"]
     m = as_square_matrix(system["a"])
-    pert = _build_perturbation(cfg["perturbation"])
+    pert = _build_perturbation(cfg["perturbation"], m.shape[0])
     grid = _build_grid(cfg)
 
-    if isinstance(pert, NoPerturbation):
-        def coeff(t):
-            return m
-    else:
-        def coeff(t):
-            return m + pert.q_matrix(t)
+    def coeff(t):
+        return m + pert.q_matrix(t)
 
     out = boundedness_probe(coeff, system["alpha"], grid, norm=system["norm"])
     fields = {

@@ -43,12 +43,15 @@ _T_STAR_CAP = 1e8
 
 
 def as_square_matrix(a):
-    """Validate a real square matrix and return it as a float array."""
+    """Validate a real square matrix and return it as a float array.  Its
+    entries must be finite with a finite absolute sum, which bounds every
+    supported operator norm; Python's float sum overflows to inf, carries
+    nan and never warns."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError("expected a square matrix")
-    if not np.isfinite(m).all():
-        raise DomainError("matrix entries must be finite")
+    if not math.isfinite(sum(np.abs(m.ravel()).tolist())):
+        raise DomainError("matrix entries must be finite, with a finite sum")
     return m
 
 

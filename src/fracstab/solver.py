@@ -41,17 +41,6 @@ def _as_state(x0, d=None):
     return x
 
 
-def _as_q_matrix(q0):
-    m = np.atleast_2d(np.asarray(q0, dtype=float))
-    if m.shape[0] != m.shape[1]:
-        raise DomainError("perturbation matrix must be square")
-    # the absolute entry sum bounds every supported operator norm
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.abs(m).sum()):
-            raise DomainError("perturbation matrix entries must be finite, with a finite sum")
-    return m
-
-
 def _table_times(times, n_rows, rows):
     """A table's times as a float array: one per row of the table's n_rows
     rows (named rows in the message), at least one, finite, strictly
@@ -137,22 +126,6 @@ class PerturbationSpec:
 
 
 @dataclass(frozen=True)
-class NoPerturbation(PerturbationSpec):
-    """f identically zero."""
-
-    is_linear = True
-
-    def field(self, t, x):
-        return np.zeros_like(np.atleast_1d(np.asarray(x, dtype=float)))
-
-    def envelope(self, t, norm="max"):
-        return _per_time(0.0, t)
-
-    def q_matrix(self, t):
-        return None
-
-
-@dataclass(frozen=True)
 class LinearConstant(PerturbationSpec):
     """f(t, x) = Q0 x; the envelope equals ||Q0|| by construction."""
 
@@ -161,7 +134,7 @@ class LinearConstant(PerturbationSpec):
     is_linear = True
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", _as_q_matrix(self.q0))
+        object.__setattr__(self, "q0", as_square_matrix(np.atleast_2d(self.q0)))
 
     def field(self, t, x):
         if _one_state(x):
@@ -185,7 +158,7 @@ class LinearDecaying(PerturbationSpec):
     is_linear = True
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", _as_q_matrix(self.q0))
+        object.__setattr__(self, "q0", as_square_matrix(np.atleast_2d(self.q0)))
         g = float(self.gamma)
         if not math.isfinite(g) or g <= 0.0:
             raise DomainError(f"decay exponent must be positive, got {self.gamma!r}")
@@ -222,7 +195,7 @@ class LinearTable(PerturbationSpec):
 
     def __post_init__(self):
         ts = _table_times(self.times, len(self.matrices), "matrices")
-        ms = np.stack([_as_q_matrix(m) for m in self.matrices])
+        ms = np.stack([as_square_matrix(np.atleast_2d(m)) for m in self.matrices])
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "matrices", ms)
 
@@ -310,15 +283,15 @@ class NonlinearTable(PerturbationSpec):
 
 
 def as_perturbation(pert, d) -> PerturbationSpec:
-    """None means no perturbation; anything else must already be a kind,
-    and a linear kind's matrix must be d x d."""
+    """None means no perturbation, the zero d x d gain; anything else must
+    already be a kind, and a linear kind's matrix must be d x d."""
     if pert is None:
-        return NoPerturbation()
+        return LinearConstant(np.zeros((d, d)))
     if not isinstance(pert, PerturbationSpec):
         raise DomainError(f"expected a PerturbationSpec, got {type(pert).__name__}")
-    q = pert.q_matrix(0.0) if pert.is_linear else None
-    if q is not None and q.shape != (d, d):
-        raise DomainError(f"perturbation matrix has shape {q.shape}, expected ({d}, {d})")
+    shape = pert.q_matrix(0.0).shape if pert.is_linear else (d, d)
+    if shape != (d, d):
+        raise DomainError(f"perturbation matrix has shape {shape}, expected ({d}, {d})")
     return pert
 
 
@@ -477,8 +450,6 @@ def lyapunov_perron_iterate(
     pert,
     x0,
     grid: TimeGrid,
-    max_iter: int = _LP_MAX_ITER,
-    tol: float = _LP_TOL,
     norm: str = "max",
 ) -> Trajectory:
     """Fixed-point iteration on the variation-of-constants operator.
@@ -486,19 +457,13 @@ def lyapunov_perron_iterate(
     Starts from the unperturbed solution and applies the discretized
     operator T(xi)(t) = E_alpha(t^alpha A) x0 + convolution of the kernel
     E_{alpha,alpha} with f(., xi(.)) until the successive sup-norm
-    difference falls below tol.  Iteration ratios are recorded in
-    meta["ratios"].
+    difference falls below _LP_TOL, for at most _LP_MAX_ITER iterations.
+    Iteration ratios are recorded in meta["ratios"].
     """
     al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     pert = as_perturbation(pert, m.shape[0])
     check_norm(norm)
-    max_iter = int(max_iter)
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
-    tol = float(tol)
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
     x = _as_state(x0, m.shape[0])
     linear = solve_linear_exact(al, m, x, grid).states
     if len(grid) == 1:
@@ -513,7 +478,7 @@ def lyapunov_perron_iterate(
     prev_diff = None
     # a diverging iteration may overflow; its first non-finite difference ends it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_iter + 1):
+        for k in range(1, _LP_MAX_ITER + 1):
             new_states = operator(states)
             diff = float(np.max(vector_norm(new_states - states, norm)))
             if not math.isfinite(diff):
@@ -521,7 +486,7 @@ def lyapunov_perron_iterate(
             if prev_diff is not None and prev_diff > 0.0:
                 ratios.append(diff / prev_diff)
             states = new_states
-            if diff <= tol:
+            if diff <= _LP_TOL:
                 meta = {"method": "lyapunov_perron", "iterations": k, "residual": diff, "ratios": ratios}
                 return Trajectory(grid=grid, states=states, meta=meta)
             prev_diff = diff

@@ -34,7 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "FracOrder",
     "MLParams",
     "gamma",
     "ml",
@@ -45,22 +44,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # domain value objects
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Caputo order restricted to the open interval (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or not 0.0 < a < 1.0:
-            raise DomainError(f"fractional order must lie in (0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-    def __float__(self):
-        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -81,17 +64,19 @@ class MLParams:
 
 
 def _order_value(alpha):
-    """Accept FracOrder or a bare float, returning the validated float."""
-    if isinstance(alpha, FracOrder):
-        return alpha.alpha
-    return FracOrder(float(alpha)).alpha
+    """Order of the certificates and their kernel quantities: a float in
+    the open interval (0, 1)."""
+    a = float(alpha)
+    if not math.isfinite(a) or not 0.0 < a < 1.0:
+        raise DomainError(f"fractional order must lie in (0, 1), got {a!r}")
+    return a
 
 
 def _order_incl_one(alpha):
-    """Order of the solvers and quadrature rules: the FracOrder range (0, 1),
-    plus alpha = 1 so classical first-order problems remain available as
-    sanity limits."""
-    if not isinstance(alpha, FracOrder) and float(alpha) == 1.0:
+    """Order of the solvers and quadrature rules: _order_value's range
+    (0, 1), plus alpha = 1 so classical first-order problems remain
+    available as sanity limits."""
+    if float(alpha) == 1.0:
         return 1.0
     return _order_value(alpha)
 

@@ -509,11 +509,15 @@ def boundedness_probe(b, alpha, grid, norm="max"):
     if not callable(b):
         raise DomainError("b must map time to a square matrix")
     al = _order_value(alpha)
-    b0 = as_square_matrix(b(0.0))
-    d = b0.shape[0]
+    # ABM calls the field at t_n for the corrector and again for the
+    # history; B is read and validated once per new time
+    last = [0.0, as_square_matrix(b(0.0))]
+    d = last[1].shape[0]
 
     def field(t, x):
-        return as_square_matrix(b(t)) @ x
+        if t != last[0]:
+            last[:] = t, as_square_matrix(b(t))
+        return last[1] @ x
 
     half = grid.nodes[-1] / 2.0
     first = grid.nodes <= half

@@ -89,6 +89,9 @@ def test_parse_rejects_malformed_configs():
         # finite entries whose norm overflows
         {**good, "system": {**BASE_SYSTEM, "a": [[-1.0, 0.0], [0.0, -1.0]], "x0": [1.0, 1.0]},
          "perturbation": {"kind": "linear_constant", "q0": [[1e308, 1e308], [0.0, 0.0]]}},
+        # the same overflow in the system matrix itself
+        {**good, "system": {**BASE_SYSTEM, "a": [[-1e308, 1e308], [0.0, -1e308]],
+                            "x0": [1.0, 1.0]}, "perturbation": {"kind": "none"}},
         # above the propagator's dimension cap
         {**good, "system": {"alpha": 0.5, "a": (-np.eye(65)).tolist()}},
         # three nodes can leave one point in the fitted last decade

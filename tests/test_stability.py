@@ -23,7 +23,6 @@ from fracstab.solver import (
     LinearTable,
     NonlinearSaturating,
     NonlinearTable,
-    NoPerturbation,
     lyapunov_perron_iterate,
     residual_check,
     solve_abm,
@@ -69,7 +68,7 @@ def _scan(a, pert):
 
 
 def test_q_zero_perturbations():
-    assert classify(A_NEG, 0.5, NoPerturbation()).q == 0.0
+    assert classify(A_NEG, 0.5, None).q == 0.0
     assert classify(A_NEG, 0.5, LinearConstant(np.zeros((1, 1)))).q == 0.0
 
 
@@ -275,7 +274,7 @@ def test_delta_values():
 
 
 def test_certificate_zero_perturbation():
-    for pert in (NoPerturbation(), LinearConstant(np.zeros((1, 1)))):
+    for pert in (None, LinearConstant(np.zeros((1, 1)))):
         cert = beta_norm_certificate(A_NEG, 0.5, pert, CERT_GRID)
         assert cert["contraction"] == 0.0
         assert cert["T"] == 0.0
