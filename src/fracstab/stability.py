@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FracstabError, GridError, NoDecayError
 from .matfun import (
+    _norm_kinks,
     as_square_matrix,
     check_spectral_condition,
     kernel_integral,
@@ -35,6 +36,7 @@ from .special_fn import MLParams, _ml_log_positive_many, _order_value, gamma
 
 _HORIZONS = tuple(float(2 ** k) for k in range(-6, 17))
 _FAR_TIME = float(2 ** 15)   # split point for the beyond-horizon tail bound
+_LAST_LAG = 2.0 * _HORIZONS[-1]  # the largest lag a horizon's polish reaches
 _CONTRACTION_PASS = 0.5      # the theorem's contraction factor; the value is a bound
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # lag-integral (epsabs, epsrel, limit): the decay certificate is gated at 0.5
@@ -160,10 +162,19 @@ def _lag_integrals(m, al, norm, pert):
     beta(min(t - s, T)) / beta(min(t, T)), exactly 1 once t - s >= T.  The
     propagator does not depend on t, so each node v is evaluated once for
     every call of integrate and kept in a table: sorted keys over an
-    append-only store.
+    append-only store.  Each span [0, t^alpha] starts cut at v = 2^j, where
+    the propagator decays algebraically, at its norm kinks below t
+    (`matfun._norm_kinks` over [1e-3 fast, 2^17], searched once, with R = Q(0)
+    for a linear kind, exact for the constant and decaying ones, else I), at
+    the lags of the kind's knots and of T, and for w = 1 and an envelope
+    that varies at the lags 2^j < t.
     """
     params = MLParams(al, al)
     knots = np.asarray(pert.breakpoints(), dtype=float)
+    # v at the norm kinks, searched on the first call, under its failure handling
+    kink_v = None
+    # only an envelope that varies can decay algebraically from the recent past
+    graded = pert.envelope_sup(0.0, norm) > pert.limit_envelope(norm)
     # the evaluated nodes in increasing order after a sentinel no lookup
     # returns, each with the row of its propagator in the store, whose
     # capacity doubles as it fills
@@ -189,8 +200,12 @@ def _lag_integrals(m, al, norm, pert):
         return store[rows[np.searchsorted(keys, v)]]
 
     def integrate(ts, tol, log_beta=None, t_freeze=None):
+        nonlocal kink_v
         ts = np.asarray(ts, dtype=float)
-        kinks = knots if t_freeze is None else np.append(knots, t_freeze)
+        if kink_v is None:
+            right = pert.q_matrix(0.0) if pert.is_linear else None
+            kink_v = _norm_kinks(m, al, norm, _LAST_LAG, right) ** al
+        lagged = knots if t_freeze is None else np.append(knots, t_freeze)
         if log_beta is not None:
             lb_t = log_beta(np.minimum(ts, t_freeze))
 
@@ -202,20 +217,20 @@ def _lag_integrals(m, al, norm, pert):
                 vals[low] *= np.exp(log_beta(taus[low]) - lb_t[owner[low]])
             return vals
 
-        # a fast transient near 0 and a slow algebraic tail: [0, t^alpha]
-        # starts cut at the powers of 2 from 1 on, the same panels for every
-        # t; a knot kappa of the kind, or T, is a kink at lag t - kappa
-        spans = [
-            (0.0, t ** al, [*np.exp2(np.arange(math.floor(al * math.log2(t)) + 1)),
-                            *(t - kinks[(kinks > 0.0) & (kinks < t)]) ** al])
-            for t in ts
-        ]
+        # the powers of 2 and the kinks give every t the same first panels
+        spans = []
+        for t in ts:
+            lags = lagged[(lagged > 0.0) & (lagged < t)]
+            if log_beta is None and graded:
+                lags = np.append(lags, np.exp2(np.arange(math.ceil(math.log2(t)))))
+            powers = np.exp2(np.arange(math.floor(al * math.log2(t)) + 1))
+            spans.append((0.0, t ** al, [*powers, *kink_v, *(t - lags) ** al]))
         return [(val / al, e / al) for val, e in _gk21_family(f, spans, *tol)]
 
     return integrate
 
 
-def _q_scan(m, al, norm, pert, kint_value, sup_k, lim_k):
+def _q_scan(m, al, norm, pert, kint_value, sup_k, lim_k, integrate):
     """(q, error estimate): the contraction constant, the sup over the
     geometric horizons 2^-6, 2^-5, ..., 2^16 of the lag integral of
     `_lag_integrals` with weight 1, given the kernel integral kint_value
@@ -237,7 +252,6 @@ def _q_scan(m, al, norm, pert, kint_value, sup_k, lim_k):
     else:
         limit_value = kernel_integral(m, al, norm, right=pert.q_matrix(np.inf))["value"]
     env_far = pert.envelope_sup(_FAR_TIME, norm)
-    integrate = _lag_integrals(m, al, norm, pert)
 
     best = 0.0
     best_t = _HORIZONS[0]
@@ -304,13 +318,15 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     kint_value = kernel_integral(m, al, norm)["value"]
     sup_e = sup_ml_norm(m, al, norm, beta=al)
     return _beta_norm_core(
-        m, al, pert, grid, norm, kint_value, sup_e, *_envelope_stats(pert, norm)
+        al, pert, grid, norm, kint_value, sup_e, *_envelope_stats(pert, norm),
+        _lag_integrals(m, al, norm, pert),
     )
 
 
-def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e, sup_k, lim_k):
+def _beta_norm_core(al, pert, grid, norm, m_int, sup_e, sup_k, lim_k, integrate):
     """beta_norm_certificate on validated inputs, given the kernel integral
-    m_int, sup_e = sup ||E_{alpha,alpha}|| and the envelope's (sup, limit)."""
+    m_int, sup_e = sup ||E_{alpha,alpha}||, the envelope's (sup, limit) and
+    the `_lag_integrals` of the system."""
     m_gamma = gamma(al) * sup_e * sup_k
     big_m = max(1.0, m_gamma, m_int)
     threshold = 1.0 / (5.0 * big_m)
@@ -352,7 +368,6 @@ def _beta_norm_core(m, al, pert, grid, norm, m_int, sup_e, sup_k, lim_k):
         lo = max(grid.nodes[1], t_decay / 8.0)
         hi = min(horizon, max(4.0 * t_decay, 2.0 * lo))
         eval_ts.update(np.geomspace(lo, hi, 16))
-    integrate = _lag_integrals(m, al, norm, pert)
     results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
 
     return {
@@ -415,11 +430,13 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     epsilon = float(0.5 / kint["value"])
     sup_e_aa = sup_ml_norm(m, al, norm, beta=al)
     sup_k, lim_k = _envelope_stats(pert, norm)
+    # one propagator table, and one kink search, serve both certificates
+    integrate = _lag_integrals(m, al, norm, pert)
 
     q_value = None
     q_error = None
     try:
-        q_value, q_error = _q_scan(m, al, norm, pert, kint["value"], sup_k, lim_k)
+        q_value, q_error = _q_scan(m, al, norm, pert, kint["value"], sup_k, lim_k, integrate)
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")
 
@@ -430,8 +447,8 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     if decaying or not q_passes:
         try:
             cert = _beta_norm_core(
-                m, al, pert, uniform_grid(40.0, 320), norm,
-                kint["value"], sup_e_aa, sup_k, lim_k,
+                al, pert, uniform_grid(40.0, 320), norm,
+                kint["value"], sup_e_aa, sup_k, lim_k, integrate,
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")

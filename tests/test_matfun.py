@@ -1,9 +1,12 @@
 """Tests for matrix Mittag-Leffler evaluation and the kernel quantities."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fracstab import matfun
 from fracstab.errors import (
@@ -22,6 +25,11 @@ from fracstab.matfun import (
     sup_ml_norm,
 )
 from fracstab.special_fn import MLParams, ml, ml_dlambda, ml_many
+
+_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "sweep_kernel.py"
+_SPEC = importlib.util.spec_from_file_location("sweep_kernel", _SWEEP)
+sweep_kernel = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep_kernel)
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])
 JORDAN2 = np.array([[-2.0, 1.0], [0.0, -2.0]])
@@ -769,6 +777,49 @@ def test_kernel_integral_is_scale_invariant():
             got = kernel_integral(s * SCALED_B, alpha)
             assert s * got["value"] == pytest.approx(want["value"], rel=1e-6)
             assert got["t_star"] == pytest.approx(want["t_star"] * s ** (-1.0 / alpha), rel=1e-6)
+
+
+def test_norm_kinks_find_the_sign_changes_of_the_rotation():
+    # the (0, 0) entry of E_{1/2,1/2}(t^{1/2} ROTATION) changes sign at
+    # v = t^alpha = 0.9241388730045915, the only kink of the max norm; the
+    # search returns the midpoint of a bracket about 5e-6 t wide
+    params = MLParams(0.5, 0.5)
+    zero = brentq(lambda t: ml_matrix(params, t, ROTATION)[0, 0], 0.8, 0.9, xtol=1e-15)
+    assert math.sqrt(zero) == pytest.approx(0.9241388730045915, rel=1e-9)
+    for norm in ("max", "one"):
+        kinks = matfun._norm_kinks(ROTATION, 0.5, norm, 2.0 ** 17)
+        assert kinks == pytest.approx([zero], rel=5e-6)
+    assert matfun._norm_kinks(ROTATION, 0.5, "euclidean", 2.0 ** 17).size == 0
+    assert matfun._norm_kinks(np.diag([-1.0, -2.0, -3.0]), 0.5, "max", 2.0 ** 17).size == 0
+
+
+# alpha = 0.8 (seed 1919 cases of scripts/sweep_kernel.py kint): 21 and 70
+# have a complex pair at 1.03 times the sector edge's angle, 54 three real
+# eigenvalues and two max-row handovers 0.0015 apart in v, around a sign
+# change of an entry of the row they hand over from
+SWEEP_CASES = [
+    np.array([[-1.817215126853689, -1.007586352093883, -2.573046523631216],
+              [-0.5619625832651806, 0.06621818679835438, -0.12856550827901803],
+              [-0.40715269940703464, -1.0118035380931183, -0.7629699398051341]]),
+    np.array([[7.7960871948873285, -6.972445346506826, 42.80764834600546],
+              [13.153934808483678, -11.86856729735525, 70.7403432614465],
+              [-0.6935492363247616, 0.6236970252250967, -3.6218151464463224]]),
+    np.array([[-2.667571429395939, 3.6604254304958697, 3.584451582976751],
+              [-1.1371146377783228, 1.4521809085492428, 1.675290789924057],
+              [0.8814728990713531, -1.5934864979901957, -1.028360862674013]]),
+]
+
+
+@pytest.mark.parametrize("a", SWEEP_CASES, ids=["case-21", "case-70", "case-54"])
+def test_kernel_integral_meets_its_tolerance_on_a_sweep_case(a):
+    # on 21 and 70 one uncut span ran out of its panel budget at an error
+    # estimate of 0.01-0.1 and read 2.1e-6 and 4.3e-6 high; on 54 a start cut
+    # at that entry's zero, where the row no longer attains the norm, read
+    # 1.2e-6 low at an error estimate of 1.4e-9.  The reference integrates
+    # through the eigenvectors and ml_many, not ml_matrix
+    got = kernel_integral(a, 0.8)
+    ref = sweep_kernel.dense_kint(a, 0.8, got["t_star"], panels=20000) + got["tail_bound"]
+    assert got["value"] == pytest.approx(ref, rel=1e-7)
 
 
 def test_kernel_integral_sector_violation():

@@ -64,7 +64,10 @@ def _decay3():
 def _scan(a, pert):
     """(q, q_error) of the contraction scan on the inputs classify gives it."""
     kint = kernel_integral(a, 0.5)["value"]
-    return stability._q_scan(a, 0.5, "max", pert, kint, *stability._envelope_stats(pert, "max"))
+    return stability._q_scan(
+        a, 0.5, "max", pert, kint, *stability._envelope_stats(pert, "max"),
+        stability._lag_integrals(a, 0.5, "max", pert),
+    )
 
 
 def test_q_zero_perturbations():
@@ -739,6 +742,38 @@ def test_classify_rule_passes_per_rotation_case(monkeypatch):
     report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
     assert report.verdict == "DecayingStable"
     assert len(calls) <= 120
+
+
+@pytest.mark.parametrize(
+    "a, pert, ml_calls, rule_passes",
+    [
+        (ROTATION, LinearDecaying(0.2 * np.eye(2), gamma=1.0), 44, 28),
+        (np.diag([-1.0, -2.0, -3.0]), NonlinearSaturating(0.3, gamma=2.0), 37, 27),
+    ],
+    ids=["rotation-decaying", "diag3-saturating"],
+)
+def test_classify_counts_on_the_bench_certify_cases(monkeypatch, a, pert, ml_calls, rule_passes):
+    # the lag integrals and the kernel integral start cut at the propagator's
+    # norm kinks and at the octaves of both algebraic ends, and one table
+    # serves the q-scan and the decay certificate: 76 and 58 ml_matrix
+    # calls and 94 and 50 rule passes before, 44, 37, 28 and 27 after
+    calls = []
+    real_ml, real_rule = matfun.ml_matrix, quad._gk21_rule
+
+    def counted_ml(params, t, m):
+        calls.append("ml")
+        return real_ml(params, t, m)
+
+    def counted_rule(fx, half):
+        calls.append("rule")
+        return real_rule(fx, half)
+
+    monkeypatch.setattr(matfun, "ml_matrix", counted_ml)
+    monkeypatch.setattr(stability, "ml_matrix", counted_ml)
+    monkeypatch.setattr(quad, "_gk21_rule", counted_rule)
+    assert classify(a, 0.5, pert).verdict == "DecayingStable"
+    assert calls.count("ml") <= ml_calls
+    assert calls.count("rule") <= rule_passes
 
 
 @pytest.mark.parametrize(
