@@ -284,6 +284,15 @@ def _envelope_stats(pert, norm):
     return sup_k, lim_k
 
 
+def _certificate_inputs(m, al, norm, pert):
+    """What both certificates read, computed once per system: the kernel
+    integral, sup ||E_{alpha,alpha}||, the envelope's (sup, limit) and the
+    `_lag_integrals`, whose propagator table and kink search they share."""
+    kint_value = kernel_integral(m, al, norm)["value"]
+    sup_e = sup_ml_norm(m, al, norm, beta=al)
+    return (kint_value, sup_e, *_envelope_stats(pert, norm), _lag_integrals(m, al, norm, pert))
+
+
 def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     """Contraction factor of the operator in a growth-weighted norm.
 
@@ -315,12 +324,7 @@ def beta_norm_certificate(a, alpha, pert, grid, norm="max"):
     if not isinstance(grid, TimeGrid):
         raise GridError("grid must be a TimeGrid")
     pert = as_perturbation(pert, m.shape[0])
-    kint_value = kernel_integral(m, al, norm)["value"]
-    sup_e = sup_ml_norm(m, al, norm, beta=al)
-    return _beta_norm_core(
-        al, pert, grid, norm, kint_value, sup_e, *_envelope_stats(pert, norm),
-        _lag_integrals(m, al, norm, pert),
-    )
+    return _beta_norm_core(al, pert, grid, norm, *_certificate_inputs(m, al, norm, pert))
 
 
 def _beta_norm_core(al, pert, grid, norm, m_int, sup_e, sup_k, lim_k, integrate):
@@ -344,17 +348,6 @@ def _beta_norm_core(al, pert, grid, norm, m_int, sup_e, sup_k, lim_k, integrate)
         )
     t_decay = float(grid.nodes[i_decay])
 
-    if sup_k == 0.0:
-        # with nothing to contract, the weight beta = 1 serves
-        return {
-            "M": float(big_m),
-            "T": t_decay,
-            "contraction": 0.0,
-            "log_beta_T": 0.0,
-            "M_gamma": float(m_gamma),
-            "M_int": float(m_int),
-        }
-
     def log_beta(taus):
         # the weight itself overflows doubles long before the horizon for
         # steep 5M, so it enters the integrand as a difference of logs
@@ -368,20 +361,25 @@ def _beta_norm_core(al, pert, grid, norm, m_int, sup_e, sup_k, lim_k, integrate)
         lo = max(grid.nodes[1], t_decay / 8.0)
         hi = min(horizon, max(4.0 * t_decay, 2.0 * lo))
         eval_ts.update(np.geomspace(lo, hi, 16))
-    results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
+    if sup_k == 0.0:
+        # with nothing to contract, the weight beta = 1 serves
+        results, log_beta_t = [(0.0, 0.0)], 0.0
+    else:
+        results = integrate(sorted(t for t in eval_ts if t > 0.0), _CERT_TOL, log_beta, t_decay)
+        log_beta_t = float(log_beta(np.array([t_decay]))[0])
 
     return {
         "M": float(big_m),
         "T": t_decay,
         "contraction": float(max(val + e for val, e in results)),
-        "log_beta_T": float(log_beta(np.array([t_decay]))[0]),
+        "log_beta_T": log_beta_t,
         "M_gamma": float(m_gamma),
         "M_int": float(m_int),
     }
 
 
 def classify(a, alpha, pert=None, norm="max", seed=42):
-    """Run every certificate and report the first that passes.
+    """Run the certificates and report the verdict they support.
 
     This is the one public source of the certificate quantities: the
     report carries the contraction constant q (the scan of `_q_scan`,
@@ -392,14 +390,14 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
     initial-ball radius for a unit target ball (a ball of radius r takes
     r * delta).
 
-    The gate order is: sector check, then for perturbations whose
-    envelope vanishes at infinity the decay certificate (the machinery
-    built for exactly that shape), then the contraction bound
-    min(q + q_error, sup K * kernel integral) < 1; for non-vanishing
-    envelopes the contraction bound comes first and the decay certificate
-    is the fallback, run only when the bound fails.  Whenever the bound
-    passes, delta = (1 - bound) / sup ||E_alpha||; a DecayingStable
-    verdict whose bound fails takes delta from the weighted-norm bound.
+    After the sector check, the contraction bound
+    min(q + q_error, sup K * kernel integral) is always computed, and the
+    decay certificate runs only where it can decide: for an envelope that
+    vanishes at infinity, or when the bound fails.  The verdict is
+    DecayingStable when the decay certificate passes, else RobustStable
+    when the bound is below 1, else Inconclusive.  delta is
+    (1 - bound) / sup ||E_alpha|| whenever the bound passes, and otherwise
+    a DecayingStable verdict takes it from the weighted-norm bound.
     A report of Inconclusive is not an instability claim: all
     certificates are sufficient conditions only.
     Failures inside individual certificates are recorded as notes and
@@ -425,60 +423,40 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
             notes=("eigenvalue sector condition fails",),
         )
 
+    kint, sup_e_aa, sup_k, lim_k, integrate = _certificate_inputs(m, al, norm, pert)
+    epsilon = float(0.5 / kint)
     notes = []
-    kint = kernel_integral(m, al, norm)
-    epsilon = float(0.5 / kint["value"])
-    sup_e_aa = sup_ml_norm(m, al, norm, beta=al)
-    sup_k, lim_k = _envelope_stats(pert, norm)
-    # one propagator table, and one kink search, serve both certificates
-    integrate = _lag_integrals(m, al, norm, pert)
-
-    q_value = None
-    q_error = None
+    q_value = q_error = None
     try:
-        q_value, q_error = _q_scan(m, al, norm, pert, kint["value"], sup_k, lim_k, integrate)
+        q_value, q_error = _q_scan(m, al, norm, pert, kint, sup_k, lim_k, integrate)
     except FracstabError as exc:
         notes.append(f"contraction constant unavailable: {exc}")
-
-    decaying = lim_k == 0.0 and sup_k > 0.0
     q_bound = _q_bound(q_value, q_error, sup_k, epsilon)
-    q_passes = q_bound < 1.0
+
     cert = None
-    if decaying or not q_passes:
+    if lim_k == 0.0 < sup_k or not q_bound < 1.0:
         try:
             cert = _beta_norm_core(
-                al, pert, uniform_grid(40.0, 320), norm,
-                kint["value"], sup_e_aa, sup_k, lim_k, integrate,
+                al, pert, uniform_grid(40.0, 320), norm, kint, sup_e_aa, sup_k, lim_k, integrate
             )
         except FracstabError as exc:
             notes.append(f"decay certificate unavailable: {exc}")
-    cert_passes = cert is not None and cert["contraction"] <= _CONTRACTION_PASS
-
-    if decaying and cert_passes:
+    if cert is not None and cert["contraction"] <= _CONTRACTION_PASS:
         verdict = "DecayingStable"
-    elif q_passes:
+    elif q_bound < 1.0:
         verdict = "RobustStable"
-    elif cert_passes:
-        verdict = "DecayingStable"
     else:
         verdict = "Inconclusive"
         notes.append("no certificate passed; this is not an instability claim")
-
-    if verdict == "Inconclusive" and 0.0 < lim_k < epsilon:
-        notes.append(
-            "envelope limit is positive but below the uniform threshold; "
-            "no implemented certificate covers that regime"
-        )
+        if 0.0 < lim_k < epsilon:
+            notes.append(
+                "envelope limit is positive but below the uniform threshold; "
+                "no implemented certificate covers that regime"
+            )
 
     sup_e_alpha = sup_ml_norm(m, al, norm)
-    m_pair = {
-        "M_gamma": float(gamma(al) * sup_e_aa * sup_k),
-        "M_int": float(kint["value"]),
-    }
-
     delta = None
-    if q_passes:
-        # every verdict reached with a passing bound is stable
+    if q_bound < 1.0:
         delta = float((1.0 - q_bound) / sup_e_alpha)
     elif verdict == "DecayingStable":
         # the operator's beta-norm is at most c, and beta >= 1 is
@@ -499,7 +477,7 @@ def classify(a, alpha, pert=None, norm="max", seed=42):
         q_error=q_error,
         epsilon=epsilon,
         delta=delta,
-        m_pair=m_pair,
+        m_pair={"M_gamma": float(gamma(al) * sup_e_aa * sup_k), "M_int": float(kint)},
         t_decay=cert["T"] if cert is not None else None,
         beta_contraction=cert["contraction"] if cert is not None else None,
         sup_envelope=sup_k,
