@@ -9,6 +9,7 @@ tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ def _decompose(d, raw):
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
-    groups = _clusters(w, np.linalg.norm(m))
+    # the Frobenius norm, free of the overflow np.linalg.norm meets past 1e154
+    groups = _clusters(w, math.hypot(*m.ravel().tolist()))
     clusters = ()
     if groups:
         v = v.astype(complex)
@@ -317,13 +319,19 @@ def _time_scales(eigenvalues, alpha):
     each eigenvalue sets the scale |lam|^(-1/alpha).  `fast` is the least of
     these.  `slow` is the largest after each is divided by |cos(arg lam /
     alpha)| where |arg lam| < alpha pi, the slower rate at which the
-    exponential residue exp(t lam^(1/alpha)) decays there.
+    exponential residue exp(t lam^(1/alpha)) decays there.  Raises
+    DomainError unless the window [1e-3 fast, 100 slow] that the kernel
+    quantities scan lies in the normal doubles.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
-    tau = np.abs(lam) ** (-1.0 / alpha)
+    with np.errstate(over="ignore"):
+        tau = np.abs(lam) ** (-1.0 / alpha)
     # clipped at alpha pi, where |cos| reaches 1 and the residue leaves
     theta = np.minimum(np.abs(np.angle(lam)), alpha * math.pi)
-    return float(tau.min()), float((tau / np.abs(np.cos(theta / alpha))).max())
+    fast, slow = float(tau.min()), float((tau / np.abs(np.cos(theta / alpha))).max())
+    if not (1e-3 * fast >= sys.float_info.min and 100.0 * slow < math.inf):
+        raise DomainError(f"time scales {fast:.3g} to {slow:.3g} leave the double range")
+    return fast, slow
 
 
 def _norm_kinks(m, al, norm, t_hi, right=None):
@@ -348,7 +356,7 @@ def _norm_kinks(m, al, norm, t_hi, right=None):
         sums = np.abs(e).sum(-1)
         return np.concatenate([e, sums[:, :, None] - sums[:, None, :]], 1).reshape(t.size, -1)
 
-    ts = np.geomspace(t_lo, t_hi, round(16 * math.log10(t_hi / t_lo)) + 1)
+    ts = np.geomspace(t_lo, t_hi, round(16 * (math.log10(t_hi) - math.log10(t_lo))) + 1)
     vals = features(ts)
     mags = np.abs(vals)
     # features at roundoff of their slice are zero there, and flip nothing
@@ -405,7 +413,7 @@ def sup_ml_norm(a, alpha, norm="max", beta=1.0):
     # the t = 0 propagator is rgamma(beta) * I; for beta = 1 that is the
     # identity exactly, so bypass the gamma roundoff there
     floor = 1.0 if beta == 1.0 else value(0.0)
-    ts = np.geomspace(lo, hi, round(48 * math.log10(hi / lo)) + 1)
+    ts = np.geomspace(lo, hi, round(48 * (math.log10(hi) - math.log10(lo))) + 1)
     vals = value(ts)
     best = max(floor, float(vals.max()))
     for _ in range(30):

@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import DomainError, FracstabError, GridError, NoDecayError
 from .matfun import (
+    _decompose,
     _norm_kinks,
+    _time_scales,
     as_square_matrix,
     check_spectral_condition,
     kernel_integral,
@@ -162,8 +164,10 @@ def _lag_integrals(m, al, norm, pert):
     beta(min(t - s, T)) / beta(min(t, T)), exactly 1 once t - s >= T.  The
     propagator does not depend on t, so each node v is evaluated once for
     every call of integrate and kept in a table: sorted keys over an
-    append-only store.  Each span [0, t^alpha] starts cut at v = 2^j, where
-    the propagator decays algebraically, at its norm kinks below t
+    append-only store.  Each span [0, t^alpha] starts cut at the octaves
+    v = 2^j from the least of 1 and 2^floor(alpha log2 fast) up, with fast
+    the spectrum's time scale (`matfun._time_scales`), where the kernel's
+    mass sits and then decays algebraically, at its norm kinks below t
     (`matfun._norm_kinks` over [1e-3 fast, 2^17], searched once, with R = Q(0)
     for a linear kind, exact for the constant and decaying ones, else I), at
     the lags of the kind's knots and of T, and for w = 1 and an envelope
@@ -171,6 +175,8 @@ def _lag_integrals(m, al, norm, pert):
     """
     params = MLParams(al, al)
     knots = np.asarray(pert.breakpoints(), dtype=float)
+    fast, _ = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
+    first = min(0, math.floor(al * math.log2(fast)))
     # v at the norm kinks, searched on the first call, under its failure handling
     kink_v = None
     # only an envelope that varies can decay algebraically from the recent past
@@ -217,13 +223,13 @@ def _lag_integrals(m, al, norm, pert):
                 vals[low] *= np.exp(log_beta(taus[low]) - lb_t[owner[low]])
             return vals
 
-        # the powers of 2 and the kinks give every t the same first panels
+        # the octaves and the kinks give every t the same first panels
         spans = []
         for t in ts:
             lags = lagged[(lagged > 0.0) & (lagged < t)]
             if log_beta is None and graded:
                 lags = np.append(lags, np.exp2(np.arange(math.ceil(math.log2(t)))))
-            powers = np.exp2(np.arange(math.floor(al * math.log2(t)) + 1))
+            powers = np.exp2(np.arange(first, math.floor(al * math.log2(t)) + 1))
             spans.append((0.0, t ** al, [*powers, *kink_v, *(t - lags) ** al]))
         return [(val / al, e / al) for val, e in _gk21_family(f, spans, *tol)]
 

@@ -165,6 +165,13 @@ def test_close_eigenvalues_form_one_cluster():
     assert spectral_decompose(np.diag([-1.0, -1.011])).clusters == ()
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_cluster_floor_does_not_overflow(scale):
+    # the Frobenius norm of diag(-1, -2) s overflowed past s = 6e153, so the
+    # floor was inf and the two eigenvalues formed one cluster
+    assert spectral_decompose(scale * np.diag([-1.0, -2.0])).clusters == ()
+
+
 def test_ml_matrix_at_time_zero():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((3, 3))

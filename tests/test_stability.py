@@ -910,6 +910,36 @@ def test_classify_does_not_certify_a_fast_unstable_system():
     assert report.epsilon == pytest.approx(0.5 / 26.0 * 1e8, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "pert",
+    [LinearDecaying(1.5e18 * np.eye(2), 1.0), NonlinearSaturating(1.5e18, 1.0)],
+    ids=["decaying", "saturating"],
+)
+def test_classify_does_not_certify_an_unstable_system_on_a_fast_scale(pert):
+    # for t < 1, A + Q(t) is about diag(0.5e18, -0.5e18): unstable.  The kernel's
+    # mass sits at v = s^alpha of about 1e-9, and lag spans that started cut
+    # at v = 1, 2, 4, ... saw only its tail there and read q = 1.3e-14
+    report = classify(1e18 * A_DIAG, 0.5, pert)
+    assert not report.verdict.endswith("Stable")
+    assert report.q + report.q_error >= 1.48
+
+
+def test_classify_reads_q_of_a_fast_scale_in_its_own_units():
+    # the 0.5 gain of the same system: q is the scale-free 0.4961, not 4e-15
+    report = classify(1e18 * A_DIAG, 0.5, LinearDecaying(0.5e18 * np.eye(2), 1.0))
+    assert report.q + report.q_error >= 0.49
+
+
+def test_classify_scales_up_to_the_double_range():
+    # a time scale of 2.5e-301 gets a verdict; sizing the kink grid from the
+    # ratio 2^17 / (1e-3 fast) overflowed into a builtin OverflowError
+    report = classify(1e150 * A_DIAG, 0.5, LinearDecaying(0.5e150 * np.eye(2), 1.0))
+    assert report.verdict == "RobustStable"
+    # 1e-3 fast = 9.8e-317 is subnormal: no window of the kernel quantities fits
+    with pytest.raises(FracstabError):
+        classify(1e31 * A_DIAG, 0.1, LinearDecaying(0.5e31 * np.eye(2), 1.0))
+
+
 def test_classify_does_not_certify_an_equal_norm_table():
     # both table nodes have norm 1, so the envelope is the constant 1, but Q
     # moves from the slow direction to the fast one: I(t) reaches 3.18
