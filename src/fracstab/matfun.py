@@ -9,7 +9,6 @@ tau^(alpha-1) ||E_{alpha,alpha}(tau^alpha A)||.
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,7 +328,7 @@ def _time_scales(eigenvalues, alpha):
     # clipped at alpha pi, where |cos| reaches 1 and the residue leaves
     theta = np.minimum(np.abs(np.angle(lam)), alpha * math.pi)
     fast, slow = float(tau.min()), float((tau / np.abs(np.cos(theta / alpha))).max())
-    if not (1e-3 * fast >= sys.float_info.min and 100.0 * slow < math.inf):
+    if not (1e-3 * fast >= np.finfo(float).tiny and 100.0 * slow < math.inf):
         raise DomainError(f"time scales {fast:.3g} to {slow:.3g} leave the double range")
     return fast, slow
 
@@ -413,7 +412,7 @@ def sup_ml_norm(a, alpha, norm="max", beta=1.0):
     # the t = 0 propagator is rgamma(beta) * I; for beta = 1 that is the
     # identity exactly, so bypass the gamma roundoff there
     floor = 1.0 if beta == 1.0 else value(0.0)
-    ts = np.geomspace(lo, hi, round(48 * (math.log10(hi) - math.log10(lo))) + 1)
+    ts = np.geomspace(lo, hi, round(48 * math.log10(hi / lo)) + 1)
     vals = value(ts)
     best = max(floor, float(vals.max()))
     for _ in range(30):
