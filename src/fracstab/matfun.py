@@ -153,8 +153,8 @@ def _conjugate_fold(eigenvalues):
     return flip, distinct, where
 
 
-def _ml_spectrum(params, times, eigenvalues):
-    """(n, d) values E_{alpha,beta}(t^alpha lam) at every time and eigenvalue.
+def _ml_spectrum(params, v, eigenvalues):
+    """(n, d) values E_{alpha,beta}(v lam) at every scaled time and eigenvalue.
 
     E(conj z) = conj E(z), so an eigenvalue whose exact conjugate is also in
     the spectrum (as LAPACK returns them for a real matrix) is folded onto
@@ -164,19 +164,19 @@ def _ml_spectrum(params, times, eigenvalues):
     values, dropping the contour's roundoff residue.
     """
     flip, distinct, where = _conjugate_fold(eigenvalues)
-    vals = ml_many(params, np.multiply.outer(times ** params.alpha, distinct))
+    vals = ml_many(params, np.multiply.outer(v, distinct))
     vals = np.where(distinct.imag == 0.0, vals.real, vals)[:, where]
     return np.where(flip, vals.conj(), vals)
 
 
-def _cluster_block(params, times, f0, sigma, block):
-    """(n, k, k) stack of a cluster's block of E_{alpha,beta}(t^alpha A): the
-    Taylor sum over l <= 6 of t^(alpha l) E^(l)(sigma t^alpha)/l! N^l, with
-    the order-0 values f0 given, at each time where its l = 6 term and an
-    estimate of the l = 7 one fall below 1e-13 of the block (N^2 = c I makes
-    N^6 small but not N^7).  At other times the block comes from the
-    eigenbasis W of sigma I + N; a W with condition 1e8 or more raises the
-    unsupported-order signal."""
+def _cluster_block(params, v, f0, sigma, block):
+    """(n, k, k) stack of a cluster's block of E_{alpha,beta}(v A) at the
+    scaled times v = t^alpha: the Taylor sum over l <= 6 of v^l E^(l)(sigma
+    v)/l! N^l, with the order-0 values f0 given, at each v where its l = 6
+    term and an estimate of the l = 7 one fall below 1e-13 of the block
+    (N^2 = c I makes N^6 small but not N^7).  At other v the block comes
+    from the eigenbasis W of sigma I + N; a W with condition 1e8 or more
+    raises the unsupported-order signal."""
     k = block.shape[0]
     out = f0[:, None, None] * np.eye(k)
     power, coeff = np.eye(k, dtype=complex), None
@@ -184,7 +184,7 @@ def _cluster_block(params, times, f0, sigma, block):
         power = power @ block
         if not power.any():
             return out
-        prev, coeff = coeff, _ml_dlambda_many(params.alpha, params.beta, times, sigma, l)
+        prev, coeff = coeff, _ml_dlambda_many(params.alpha, params.beta, v, sigma, l)
         coeff = coeff / math.factorial(l)
         out = out + coeff[:, None, None] * power
     # the l = 7 coefficient, extrapolated by the ratio of the last two
@@ -201,8 +201,8 @@ def _cluster_block(params, times, f0, sigma, block):
             j = np.flatnonzero(bad)[0]
             raise UnsupportedOrderError(
                 f"cluster at {sigma:.6g} needs Taylor terms past order {_DERIV_CAP} at "
-                f"t = {times[j]:g} and its eigenbasis condition is {cond:.3e}")
-        vals = ml_many(params, np.multiply.outer(times[bad] ** params.alpha, mu))
+                f"t^alpha = {v[j]:g} and its eigenbasis condition is {cond:.3e}")
+        vals = ml_many(params, np.multiply.outer(v[bad], mu))
         out[bad] = (w * vals[:, None, :]) @ np.linalg.inv(w)
     return out
 
@@ -213,20 +213,9 @@ def ml_matrix(params, t, a):
     `t` is a time or a 1-d array of times; an array gives the (n, d, d)
     stack of the propagators at those times.  Output imaginary parts at or
     below 1e-9 of the output norm are truncated; larger residues, in any
-    slice, raise a truncation failure.
-
-    The propagator is S F S^-1 with S the spectral basis.  F is diagonal,
-    E_{alpha,beta}(t^alpha lam) per eigenvalue, except on a cluster, whose
-    block is the Taylor sum of the cluster's N about its mean up to order
-    6, or the block's own eigendecomposition at a time where that sum has
-    not converged.  A cluster whose mean lies in the sector |arg| <=
-    alpha pi / 2, where E(sigma t^alpha) grows, takes that eigendecomposition
-    at every time when its condition is below 1e8.  The order-0 values of
-    the clusters come from the same Mittag-Leffler call as the eigenvalues
-    outside them.  The whole stack takes one LU factorization of S^T,
-    solved against the n*d right-hand sides at once.  Each right-hand side
-    is solved on its own, so a slice's bits depend on its time alone: slice
-    k of a stack equals the one-time call at t[k] byte for byte.
+    slice, raise a truncation failure.  The propagator depends on t only
+    through the scaled time v = t^alpha: this checks the inputs, forms v
+    once and leaves the rest to `_propagators`.
     """
     if not isinstance(params, MLParams):
         raise DomainError("ml_matrix expects MLParams")
@@ -235,34 +224,53 @@ def ml_matrix(params, t, a):
         raise DomainError("ml_matrix takes a time or a 1-d array of times")
     if not np.isfinite(ts).all() or (ts < 0.0).any():
         raise DomainError(f"ml_matrix requires finite t >= 0, got {t!r}")
-    m = as_square_matrix(a)
+    out = _propagators(params, np.atleast_1d(ts) ** params.alpha, as_square_matrix(a))
+    return out[0] if ts.ndim == 0 else out
+
+
+def _propagators(params, v, m):
+    """(n, d, d) stack of E_{alpha,beta}(v A) at the 1-d array of scaled
+    times v = t^alpha >= 0, for a matrix m that `as_square_matrix` passed.
+
+    The propagator is S F S^-1 with S the spectral basis.  F is diagonal,
+    E_{alpha,beta}(v lam) per eigenvalue, except on a cluster, whose block
+    is the Taylor sum of the cluster's N about its mean up to order 6, or
+    the block's own eigendecomposition at a v where that sum has not
+    converged.  A cluster whose mean lies in the sector |arg| <= alpha pi /
+    2, where E(sigma v) grows, takes that eigendecomposition at every v
+    when its condition is below 1e8.  The order-0 values of the clusters
+    come from the same Mittag-Leffler call as the eigenvalues outside them.
+    The whole stack takes one LU factorization of S^T, solved against the
+    n*d right-hand sides at once.  Each right-hand side is solved on its
+    own, so a slice's bits depend on its v alone: slice k of a stack equals
+    the one-point call at v[k] byte for byte.
+    """
     d = m.shape[0]
     spec = _decompose(d, m.tobytes())
-    times = np.atleast_1d(ts)
     nodes = np.array(spec.eigenvalues, dtype=complex)
     bases = {}
     for n, (idx, sigma, block) in enumerate(spec.clusters):
         nodes[idx] = sigma
-        # E(sigma t^alpha) grows in the sector, so there a usable block
-        # eigenbasis is taken at every time, with its eigenvalues as nodes
+        # E(sigma v) grows in the sector, so there a usable block
+        # eigenbasis is taken at every v, with its eigenvalues as nodes
         if abs(np.angle(sigma)) <= 0.5 * math.pi * params.alpha:
             mu, w = np.linalg.eig(block + sigma * np.eye(idx.size))
             if np.linalg.cond(w) < _BLOCK_EIG_COND:
                 nodes[idx], bases[n] = mu, w
-    fvals = _ml_spectrum(params, times, tuple(nodes.tolist()))
+    fvals = _ml_spectrum(params, v, tuple(nodes.tolist()))
     # out[k] = S F_k S^-1, i.e. S^T out[k]^T = (S F_k)^T: one LU of S^T
     # against all n*d right-hand sides, column (k, i) of rhs holding column
     # i of S F_k
-    v = spec.eigenvectors
-    rhs = v.T[:, None, :] * fvals.T[:, :, None]
+    s = spec.eigenvectors
+    rhs = s.T[:, None, :] * fvals.T[:, :, None]
     for n, (idx, sigma, block) in enumerate(spec.clusters):
         if n in bases:
             f_block = (bases[n] * fvals[:, None, idx]) @ np.linalg.inv(bases[n])
         else:
-            f_block = _cluster_block(params, times, fvals[:, idx[0]], sigma, block)
-        rhs[idx] = (v[:, idx] @ f_block).transpose(2, 0, 1)
-    out = np.linalg.solve(v.T, rhs.reshape(d, -1)).reshape(d, -1, d).transpose(1, 2, 0)
-    out[times == 0.0] = np.eye(d) * _rgamma(params.beta)
+            f_block = _cluster_block(params, v, fvals[:, idx[0]], sigma, block)
+        rhs[idx] = (s[:, idx] @ f_block).transpose(2, 0, 1)
+    out = np.linalg.solve(s.T, rhs.reshape(d, -1)).reshape(d, -1, d).transpose(1, 2, 0)
+    out[v == 0.0] = np.eye(d) * _rgamma(params.beta)
     # the max-norm of each slice, as operator_norm computes it
     scale = np.abs(out).sum(-1).max(-1)
     residue = np.abs(out.imag).sum(-1).max(-1)
@@ -271,22 +279,20 @@ def ml_matrix(params, t, a):
         k = bad[0]
         raise ImagTruncationError(
             f"imaginary residue {residue[k]:.3e} exceeds {_IMAG_TRUNC:.0e} "
-            f"of the norm {scale[k]:.3e} at t = {times[k]:g}"
+            f"of the norm {scale[k]:.3e} at t^alpha = {v[k]:g}"
         )
-    out = np.ascontiguousarray(out.real)
-    return out[0] if ts.ndim == 0 else out
+    return np.ascontiguousarray(out.real)
 
 
 def check_spectral_condition(a, alpha):
     """Sector condition |arg lambda| > alpha*pi/2 for every eigenvalue.
 
     A zero eigenvalue reports satisfied=False with margin -alpha*pi/2 and
-    the degenerate flag set.
+    the degenerate flag set.  The eigenvalues are those of the cached
+    spectral data, so past dimension 64 this raises DomainError.
     """
-    m = as_square_matrix(a)
+    w = np.array(spectral_decompose(a).eigenvalues)
     al = _order_value(alpha)
-    w = np.linalg.eigvals(m)
-    w = w[np.lexsort((w.imag, w.real))]
     half = 0.5 * al * math.pi
     scale = float(np.max(np.abs(w)))
     degenerate = bool(scale == 0.0 or (np.abs(w) <= 1e-14 * scale).any())
@@ -311,8 +317,9 @@ def _require_sector(a, alpha):
     return verdict
 
 
-def _time_scales(eigenvalues, alpha):
-    """(fast, slow) time scales of the propagator of a stable spectrum.
+def _time_scales(m, alpha):
+    """(fast, slow) time scales of the propagator of a validated matrix m
+    with a stable spectrum.
 
     E_{alpha,beta}(t^alpha lam) depends on t only through t^alpha lam, so
     each eigenvalue sets the scale |lam|^(-1/alpha).  `fast` is the least of
@@ -322,7 +329,7 @@ def _time_scales(eigenvalues, alpha):
     DomainError unless the window [1e-3 fast, 100 slow] that the kernel
     quantities scan lies in the normal doubles.
     """
-    lam = np.asarray(eigenvalues, dtype=complex)
+    lam = np.array(_decompose(m.shape[0], m.tobytes()).eigenvalues)
     with np.errstate(over="ignore"):
         tau = np.abs(lam) ** (-1.0 / alpha)
     # clipped at alpha pi, where |cos| reaches 1 and the residue leaves
@@ -334,22 +341,24 @@ def _time_scales(eigenvalues, alpha):
 
 
 def _norm_kinks(m, al, norm, t_hi, right=None):
-    """Times in (1e-3 fast, t_hi) where the max norm of E_{alpha,alpha}(t^alpha A)
-    R (R = right or I), or its one norm, has a kink: an entry of the row
-    (column) that attains it changes sign, or another row takes over.  One
-    call on 16 points per decade brackets them and three batched 32-way
-    sections narrow each bracket to its midpoint, within about 5e-6 t of
-    the kink.  Kinks that pair up inside one grid step and brackets past the
-    memory cap are left to the quadrature; the euclidean norm gets none."""
-    fast, _ = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
+    """Scaled times v = t^alpha, t in (1e-3 fast, t_hi), where the max norm of
+    E_{alpha,alpha}(v A) R (R = right or I), or its one norm, has a kink: an
+    entry of the row (column) that attains it changes sign, or another row
+    takes over.  One call on 16 points per decade of t brackets them and
+    three batched 32-way sections in t narrow each bracket to its midpoint,
+    within about 5e-6 t of the kink.  Kinks that pair up inside one grid
+    step and brackets past the memory cap are left to the quadrature; the
+    euclidean norm gets none."""
+    fast, _ = _time_scales(m, al)
     t_lo, d = 1e-3 * fast, m.shape[0]
     if norm == "euclidean" or not t_lo < t_hi:
         return np.empty(0)
+    params = MLParams(al, al)
 
     def features(t):
         # the entries of E R by rows (max norm) or columns (one norm), then
         # the difference of every two row sums
-        e = ml_matrix(MLParams(al, al), t, m)
+        e = _propagators(params, t ** al, m)
         e = e if right is None else e @ right
         e = e if norm == "max" else e.swapaxes(1, 2)
         sums = np.abs(e).sum(-1)
@@ -382,7 +391,7 @@ def _norm_kinks(m, al, norm, t_hi, right=None):
         lo, hi = x[at, first], x[at, first + 1]
     # an entry's zero is a kink only where its row still attains the norm
     top = np.abs(fx[at, first, : d * d]).reshape(-1, d, d).sum(-1).argmax(-1)
-    return 0.5 * (lo + hi)[(j >= d * d) | (j // d == top)]
+    return (0.5 * (lo + hi)[(j >= d * d) | (j // d == top)]) ** al
 
 
 def sup_ml_norm(a, alpha, norm="max", beta=1.0):
@@ -403,7 +412,7 @@ def sup_ml_norm(a, alpha, norm="max", beta=1.0):
     check_norm(norm)
     _require_sector(m, al)
     params = MLParams(al, beta)
-    fast, slow = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
+    fast, slow = _time_scales(m, al)
     lo, hi = 1e-3 * fast, 100.0 * slow
 
     def value(t):
@@ -444,7 +453,7 @@ def kernel_integral(a, alpha, norm="max", right=None):
     the endpoint singularity exactly, leaving slow^alpha / alpha times the
     integral of ||E_{alpha,alpha}(slow^alpha v A)|| dv on the finite part
     [0, (T*/slow)^alpha].  That part is an adaptive 21-point Gauss–Kronrod
-    quadrature, and each of its refinement rounds is one ml_matrix call on
+    quadrature, and each of its refinement rounds is one propagator call on
     every node of the round; its first span starts cut at the norm's kinks
     below 10 slow (`_norm_kinks`), a later one at the octaves of its start.
     The tail beyond T* is estimated through the
@@ -475,27 +484,24 @@ def kernel_integral(a, alpha, norm="max", right=None):
         if not right.any():
             return {"value": 0.0, "tail_bound": 0.0, "t_star": 0.0}
 
-    def propagator(t):
-        e = ml_matrix(params, t, m)
-        return e if right is None else e @ right
-
-    _, slow = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
+    _, slow = _time_scales(m, al)
     unit = slow ** al
 
     def enorm_v(v, owner):
         # integrand after substitution on an array of v = (tau/slow)^alpha,
-        # over one span (owner is all zeros)
-        return operator_norm(propagator(slow * v ** (1.0 / al)), norm)
+        # over one span (owner is all zeros); tau^alpha = unit * v
+        e = _propagators(params, unit * v, m)
+        return operator_norm(e if right is None else e @ right, norm)
 
     def m_hat(x_star):
         xs = np.geomspace(x_star, 100.0 * x_star, 49)
-        return float(np.max(operator_norm(propagator(slow * xs), norm) * xs ** (2.0 * al)))
+        return float(np.max(enorm_v(xs ** al, None) * xs ** (2.0 * al)))
 
     # star is T* / slow
     star = 10.0
     finite = 0.0
     v_done = 0.0
-    cuts = (_norm_kinks(m, al, norm, 10.0 * slow, right) / slow) ** al
+    cuts = _norm_kinks(m, al, norm, 10.0 * slow, right) / unit
     while True:
         v_star = star ** al
         part, _ = _gk21_family(enorm_v, [(v_done, v_star, cuts)], 1e-12, 1e-9, 400)[0]

@@ -450,20 +450,18 @@ def lyapunov_perron_iterate(
     pert,
     x0,
     grid: TimeGrid,
-    norm: str = "max",
 ) -> Trajectory:
     """Fixed-point iteration on the variation-of-constants operator.
 
     Starts from the unperturbed solution and applies the discretized
     operator T(xi)(t) = E_alpha(t^alpha A) x0 + convolution of the kernel
-    E_{alpha,alpha} with f(., xi(.)) until the successive sup-norm
-    difference falls below _LP_TOL, for at most _LP_MAX_ITER iterations.
-    Iteration ratios are recorded in meta["ratios"].
+    E_{alpha,alpha} with f(., xi(.)) until successive iterates differ by at
+    most _LP_TOL in the max norm at every node, for at most _LP_MAX_ITER
+    iterations.  Iteration ratios are recorded in meta["ratios"].
     """
     al = _order_incl_one(alpha)
     m = as_square_matrix(a)
     pert = as_perturbation(pert, m.shape[0])
-    check_norm(norm)
     x = _as_state(x0, m.shape[0])
     linear = solve_linear_exact(al, m, x, grid).states
     if len(grid) == 1:
@@ -480,7 +478,7 @@ def lyapunov_perron_iterate(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, _LP_MAX_ITER + 1):
             new_states = operator(states)
-            diff = float(np.max(vector_norm(new_states - states, norm)))
+            diff = float(np.max(vector_norm(new_states - states, "max")))
             if not math.isfinite(diff):
                 break
             if prev_diff is not None and prev_diff > 0.0:

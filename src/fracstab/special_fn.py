@@ -584,15 +584,14 @@ def ml_dlambda(params, t, lam, l):
         raise DomainError(f"ml_dlambda requires t >= 0, got {t!r}")
     # the batched path's numpy powers round differently from Python's, so
     # a single point goes through it too
-    val = _ml_dlambda_many(params.alpha, params.beta, np.array([t]), complex(lam), l)
+    val = _ml_dlambda_many(params.alpha, params.beta, np.array([t]) ** params.alpha, complex(lam), l)
     return complex(val[0])
 
 
-def _ml_dlambda_many(alpha, beta, times, lam, l):
-    times = np.asarray(times, dtype=float)
-    ta = times ** alpha
-    vals = _ml_core(alpha, beta, lam * ta.astype(complex), l)
-    return (ta ** l) * vals
+def _ml_dlambda_many(alpha, beta, v, lam, l):
+    """v^l E^(l)(lam v) on an array of scaled times v = t^alpha."""
+    v = np.asarray(v, dtype=float)
+    return (v ** l) * _ml_core(alpha, beta, lam * v.astype(complex), l)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError, FracstabError, GridError, NoDecayError
 from .matfun import (
-    _decompose,
     _norm_kinks,
+    _propagators,
     _time_scales,
     as_square_matrix,
     check_spectral_condition,
@@ -162,20 +162,21 @@ def _lag_integrals(m, al, norm, pert):
     with tol = (epsabs, epsrel, limit).  The weight w is 1, or given the log
     of a nondecreasing weight beta below T = t_freeze, the ratio
     beta(min(t - s, T)) / beta(min(t, T)), exactly 1 once t - s >= T.  The
-    propagator does not depend on t, so each node v is evaluated once for
-    every call of integrate and kept in a table: sorted keys over an
-    append-only store.  Each span [0, t^alpha] starts cut at the octaves
-    v = 2^j from the least of 1 and 2^floor(alpha log2 fast) up, with fast
-    the spectrum's time scale (`matfun._time_scales`), where the kernel's
-    mass sits and then decays algebraically, at its norm kinks below t
-    (`matfun._norm_kinks` over [1e-3 fast, 2^17], searched once, with R = Q(0)
-    for a linear kind, exact for the constant and decaying ones, else I), at
-    the lags of the kind's knots and of T, and for w = 1 and an envelope
-    that varies at the lags 2^j < t.
+    propagator does not depend on t, so each node v is evaluated once, at v
+    itself (`matfun._propagators`), for every call of integrate and kept in
+    a table: sorted keys over an append-only store.  Each span [0, t^alpha]
+    starts cut at the octaves v = 2^j from the least of 1 and
+    2^floor(alpha log2 fast) up, with fast the spectrum's time scale
+    (`matfun._time_scales`), where the kernel's mass sits and then decays
+    algebraically, at its norm kinks below t (`matfun._norm_kinks` over
+    [1e-3 fast, 2^17], searched once, with R = Q(0) for a linear kind, exact
+    for the constant and decaying ones, else I), at the lags of the kind's
+    knots and of T, and for w = 1 and an envelope that varies at the lags
+    2^j < t.
     """
     params = MLParams(al, al)
     knots = np.asarray(pert.breakpoints(), dtype=float)
-    fast, _ = _time_scales(_decompose(m.shape[0], m.tobytes()).eigenvalues, al)
+    fast, _ = _time_scales(m, al)
     first = min(0, math.floor(al * math.log2(fast)))
     # v at the norm kinks, searched on the first call, under its failure handling
     kink_v = None
@@ -193,7 +194,7 @@ def _lag_integrals(m, al, norm, pert):
         at = np.searchsorted(keys, s)
         new = (keys[at] != s) & np.append(True, s[1:] != s[:-1])
         if new.any():
-            fresh = ml_matrix(params, s[new] ** (1.0 / al), m)
+            fresh = _propagators(params, s[new], m)
             stop = used + len(fresh)
             if stop > len(store):
                 grown = np.empty((max(stop, 2 * used),) + m.shape)
@@ -210,7 +211,7 @@ def _lag_integrals(m, al, norm, pert):
         ts = np.asarray(ts, dtype=float)
         if kink_v is None:
             right = pert.q_matrix(0.0) if pert.is_linear else None
-            kink_v = _norm_kinks(m, al, norm, _LAST_LAG, right) ** al
+            kink_v = _norm_kinks(m, al, norm, _LAST_LAG, right)
         lagged = knots if t_freeze is None else np.append(knots, t_freeze)
         if log_beta is not None:
             lb_t = log_beta(np.minimum(ts, t_freeze))

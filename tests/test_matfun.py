@@ -121,6 +121,8 @@ def test_spectral_decompose_dimension_cap():
     rng = np.random.default_rng(7)
     with pytest.raises(DomainError):
         spectral_decompose(rng.standard_normal((65, 65)))
+    with pytest.raises(DomainError):
+        check_spectral_condition(rng.standard_normal((65, 65)), 0.5)
 
 
 def _one_cluster(a, members, sigma):
@@ -761,13 +763,13 @@ def test_kernel_integral_diagonal_exact_value():
 
 def test_kernel_integral_batches_the_propagator(monkeypatch):
     calls = []
-    real = matfun.ml_matrix
+    real = matfun._propagators
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(matfun, "ml_matrix", counted)
+    monkeypatch.setattr(matfun, "_propagators", counted)
     kernel_integral(ROTATION, 0.5)
     # one propagator call per quadrature round, plus the tail constants
     assert len(calls) <= 100
@@ -789,13 +791,13 @@ def test_kernel_integral_is_scale_invariant():
 def test_norm_kinks_find_the_sign_changes_of_the_rotation():
     # the (0, 0) entry of E_{1/2,1/2}(t^{1/2} ROTATION) changes sign at
     # v = t^alpha = 0.9241388730045915, the only kink of the max norm; the
-    # search returns the midpoint of a bracket about 5e-6 t wide
+    # search returns that v from the midpoint of a bracket about 5e-6 t wide
     params = MLParams(0.5, 0.5)
     zero = brentq(lambda t: ml_matrix(params, t, ROTATION)[0, 0], 0.8, 0.9, xtol=1e-15)
     assert math.sqrt(zero) == pytest.approx(0.9241388730045915, rel=1e-9)
     for norm in ("max", "one"):
         kinks = matfun._norm_kinks(ROTATION, 0.5, norm, 2.0 ** 17)
-        assert kinks == pytest.approx([zero], rel=5e-6)
+        assert kinks == pytest.approx([zero ** 0.5], rel=5e-6)
     assert matfun._norm_kinks(ROTATION, 0.5, "euclidean", 2.0 ** 17).size == 0
     assert matfun._norm_kinks(np.diag([-1.0, -2.0, -3.0]), 0.5, "max", 2.0 ** 17).size == 0
 

@@ -409,7 +409,7 @@ def test_ml_many_equals_ml_in_every_regime():
         lam = z / t ** alpha
         for beta in (alpha, 1.0):
             for l in range(7):
-                many = sf._ml_dlambda_many(alpha, beta, t, lam, l)
+                many = sf._ml_dlambda_many(alpha, beta, t ** alpha, lam, l)
                 one = [ml_dlambda(MLParams(alpha, beta), ti, li, l) for ti, li in zip(t, lam)]
                 assert np.array_equal(many, np.array(one)), (alpha, beta, l)
         az = np.abs(z)

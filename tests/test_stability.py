@@ -164,13 +164,13 @@ def test_q_below_one_for_gains_under_threshold():
 
 def test_q_rotation_anchor_with_batched_propagator(monkeypatch):
     calls = []
-    real = stability.ml_matrix
+    real = stability._propagators
 
-    def counted(params, t, a):
-        calls.append(np.asarray(t, dtype=float).tobytes())
-        return real(params, t, a)
+    def counted(params, v, m):
+        calls.append(v.tobytes())
+        return real(params, v, m)
 
-    monkeypatch.setattr(stability, "ml_matrix", counted)
+    monkeypatch.setattr(stability, "_propagators", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
     q, _ = _scan(ROTATION, pert)
     assert q == pytest.approx(Q_ROTATION_DECAYING, rel=1e-10)
@@ -653,13 +653,13 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
     # 200 knots cut each lag integral into up to 202 pieces; as one adaptive
     # integral each round is one propagator call for all of them
     calls = []
-    real = stability.ml_matrix
+    real = stability._propagators
 
-    def counted(params, t, a):
+    def counted(params, v, m):
         calls.append(1)
-        return real(params, t, a)
+        return real(params, v, m)
 
-    monkeypatch.setattr(stability, "ml_matrix", counted)
+    monkeypatch.setattr(stability, "_propagators", counted)
     ts = np.linspace(0.0, 100.0, 200)
     q, _ = _scan(A_NEG, LinearTable(ts, 0.3 + 0.2 * np.sin(ts)))
     assert len(calls) <= 200
@@ -669,16 +669,16 @@ def test_q_scan_knot_cuts_share_one_integral(monkeypatch):
 def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
     # all 23 horizons advance in lockstep, one propagator call per round,
     # and the per-node propagator table serves every horizon and the
-    # polish: no lag reaches ml_matrix twice.  The decay certificate's
-    # evaluation times share one such table
+    # polish: no lag reaches the table's propagator calls twice.  The decay
+    # certificate's evaluation times share one such table
     lags = []
-    real = stability.ml_matrix
+    real = stability._propagators
 
-    def counted(params, t, a):
-        lags.append(np.atleast_1d(np.asarray(t, dtype=float)).copy())
-        return real(params, t, a)
+    def counted(params, v, m):
+        lags.append(v.copy())
+        return real(params, v, m)
 
-    monkeypatch.setattr(stability, "ml_matrix", counted)
+    monkeypatch.setattr(stability, "_propagators", counted)
     pert = LinearDecaying(0.2 * np.eye(2), gamma=1.0)
     _scan(ROTATION, pert)
     every = np.concatenate(lags)
@@ -694,16 +694,17 @@ def test_q_scan_evaluates_each_lag_once_per_scan(monkeypatch):
 def test_classify_ml_points_per_rotation_case(monkeypatch):
     # the q-scan and the decay certificate integrate through one routine
     # whose dyadic cuts repeat panels across horizons and evaluation times:
-    # 13,613 points, where a fixed 501-node rule per evaluation time needs
-    # over 40,000
+    # 12,344 points in all propagator calls of a classify, where a fixed
+    # 501-node rule per evaluation time needs over 40,000
     points = []
-    real = stability.ml_matrix
+    real = matfun._propagators
 
-    def counted(params, t, a):
-        points.append(np.asarray(t).size)
-        return real(params, t, a)
+    def counted(params, v, m):
+        points.append(v.size)
+        return real(params, v, m)
 
-    monkeypatch.setattr(stability, "ml_matrix", counted)
+    monkeypatch.setattr(matfun, "_propagators", counted)
+    monkeypatch.setattr(stability, "_propagators", counted)
     report = classify(ROTATION, 0.5, LinearDecaying(0.2 * np.eye(2), gamma=1.0))
     assert report.verdict == "DecayingStable"
     assert sum(points) <= 20000
@@ -755,21 +756,21 @@ def test_classify_rule_passes_per_rotation_case(monkeypatch):
 def test_classify_counts_on_the_bench_certify_cases(monkeypatch, a, pert, ml_calls, rule_passes):
     # the lag integrals and the kernel integral start cut at the propagator's
     # norm kinks and at the octaves of both algebraic ends, and one table
-    # serves the q-scan and the decay certificate: 76 and 58 ml_matrix
+    # serves the q-scan and the decay certificate: 76 and 58 propagator
     # calls and 94 and 50 rule passes before, 44, 37, 28 and 27 after
     calls = []
-    real_ml, real_rule = matfun.ml_matrix, quad._gk21_rule
+    real_ml, real_rule = matfun._propagators, quad._gk21_rule
 
-    def counted_ml(params, t, m):
+    def counted_ml(params, v, m):
         calls.append("ml")
-        return real_ml(params, t, m)
+        return real_ml(params, v, m)
 
     def counted_rule(fx, half):
         calls.append("rule")
         return real_rule(fx, half)
 
-    monkeypatch.setattr(matfun, "ml_matrix", counted_ml)
-    monkeypatch.setattr(stability, "ml_matrix", counted_ml)
+    monkeypatch.setattr(matfun, "_propagators", counted_ml)
+    monkeypatch.setattr(stability, "_propagators", counted_ml)
     monkeypatch.setattr(quad, "_gk21_rule", counted_rule)
     assert classify(a, 0.5, pert).verdict == "DecayingStable"
     assert calls.count("ml") <= ml_calls
@@ -934,6 +935,13 @@ def test_classify_scales_up_to_the_double_range():
     # ratio 2^17 / (1e-3 fast) overflowed into a builtin OverflowError
     report = classify(1e150 * A_DIAG, 0.5, LinearDecaying(0.5e150 * np.eye(2), 1.0))
     assert report.verdict == "RobustStable"
+    # at alpha = 0.1 the lag nodes near v = 1e-33 sit at times below the
+    # least subnormal; turned back into t = v^(1/alpha) they read t = 0, and
+    # the q-scan ran to its panel budget with q_error 1.2e-6.  The 1e28
+    # system, clear of that, reads q = 0.4961237396721981
+    report = classify(1e30 * A_DIAG, 0.1, LinearDecaying(0.5e30 * np.eye(2), 1.0))
+    assert report.q_error < 1e-12
+    assert report.q == pytest.approx(0.4961237396721981, rel=1e-12)
     # 1e-3 fast = 9.8e-317 is subnormal: no window of the kernel quantities fits
     with pytest.raises(FracstabError):
         classify(1e31 * A_DIAG, 0.1, LinearDecaying(0.5e31 * np.eye(2), 1.0))
