@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FracstabError,
     ImagTruncationError,
     SectorViolationError,
     TailConvergenceError,
@@ -36,6 +37,8 @@ _CLUSTER_TOL = 1e-2      # relative eigenvalue distance that joins a cluster
 _CLUSTER_FLOOR = 1e-2    # of ||A||_F: the least modulus the distance is relative to
 _TAYLOR_TAIL = 1e-13     # the last Taylor term must fall below this of the block
 _BLOCK_EIG_COND = 1e8    # past this a block eigenbasis loses half the mantissa
+_BASIS_COND = 1e4        # below this a cluster's eigenvectors span its subspace
+_LEAK_TOL = 1e-10        # of max|A|: the largest S^-1 A S entry off the blocks
 _IMAG_TRUNC = 1e-9
 _SUP_STABILIZE = 1e-4
 _TAIL_FRACTION = 1e-4
@@ -89,16 +92,19 @@ def _clusters(w, norm_a):
     return [np.flatnonzero(label == k) for k in np.flatnonzero(np.bincount(label) > 1)]
 
 
-def _invariant_basis(m, w, idx):
+def _invariant_basis(m, w, v, idx):
     """Orthonormal basis of the invariant subspace of the eigenvalues w[idx]:
-    the leading left singular vectors of the product of the normalised
-    factors (A - lam I) over every eigenvalue outside them."""
+    the QR of their eigenvectors v[:, idx] when those have condition below
+    1e4, else the null space of the product of the cluster's own normalised
+    factors (A - lam I), which a near-defective cluster needs."""
+    if np.linalg.cond(v[:, idx]) < _BASIS_COND:
+        return np.linalg.qr(v[:, idx])[0]
     eye = np.eye(m.shape[0])
     p = eye.astype(complex)
-    for lam in np.delete(w, idx):
+    for lam in w[idx]:
         f = m - lam * eye
-        p = (f / np.linalg.norm(f)) @ p
-    return np.linalg.svd(p)[0][:, : len(idx)]
+        p = (f / max(np.abs(f).max(), 1e-300)) @ p
+    return np.linalg.svd(p)[2][-idx.size :].conj().T
 
 
 @functools.lru_cache(maxsize=64)
@@ -116,9 +122,16 @@ def _decompose(d, raw):
     clusters = ()
     if groups:
         v = v.astype(complex)
+        leak = ~np.eye(d, dtype=bool)
         for idx in groups:
-            v[:, idx] = _invariant_basis(m, w, idx)
+            v[:, idx] = _invariant_basis(m, w, v, idx)
+            leak[np.ix_(idx, idx)] = False
         reduced = np.linalg.solve(v, m @ v)
+        # S^-1 A S must be diagonal outside the cluster blocks: a basis
+        # that leaks into another eigenspace is a failure, never silent
+        worst = np.abs(reduced[leak]).max(initial=0.0)
+        if not worst <= _LEAK_TOL * np.abs(m).max():
+            raise FracstabError(f"cluster basis leaks: S^-1 A S reads {worst:.3e} off its blocks")
         for idx in groups:
             sigma = complex(np.mean(w[idx]))
             clusters += ((idx, sigma, reduced[np.ix_(idx, idx)] - sigma * np.eye(idx.size)),)
@@ -132,9 +145,9 @@ def spectral_decompose(a):
     """Eigenvalues, sorted by (real, imag), and the spectral basis of a.
 
     A spectrum without clusters keeps the eigenvector matrix of
-    `np.linalg.eig` as its basis; each cluster gets its invariant-subspace
-    basis and its block (see SpectralData).  The data is computed once per
-    distinct matrix and cached read-only: equal matrices share one object.
+    `np.linalg.eig`; each cluster gets its invariant-subspace basis and its
+    block (see SpectralData), and a basis that leaks raises.  The data is
+    computed once per matrix and cached read-only: equal ones share it.
     """
     m = as_square_matrix(a)
     return _decompose(m.shape[0], m.tobytes())
@@ -212,10 +225,10 @@ def ml_matrix(params, t, a):
 
     `t` is a time or a 1-d array of times; an array gives the (n, d, d)
     stack of the propagators at those times.  Output imaginary parts at or
-    below 1e-9 of the output norm are truncated; larger residues, in any
-    slice, raise a truncation failure.  The propagator depends on t only
-    through the scaled time v = t^alpha: this checks the inputs, forms v
-    once and leaves the rest to `_propagators`.
+    below 1e-9 of the output norm are truncated; any other residue (larger,
+    nan or inf) raises a truncation failure.  The propagator depends on t
+    only through the scaled time v = t^alpha: this checks the inputs, forms
+    v once and leaves the rest to `_propagators`.
     """
     if not isinstance(params, MLParams):
         raise DomainError("ml_matrix expects MLParams")
@@ -274,7 +287,7 @@ def _propagators(params, v, m):
     # the max-norm of each slice, as operator_norm computes it
     scale = np.abs(out).sum(-1).max(-1)
     residue = np.abs(out.imag).sum(-1).max(-1)
-    bad = np.flatnonzero(residue > _IMAG_TRUNC * scale)
+    bad = np.flatnonzero(~(residue <= _IMAG_TRUNC * scale))
     if bad.size:
         k = bad[0]
         raise ImagTruncationError(

@@ -526,7 +526,7 @@ def _ml_core(alpha, beta, z, l=0):
     z = np.asarray(z, dtype=complex)
     if alpha == 1.0 and beta == 1.0:
         with np.errstate(over="ignore"):
-            return np.exp(z)  # every z-derivative of exp is exp
+            return _require_finite(np.exp(z), z)  # every z-derivative of exp is exp
     low = z.imag < 0.0
     if low.any():
         z = np.where(low, z.conj(), z)

@@ -319,6 +319,22 @@ def test_ml_eval_norm_table(tmp_path):
     assert np.all(np.diff(values[:, 1]) < 0.0)
 
 
+
+def test_ml_eval_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # exp(t (0.1 +- i)) overflows before t = 7100; the report once held
+    # "sup_norm_ml": NaN, which is not JSON, and the run exited 0
+    cfg = {
+        "name": "alpha-one",
+        "kind": "MlEval",
+        "system": {"alpha": 1.0, "a": [[0.1, 1.0], [-1.0, 0.1]]},
+        "grid": {"t_max": 7100.0, "n": 100},
+    }
+    path = _config(tmp_path, "m", cfg)
+    assert main(["ml-eval", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_robust_demo_contracts(tmp_path):
     cfg = {
         "name": "demo",

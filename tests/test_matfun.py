@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from fracstab import matfun
 from fracstab.errors import (
     DomainError,
+    FracstabError,
     ImagTruncationError,
     SectorViolationError,
     UnsupportedOrderError,
@@ -645,6 +646,92 @@ def test_ml_matrix_imag_truncation_gate(monkeypatch):
     monkeypatch.setattr(matfun, "_decompose", lambda d, raw: fake)
     with pytest.raises(ImagTruncationError):
         ml_matrix(MLParams(0.5, 1.0), 1.0, np.diag([-1.0, -2.0]))
+
+
+def test_ml_matrix_imag_gate_fails_on_nan(monkeypatch):
+    # a nan value, as inf times a zero eigenvector part leaves, has a nan
+    # residue: it fails the gate instead of passing as "not too large"
+    monkeypatch.setattr(matfun, "_ml_spectrum", lambda params, v, lam: np.full((v.size, 2), np.nan))
+    with pytest.raises(ImagTruncationError):
+        ml_matrix(MLParams(0.5, 1.0), 1.0, ROTATION)
+
+
+def test_ml_matrix_exponential_overflow_raises():
+    # exp(t (0.1 +- i)) leaves the double range between t = 7000 and 7100;
+    # past it the propagator once read an all-nan matrix with no error
+    a = [[0.1, 1.0], [-1.0, 0.1]]
+    t = 7000.0
+    got = ml_matrix(MLParams(1.0, 1.0), t, a)
+    want = math.exp(0.1 * t) * np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+    assert got[0, 0] == pytest.approx(8.74e303, rel=1e-3)
+    assert _max_norm_error(got, want) <= 1e-12
+    with pytest.raises(FracstabError):
+        ml_matrix(MLParams(1.0, 1.0), 7100.0, a)
+
+
+def _census(d, seed):
+    """-diag(U(1, 5)) + 0.01 N(0, 1): well-conditioned eigenvectors, and
+    from d = 24 up clusters of two or three close eigenvalues."""
+    rng = np.random.default_rng(seed)
+    return -np.diag(rng.uniform(1.0, 5.0, d)) + 0.01 * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("d", [8, 24, 32, 64])
+def test_ml_matrix_matches_expm_on_the_census(d):
+    # E_{1,1}(tA) = expm(tA), and E_{1,2}(tA) = phi_1(tA) is the top-right
+    # block of expm(t [[A, I], [0, 0]]) divided by t (Van Loan 1978).  A
+    # basis built from the product over the eigenvalues outside each
+    # cluster read 1e-6 off at d = 24 and raised from d = 32 up
+    expm = pytest.importorskip("scipy.linalg").expm
+    zero = np.zeros((d, d))
+    for seed in range(10):
+        a = _census(d, seed)
+        big = np.block([[a, np.eye(d)], [zero, zero]])
+        for t in (0.1, 1.0):
+            got = ml_matrix(MLParams(1.0, 1.0), t, a)
+            assert np.abs(got - expm(t * a)).max() <= 1e-12, (seed, t)
+            if seed >= 5:
+                continue  # expm of the 2d x 2d block is the slow part
+            got = ml_matrix(MLParams(1.0, 2.0), t, a)
+            assert np.abs(got - expm(t * big)[:d, d:] / t).max() <= 1e-12, (seed, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a", [-np.eye(3), np.zeros((2, 2)), JORDAN2], ids=["minus-identity", "zero", "jordan"]
+)
+@pytest.mark.parametrize("null_space", [False, True], ids=["default", "null-space"])
+def test_whole_spectrum_cluster_has_no_warning(a, null_space, monkeypatch):
+    # one cluster holds every eigenvalue, so a factor A - lam I of the
+    # near-defective rule, forced here by a zero condition bound, can be
+    # the zero matrix
+    if null_space:
+        monkeypatch.setattr(matfun, "_BASIS_COND", 0.0)
+    matfun._decompose.cache_clear()
+    try:
+        spec = spectral_decompose(a)
+        assert [idx.tolist() for idx, _, _ in spec.clusters] == [list(range(a.shape[0]))]
+        params = MLParams(0.5, 1.0)
+        for t in (0.0, 0.5, 4.0):
+            want = sum(
+                np.linalg.matrix_power(a - a[0, 0] * np.eye(a.shape[0]), l)
+                * ml_dlambda(params, t, a[0, 0], l) / math.factorial(l)
+                for l in range(2)
+            )
+            assert _max_norm_error(ml_matrix(params, t, a), want) <= 1e-13, t
+    finally:
+        matfun._decompose.cache_clear()
+
+
+def test_leaking_cluster_basis_raises(monkeypatch):
+    # a basis that is not invariant leaves S^-1 A S with entries off the
+    # cluster blocks; the propagator built on it would be wrong, so the
+    # decomposition raises instead
+    q = np.linalg.qr(np.random.default_rng(4001).standard_normal((3, 3)))[0]
+    a = q @ np.diag([-1.0, -1.001, -3.0]) @ q.T
+    monkeypatch.setattr(matfun, "_invariant_basis", lambda m, *rest: np.eye(3)[:, rest[-1]])
+    with pytest.raises(FracstabError, match="leaks"):
+        spectral_decompose(a)
 
 
 def test_ml_matrix_is_real_on_a_real_eigenvalue_near_a_zero():

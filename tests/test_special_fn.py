@@ -544,6 +544,14 @@ def test_ml_exponential_overflow_raises(beta):
         ml(MLParams(0.5, beta), 1000.0)
 
 
+def test_ml_exp_branch_overflow_raises():
+    # alpha = beta = 1 is exp itself, which must leave the double range
+    # the way the other regimes do, not as inf
+    with pytest.raises(OverflowSignal):
+        ml_many(MLParams(1.0, 1.0), np.array([7100.0 * (0.1 + 1j)]))
+    assert ml_many(MLParams(1.0, 1.0), np.array([700.0]))[0] == math.exp(700.0)
+
+
 def test_ml_series_table_failure_raises(monkeypatch):
     monkeypatch.setattr(sf, "_SERIES_KMAX", 5)
     sf._series_table.cache_clear()

@@ -947,6 +947,17 @@ def test_classify_scales_up_to_the_double_range():
         classify(1e31 * A_DIAG, 0.1, LinearDecaying(0.5e31 * np.eye(2), 1.0))
 
 
+def test_classify_on_a_32_dimensional_census_matrix():
+    # -diag(U(1, 5)) + 0.01 N(0, 1) at d = 32 has clusters of two or three
+    # close eigenvalues; their basis once leaked, and this read q 0.32247
+    rng = np.random.default_rng(9)
+    a = -np.diag(rng.uniform(1.0, 5.0, 32)) + 0.01 * rng.standard_normal((32, 32))
+    assert matfun.spectral_decompose(a).clusters
+    report = classify(a, 0.5, LinearConstant(0.3 * np.eye(32)))
+    assert report.verdict == "RobustStable"
+    assert report.q == pytest.approx(0.3221863531081621, rel=1e-9)
+
+
 def test_classify_does_not_certify_an_equal_norm_table():
     # both table nodes have norm 1, so the envelope is the constant 1, but Q
     # moves from the slow direction to the fast one: I(t) reaches 3.18
